@@ -10,8 +10,8 @@
 //! each, so only the two that converge normally are asked.
 
 use crate::harness::{
-    close_rel, conserves_jobs, exact_error, per_layer, repeat_setup, same_metrics, shuffle,
-    trace_metrics, Config, Outcome, Tally, POOL_WIDTH,
+    close_rel, conserves_jobs, end_to_end_faster_half, exact_error, per_layer, repeat_setup,
+    same_metrics, shuffle, trace_metrics, Config, Outcome, Pass, Tally,
 };
 use crate::spans::Recorder;
 use mapqn_core::exact::solve_exact_with;
@@ -129,15 +129,22 @@ fn set_up(cfg: &Config) -> Result<Vec<Request>, String> {
     let mut tally = Tally::default();
     for factored in [false, true] {
         if let Some(request) = requests.iter_mut().find(|r| r.factored == factored) {
-            answer(&warm_up, request, &mut tally, &mut 0);
+            answer(&warm_up, request, 0, &mut tally, &mut 0);
         }
     }
     shuffle(&mut requests, &mut StdRng::seed_from_u64(cfg.seed));
     Ok(requests)
 }
 
-/// Answers one request through the front door and checks it.
-fn answer(cfg: &Config, request: &mut Request, tally: &mut Tally, attempts: &mut usize) {
+/// Answers one request through the front door and checks it; `ordinal`
+/// counts the run's answers before this one.
+fn answer(
+    cfg: &Config,
+    request: &mut Request,
+    ordinal: usize,
+    tally: &mut Tally,
+    attempts: &mut usize,
+) {
     let n = request.network.population();
     let start = Instant::now();
     let result = if request.factored {
@@ -166,7 +173,7 @@ fn answer(cfg: &Config, request: &mut Request, tally: &mut Tally, attempts: &mut
         return;
     };
     *attempts += tries;
-    cfg.maybe_corrupt(tally.answers(), &mut metrics.system_throughput);
+    cfg.maybe_corrupt(ordinal, &mut metrics.system_throughput);
     let agrees = request.reference.as_ref().is_none_or(|r| {
         close_rel(r.system_throughput, metrics.system_throughput, AGREE_TOL)
             && r.mean_queue_length
@@ -270,24 +277,40 @@ pub fn run(cfg: &Config) -> Result<Outcome, String> {
     }
     let (mut requests, setup_times) = repeat_setup(|| set_up(cfg))?;
     let mut tally = Tally::default();
+    let mut passes = Vec::new();
     let mut attempts = 0;
     let start = Instant::now();
-    let mut passes = 0;
-    while passes == 0 || !cfg.done(start, tally.answers()) {
+    while passes.is_empty() || !cfg.done(start, tally.answers()) {
+        let mut pass = Tally::default();
+        let pass_start = Instant::now();
         for request in &mut requests {
-            answer(cfg, request, &mut tally, &mut attempts);
+            let ordinal = tally.answers() + pass.answers();
+            answer(cfg, request, ordinal, &mut pass, &mut attempts);
         }
-        passes += 1;
+        tally.absorb(&pass);
+        passes.push(Pass {
+            wall: pass_start.elapsed(),
+            tally: pass,
+        });
     }
-    let wall = start.elapsed();
-    let mut stamp = tally.sample_stamp();
-    stamp.push(("pool_width", POOL_WIDTH.to_string()));
+    let run_passes = passes.len();
+    let (metrics, timed, timed_passes) =
+        end_to_end_faster_half(passes, &tally, &setup_times, crate::harness::peak_rss_mb()?);
+    let mut stamp = vec![("answers", tally.answers().to_string())];
+    stamp.extend(
+        timed
+            .sample_stamp()
+            .into_iter()
+            .filter(|(key, _)| *key != "answers"),
+    );
+    stamp.push(("pool_width", cfg.workload.pool_width().to_string()));
     stamp.push(("requests_per_pass", requests.len().to_string()));
-    stamp.push(("passes", passes.to_string()));
+    stamp.push(("passes", run_passes.to_string()));
+    stamp.push(("timed_passes", timed_passes.to_string()));
     Ok(Outcome {
         attempted: tally.attempted,
         failed: tally.failed,
-        metrics: tally.end_to_end(&setup_times, wall, crate::harness::peak_rss_mb()?),
+        metrics,
         stamp,
         spans: None,
     })
@@ -304,7 +327,8 @@ fn run_traced(cfg: &Config) -> Result<Outcome, String> {
     let start = Instant::now();
     while passes == 0 || start.elapsed().as_secs_f64() < cfg.seconds / 2.0 {
         for request in &mut requests {
-            answer(cfg, request, &mut untraced, &mut attempts);
+            let ordinal = untraced.answers();
+            answer(cfg, request, ordinal, &mut untraced, &mut attempts);
         }
         passes += 1;
     }
@@ -373,7 +397,7 @@ fn run_traced(cfg: &Config) -> Result<Outcome, String> {
     );
 
     let mut stamp = traced.sample_stamp();
-    stamp.push(("pool_width", POOL_WIDTH.to_string()));
+    stamp.push(("pool_width", cfg.workload.pool_width().to_string()));
     stamp.push(("requests_per_pass", requests.len().to_string()));
     stamp.push(("passes", passes.to_string()));
     stamp.push((

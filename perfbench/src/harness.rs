@@ -7,7 +7,8 @@ use mapqn_core::{BoundInterval, NetworkBounds, NetworkMetrics};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Threads the benchmark may use in total, pool included.
+/// Threads the benchmark may use in total, pool included, on the workloads
+/// whose library pools run in parallel.
 pub const POOL_WIDTH: usize = 2;
 
 /// Set-ups per run; `setup_s` is their median.
@@ -90,6 +91,18 @@ impl Workload {
             Workload::PlanningStream => "planning_stream",
             Workload::LpSweep => "lp_sweep",
             Workload::CtmcExact => "ctmc_exact",
+        }
+    }
+
+    /// Width of every library pool the workload opens. `ctmc_exact` runs
+    /// one thread: its sweep rounds meet at a barrier, so with two threads
+    /// an answer waits for whichever vCPU of a shared host runs slow at the
+    /// time, and the sparse engine is no faster with two at these sizes.
+    #[must_use]
+    pub fn pool_width(self) -> usize {
+        match self {
+            Workload::CtmcExact => 1,
+            Workload::PlanningStream | Workload::LpSweep => POOL_WIDTH,
         }
     }
 
@@ -269,6 +282,16 @@ impl Tally {
             .collect()
     }
 
+    /// Appends the answers of `other`.
+    pub fn absorb(&mut self, other: &Tally) {
+        self.latencies_ms.extend_from_slice(&other.latencies_ms);
+        self.quoted_error_sum += other.quoted_error_sum;
+        self.quoted += other.quoted;
+        self.attempted += other.attempted;
+        self.failed += other.failed;
+        self.call_time += other.call_time;
+    }
+
     /// Stamp entries describing the latency sample.
     #[must_use]
     pub fn sample_stamp(&self) -> Vec<(&'static str, String)> {
@@ -279,6 +302,47 @@ impl Tally {
             ("samples_beyond_p90", (n - nearest_rank(n, 0.9)).to_string()),
         ]
     }
+}
+
+/// One whole pass over a request list: its wall time and its answers.
+pub struct Pass {
+    /// Wall time of the pass.
+    pub wall: Duration,
+    /// The pass's answers.
+    pub tally: Tally,
+}
+
+/// The end-to-end metrics of a run made of whole passes over a fixed
+/// request list, with every answer of the run in `all`. The timing metrics
+/// come from the faster half of the passes (at least
+/// [`MIN_ANSWERS`] answers): on a shared host a slow period only ever adds
+/// time, so the faster passes measure the program and the slower ones
+/// measure the neighbours. `ok_frac` still counts every answer. Returns the
+/// metrics, the timed answers and the number of passes timed.
+#[must_use]
+pub fn end_to_end_faster_half(
+    mut passes: Vec<Pass>,
+    all: &Tally,
+    setup: &[Duration],
+    peak_rss_mb: f64,
+) -> (Vec<Metric>, Tally, usize) {
+    passes.sort_by_key(|p| p.wall);
+    let mut timed = Tally::default();
+    let mut wall = Duration::ZERO;
+    let mut kept = 0;
+    for pass in &passes {
+        if kept >= passes.len().div_ceil(2) && timed.answers() >= MIN_ANSWERS {
+            break;
+        }
+        timed.absorb(&pass.tally);
+        wall += pass.wall;
+        kept += 1;
+    }
+    let mut metrics = timed.end_to_end(setup, wall, peak_rss_mb);
+    if let Some(ok) = metrics.iter_mut().find(|m| m.name == "ok_frac") {
+        ok.value = (all.attempted - all.failed) as f64 / all.attempted.max(1) as f64;
+    }
+    (metrics, timed, kept)
 }
 
 /// Fills the per-layer table from `values`; layers without a value report 0.

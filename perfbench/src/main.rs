@@ -4,7 +4,7 @@
 //! `correct`, `attempted`, `failed` and `metrics`. Exits 1 when an answer
 //! failed its checks, 2 on bad arguments or a set-up failure.
 
-use mapqn_perfbench::harness::{json_num, json_str, Config, Outcome, Workload, POOL_WIDTH};
+use mapqn_perfbench::harness::{json_num, json_str, Config, Outcome, Workload};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -110,7 +110,7 @@ fn main() -> ExitCode {
     };
     // Every pool the library opens (session batches, sparse sweeps) takes
     // its width from here, so the run uses at most POOL_WIDTH threads.
-    std::env::set_var("MAPQN_POOL_THREADS", POOL_WIDTH.to_string());
+    std::env::set_var("MAPQN_POOL_THREADS", cfg.workload.pool_width().to_string());
     let outcome = match mapqn_perfbench::run(&cfg) {
         Ok(outcome) => outcome,
         Err(msg) => {
