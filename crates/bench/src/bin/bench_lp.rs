@@ -203,18 +203,19 @@ fn main() {
         phase1_ms: f64,
         primal_ms: f64,
         primal_pivots: u64,
-        dense_fallbacks: usize,
+        /// Whether the cold solve needed the degradation ladder.
+        degraded: bool,
     }
     let mut profiles: Vec<ColdProfile> = Vec::new();
     println!("\nFigure 8 case study (SCV=16): cold bound_all per-phase profile:");
     let mut profile_table = Table::new(&[
-        "N", "total ms", "setup ms", "phase1 ms", "primal ms", "pivots", "fallbacks",
+        "N", "total ms", "setup ms", "phase1 ms", "primal ms", "pivots", "degraded",
     ]);
     for &n in &profile_populations {
         let network = figure5_network(n, 16.0, 0.5).expect("figure8 network");
         let start = Instant::now();
         let mut solver = MarginalBoundSolver::new(&network).expect("solver");
-        solver.bound_all().expect("cold bound_all");
+        let bounds = solver.bound_all().expect("cold bound_all");
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
         let timings = solver.timings();
         let profile = ColdProfile {
@@ -224,7 +225,7 @@ fn main() {
             phase1_ms: timings.phase1_ns as f64 / 1e6,
             primal_ms: timings.primal_ns as f64 / 1e6,
             primal_pivots: timings.primal_pivots,
-            dense_fallbacks: solver.stats().dense_fallbacks,
+            degraded: bounds.diagnostics.degraded(),
         };
         profile_table.add_row(vec![
             n.to_string(),
@@ -233,12 +234,12 @@ fn main() {
             format!("{:.1}", profile.phase1_ms),
             format!("{:.1}", profile.primal_ms),
             profile.primal_pivots.to_string(),
-            profile.dense_fallbacks.to_string(),
+            profile.degraded.to_string(),
         ]);
         profiles.push(profile);
     }
     profile_table.print();
-    let profile_fallbacks: usize = profiles.iter().map(|p| p.dense_fallbacks).sum();
+    let profile_degraded = profiles.iter().filter(|p| p.degraded).count();
 
     // Always-answer gate at the breakdown cliff: cold bound_all at N = 50 —
     // the population where the revised engine historically gave up and the
@@ -331,14 +332,14 @@ fn main() {
     json.push_str("  \"fig8_cold_profile\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"population\": {}, \"total_ms\": {:.3}, \"setup_ms\": {:.3}, \"phase1_ms\": {:.3}, \"primal_ms\": {:.3}, \"primal_pivots\": {}, \"dense_fallbacks\": {}}}{}\n",
+            "    {{\"population\": {}, \"total_ms\": {:.3}, \"setup_ms\": {:.3}, \"phase1_ms\": {:.3}, \"primal_ms\": {:.3}, \"primal_pivots\": {}, \"degraded\": {}}}{}\n",
             p.population,
             p.total_ms,
             p.setup_ms,
             p.phase1_ms,
             p.primal_ms,
             p.primal_pivots,
-            p.dense_fallbacks,
+            p.degraded,
             if i + 1 < profiles.len() { "," } else { "" }
         ));
     }
@@ -369,11 +370,11 @@ fn main() {
         eprintln!("WARN: geometric-mean speedup {geomean_speedup:.2}x below the 3x acceptance bar (noisy runner?)");
     }
     // The large-N cold profile is instrumentation, not a perf gate — but a
-    // dense fallback inside it would mean the cold path's breakdown cliff
+    // degraded answer inside it would mean the cold path's breakdown cliff
     // moved below the profiled range, which must turn the build red.
-    if profile_fallbacks > 0 {
+    if profile_degraded > 0 {
         eprintln!(
-            "FAIL: {profile_fallbacks} dense fallbacks in the fig8 cold profile (cold breakdown moved below the profiled N range)"
+            "FAIL: {profile_degraded} degraded cold solves in the fig8 profile (cold breakdown moved below the profiled N range)"
         );
         std::process::exit(1);
     }

@@ -77,8 +77,8 @@ fn main() {
     println!();
     let stats = sweep.stats();
     println!(
-        "sweep: {} populations in {sweep_ms:.0}ms (LP solves incl. exact reference), {} dual-warm + {} repair-warm objectives, {} dense fallbacks",
-        stats.populations, stats.dual_warm_objectives, stats.repair_warm_objectives, stats.dense_fallbacks
+        "sweep: {} populations in {sweep_ms:.0}ms (LP solves incl. exact reference), {} dual-warm + {} repair-warm objectives",
+        stats.populations, stats.dual_warm_objectives, stats.repair_warm_objectives
     );
     println!(
         "Expected shape (paper, Figure 8): both bounds hug the exact curve over the whole population range"

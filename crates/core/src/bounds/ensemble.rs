@@ -46,7 +46,6 @@
 //!     .collect();
 //! let report = EnsembleRunner::new().run(&scenarios).unwrap();
 //! assert_eq!(report.results.len(), 3);
-//! assert_eq!(report.stats.dense_fallbacks, 0);
 //! ```
 
 use super::marginal::{BoundOptions, NetworkBounds};
@@ -113,9 +112,6 @@ pub struct EnsembleStats {
     pub repair_warm_objectives: usize,
     /// Seeded objectives whose seed was rejected.
     pub dual_seed_rejections: usize,
-    /// Objectives that fell back to the dense-tableau oracle — should stay
-    /// zero (the bench and the ensemble tests gate on it).
-    pub dense_fallbacks: usize,
 }
 
 impl EnsembleStats {
@@ -125,7 +121,6 @@ impl EnsembleStats {
         self.dual_warm_objectives += stats.dual_warm_objectives;
         self.repair_warm_objectives += stats.repair_warm_objectives;
         self.dual_seed_rejections += stats.dual_seed_rejections;
-        self.dense_fallbacks += stats.dense_fallbacks;
     }
 }
 
@@ -417,7 +412,6 @@ mod tests {
         }
         assert_eq!(serial.stats.scenarios, 4);
         assert_eq!(serial.stats.populations, 16);
-        assert_eq!(serial.stats.dense_fallbacks, 0);
     }
 
     /// Each job reproduces bit-for-bit outside the pool from

@@ -45,13 +45,13 @@
 //! would require occupancy-weighted marginal terms (a straightforward but
 //! larger extension noted in docs/ARCHITECTURE.md).
 
-use super::robust::{self, Quality, SolveDiagnostics};
+use super::robust::{self, Quality, Rung, SolveDiagnostics};
 use super::{BoundInterval, PerformanceIndex};
 use crate::network::ClosedNetwork;
 use crate::{CoreError, Result};
 use mapqn_linalg::SolveBudget;
 use mapqn_lp::{
-    Basis, LpError, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine,
+    Basis, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine,
     SimplexOptions,
 };
 
@@ -209,13 +209,6 @@ impl VariableLayout {
     }
 }
 
-/// Whether `MAPQN_DUAL_DEBUG` tracing is on — read once per process (the
-/// flag is consulted on every LP solve, and `env::var_os` is not free).
-fn dual_debug() -> bool {
-    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FLAG.get_or_init(|| std::env::var_os("MAPQN_DUAL_DEBUG").is_some())
-}
-
 /// Semantic identity of a structural LP variable (see [`VariableLayout`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MarginalVar {
@@ -321,23 +314,14 @@ pub enum SlotOutcome {
     /// The primal path (rolling warm start or phase 1) answered — either no
     /// seed was provided or the seed was unusable in every form.
     Primal,
-    /// The dense-tableau oracle answered after a revised-engine failure.
-    DenseFallback,
 }
 
-/// Counters describing how the solver's LP engines were exercised. Exposed
-/// through [`MarginalBoundSolver::stats`] so that silent degradations — most
-/// importantly the fallback from the revised engine to the dense oracle —
-/// are observable instead of disappearing into a slower solve.
+/// Counters describing how the solver's LP engines were exercised, exposed
+/// through [`MarginalBoundSolver::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// Objectives solved by the revised engine (primal or dual path).
     pub revised_solves: usize,
-    /// Objectives the revised engine could not finish, answered by the
-    /// dense-tableau oracle instead. Anything nonzero deserves attention:
-    /// the oracle is orders of magnitude slower and cycles on the larger
-    /// instances.
-    pub dense_fallbacks: usize,
     /// Objectives re-solved by the dual engine from a cross-population seed.
     pub dual_warm_solves: usize,
     /// Dual seeds that were rejected (not dual feasible / numerically
@@ -369,7 +353,8 @@ pub struct SolverTimings {
     pub repair_ns: u64,
     /// Primal warm-started objective solves (the `bound_all` workhorse).
     pub primal_ns: u64,
-    /// Dense-tableau oracle fallbacks (should stay zero like the counter).
+    /// Dense-tableau solves (only when [`SimplexEngine::DenseTableau`] is
+    /// selected as the oracle; the revised engine never falls back to it).
     pub dense_ns: u64,
     /// Simplex iterations of the primal solves (pivots + re-pricings).
     pub primal_pivots: u64,
@@ -422,7 +407,6 @@ impl SolverTimings {
 /// // objectives warm start off each other's optimal bases.
 /// let all = solver.bound_all().unwrap();
 /// assert_eq!(all.mean_queue_length.len(), 3);
-/// assert_eq!(solver.stats().dense_fallbacks, 0);
 /// ```
 pub struct MarginalBoundSolver {
     network: ClosedNetwork,
@@ -510,17 +494,14 @@ impl MarginalBoundSolver {
         })
     }
 
-    /// Engine-usage counters since this solver was created. The
-    /// `dense_fallbacks` field is the one worth watching: the equivalence
-    /// tests assert it stays zero, so regressions in the revised engine
-    /// surface as test failures instead of silent slowdowns.
+    /// Engine-usage counters since this solver was created.
     #[must_use]
     pub fn stats(&self) -> SolverStats {
         self.context.stats
     }
 
     /// Per-phase wall-clock profile (constraint build, phase 1, dual /
-    /// repair / primal / dense solve time, pivot counts) accumulated since
+    /// repair / primal / oracle solve time, pivot counts) accumulated since
     /// this solver was created. See [`SolverTimings`].
     #[must_use]
     pub fn timings(&self) -> SolverTimings {
@@ -706,30 +687,20 @@ impl MarginalBoundSolver {
     /// # Errors
     /// Only construction-grade failures surface: solve failures (budget
     /// exhaustion, numerical breakdown) are absorbed by the degradation
-    /// ladder (see [`super::robust`]), which falls back to a salted
-    /// re-solve, a self-seeded population bootstrap and finally the
-    /// algebraic asymptotic floor — the returned
+    /// ladder (see [`super::robust`]): this cold solve is its direct rung,
+    /// followed by a salted re-solve, a self-seeded population bootstrap and
+    /// finally the algebraic asymptotic floor — the returned
     /// [`NetworkBounds::quality`] records which rung answered.
     pub fn bound_all(&mut self) -> Result<NetworkBounds> {
         let start = mapqn_linalg::budget::now();
         let full = self.options.budget;
-        // The direct solve gets a slice of the wall clock, not all of it:
-        // when *it* is the slow thing, the fallback rungs still need time.
-        self.options.budget = full.scale_wall_clock(robust::DIRECT_SLICE);
-        let attempt = self.bound_all_seeded(&[]);
-        self.options.budget = full;
-        match attempt {
-            Ok(mut bounds) => {
-                bounds.diagnostics.budget = full;
-                bounds.diagnostics.consumed = start.elapsed();
-                Ok(bounds)
-            }
-            Err(err) if robust::ladder_eligible(&err) => {
-                let network = self.network.clone();
-                robust::run_ladder(&network, self.options, err, start)
-            }
-            Err(err) => Err(err),
-        }
+        let network = self.network.clone();
+        robust::walk_bounds(&network, self.options, start, &[Rung::Floor], |slice| {
+            self.options.budget = slice;
+            let direct = self.bound_all_seeded(&[]);
+            self.options.budget = full;
+            direct
+        })
     }
 
     /// [`MarginalBoundSolver::bound_all`] with optional cross-population
@@ -830,10 +801,7 @@ impl MarginalBoundSolver {
 
     /// Solves one canonical slot (objective `indices[i]` in `sense`) with
     /// its optional seed, recording the optimal basis and engine path at the
-    /// slot. Per-solve tracing for performance forensics is enabled by the
-    /// `MAPQN_DUAL_DEBUG` environment variable (which objectives transfer,
-    /// roll, or fall back, with pivot counts — the data every tuning
-    /// decision in this module came from).
+    /// slot.
     fn solve_slot(
         &mut self,
         indices: &[PerformanceIndex],
@@ -848,7 +816,6 @@ impl MarginalBoundSolver {
         };
         let seed = seeds.get(slot).and_then(Option::as_ref);
         let terms = self.objective_terms(indices[i]);
-        let t0 = mapqn_linalg::budget::now();
         let (solution, basis, outcome) = self
             .solve_checked_seeded(&terms, sense, seed)
             .map_err(|e| CoreError::ObjectiveSolve {
@@ -856,15 +823,6 @@ impl MarginalBoundSolver {
                 objective: indices[i],
                 source: Box::new(e),
             })?;
-        if dual_debug() {
-            eprintln!(
-                "  solve {:?} {sense:?}: {:.1}ms {} its seeded={} outcome={outcome:?}",
-                indices[i],
-                t0.elapsed().as_secs_f64() * 1e3,
-                solution.iterations,
-                seed.is_some()
-            );
-        }
         self.context.solved_bases[slot] = basis;
         self.context.solve_outcomes[slot] = outcome;
         Ok(solution)
@@ -910,18 +868,16 @@ impl MarginalBoundSolver {
 
     /// Solves one objective over the cached constraint set, dispatching on
     /// the configured engine. The revised path warm starts from the basis of
-    /// the previous solve and falls back to the dense oracle if the engine
-    /// reports a numerical failure.
+    /// the previous solve; when it cannot reach an optimal vertex the solve
+    /// fails, and the degradation ladder's salted re-solve is the recovery
+    /// path.
     fn solve_objective(&mut self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
         self.solve_objective_seeded(terms, sense, None)
             .map(|(solution, _, _)| solution)
     }
 
-    /// Engine dispatch with an optional dual seed. Every fallback to the
-    /// dense oracle is counted in [`MarginalBoundSolver::stats`]: the
-    /// fallback used to be silent, which let revised-engine regressions
-    /// masquerade as mysterious slowdowns (the oracle cycles on the larger
-    /// case-study LPs) instead of failing visibly.
+    /// Engine dispatch with an optional dual seed: the dense-tableau oracle
+    /// when it is the selected engine, the revised engine otherwise.
     fn solve_objective_seeded(
         &mut self,
         terms: &[(usize, f64)],
@@ -934,37 +890,12 @@ impl MarginalBoundSolver {
             self.context.timings.dense_ns += t_dense.elapsed().as_nanos() as u64;
             return Ok((solution?, None, SlotOutcome::Primal));
         }
-        let attempt = self.solve_revised(terms, sense, seed);
-        if dual_debug() {
-            match &attempt {
-                Ok(None) => eprintln!("dense-fallback: revised returned non-optimal"),
-                Err(CoreError::Lp(e)) => eprintln!("dense-fallback: revised error: {e}"),
-                _ => {}
-            }
-        }
-        match attempt {
-            Ok(Some((solution, basis, outcome))) => Ok((solution, Some(basis), outcome)),
-            // Budget exhaustion must NOT fall back to the oracle: the dense
-            // tableau re-solves cold (it can cycle for minutes on the larger
-            // case-study LPs), which would spend the very time the budget is
-            // supposed to cap. Propagate so the degradation ladder answers.
-            Err(e @ CoreError::Lp(LpError::BudgetExhausted(_))) => Err(e),
-            // Infeasible constraint set or numerical breakdown: let the
-            // oracle produce the authoritative answer (or error) — but
-            // count the fallback so it stays observable.
-            Ok(None) | Err(CoreError::Lp(_)) => {
-                self.context.stats.dense_fallbacks += 1;
-                let t_dense = mapqn_linalg::budget::now();
-                let solution = self.solve_dense(terms, sense);
-                self.context.timings.dense_ns += t_dense.elapsed().as_nanos() as u64;
-                Ok((solution?, None, SlotOutcome::DenseFallback))
-            }
-            Err(other) => Err(other),
-        }
+        let (solution, basis, outcome) = self.solve_revised(terms, sense, seed)?;
+        Ok((solution, Some(basis), outcome))
     }
 
-    /// Revised-engine solve; `Ok(None)` means the engine could not produce
-    /// an optimal solution and the caller should fall back to the oracle.
+    /// Revised-engine solve to an optimal vertex; anything short of one is
+    /// an error.
     ///
     /// When a `dual_seed` is supplied (a basis translated from the same
     /// network at a neighbouring population), the dual engine is tried
@@ -977,7 +908,7 @@ impl MarginalBoundSolver {
         terms: &[(usize, f64)],
         sense: Sense,
         dual_seed: Option<&Basis>,
-    ) -> Result<Option<(LpSolution, Basis, SlotOutcome)>> {
+    ) -> Result<(LpSolution, Basis, SlotOutcome)> {
         if self.context.warm.is_none() {
             let t_setup = mapqn_linalg::budget::now();
             let engine = RevisedSimplex::new(&self.base).map_err(CoreError::Lp)?;
@@ -1024,7 +955,7 @@ impl MarginalBoundSolver {
                     if outcome == SlotOutcome::DualWarm {
                         stats.dual_warm_solves += 1;
                     }
-                    return Ok(Some((solution, basis, outcome)));
+                    return Ok((solution, basis, outcome));
                 }
                 // Unusable seed (dual infeasible, stalled, or a numerical
                 // error): degrade to the primal path below.
@@ -1061,7 +992,9 @@ impl MarginalBoundSolver {
             let found = warm.engine.find_feasible_basis(&self.options.simplex);
             timings.phase1_ns += t_phase1.elapsed().as_nanos() as u64;
             let Some(basis) = found.map_err(CoreError::Lp)? else {
-                return Ok(None);
+                return Err(CoreError::BoundLpFailed(
+                    "phase 1 found no feasible basis".into(),
+                ));
             };
             warm.basis = Some(basis);
         }
@@ -1076,7 +1009,10 @@ impl MarginalBoundSolver {
         let (solution, next_basis) = attempt.map_err(CoreError::Lp)?;
         timings.primal_pivots += solution.iterations as u64;
         if solution.status != LpStatus::Optimal {
-            return Ok(None);
+            return Err(CoreError::BoundLpFailed(format!(
+                "revised simplex stopped with status {:?}",
+                solution.status
+            )));
         }
         warm.basis = Some(next_basis.clone());
         let outcome = if repaired && solution.iterations <= TRANSFER_ACCEPT_ITERATIONS {
@@ -1091,7 +1027,7 @@ impl MarginalBoundSolver {
         if outcome == SlotOutcome::RepairWarm {
             stats.feasibility_repairs += 1;
         }
-        Ok(Some((solution, next_basis, outcome)))
+        Ok((solution, next_basis, outcome))
     }
 
     /// Cold dense-tableau solve (the original code path, kept as oracle).

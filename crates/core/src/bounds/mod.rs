@@ -13,13 +13,16 @@
 //! * [`ensemble`] — scenario ensembles: many independent sweeps (burstiness
 //!   grids, random-model batches, capacity what-ifs) sharded across every
 //!   core with deterministic, worker-count-independent results.
-//! * [`robust`] — the degradation ladder behind the always-answer front
-//!   doors: budgeted solves that fall back from the certified LP through a
-//!   salted re-solve and a self-seeded bootstrap to the asymptotic floor,
-//!   tagging every answer with its [`robust::Quality`].
+//! * [`ladder`] — the one degradation-ladder executor every front door
+//!   walks its plan on: per-rung wall-clock slices and one attempt record.
+//! * [`robust`] — the LP rungs the always-answer front doors share:
+//!   budgeted solves that fall back from the certified LP through a salted
+//!   re-solve and a self-seeded bootstrap to the asymptotic floor, tagging
+//!   every answer with its [`robust::Quality`].
 
 pub mod aba;
 pub mod ensemble;
+pub mod ladder;
 pub mod marginal;
 pub mod robust;
 pub mod sweep;
@@ -29,6 +32,7 @@ pub use ensemble::{
     EnsembleReport, EnsembleRunner, EnsembleStats, PartialEnsembleReport, Scenario,
     ScenarioFailure, ScenarioResult,
 };
+pub use ladder::Attempt;
 pub use marginal::{BoundOptions, MarginalBoundSolver, NetworkBounds, SolverStats, SolverTimings};
 pub use robust::{LadderAttempt, Quality, Rung, SolveDiagnostics};
 pub use sweep::{PopulationSweep, SweepStats};

@@ -1,4 +1,5 @@
-//! The degradation ladder: always-answer semantics for the bound solvers.
+//! The LP degradation ladder: always-answer semantics for the bound
+//! front doors.
 //!
 //! ## Failure taxonomy
 //!
@@ -8,42 +9,52 @@
 //!   engines ran out of wall clock or pivots. This says nothing about the
 //!   model; it says the caller wants *an* answer now.
 //! * **Numerical breakdown** — a basis that stays singular after repair, a
-//!   phase 1 that cannot converge, an LP reported infeasible by round-off.
-//!   The cold solve at figure-8 populations beyond N≈50 is the canonical
-//!   case (the "N=50 cliff" in ROADMAP.md).
+//!   phase 1 that cannot converge, a pivot loop that runs out of
+//!   iterations. The cold solve at figure-8 populations around N≈50 is the
+//!   canonical case (the "N=50 cliff" in ROADMAP.md).
 //!
 //! Either way the caller asked a question the network *does* have an
 //! answer to — the true performance sits in some interval — so returning
 //! an error is a policy choice, not a necessity. The ladder replaces that
-//! policy with provenance-tagged degradation:
+//! policy with provenance-tagged degradation.
 //!
-//! 1. **Direct** (rung 1): the ordinary certified LP solve, under a 35%
-//!    slice of the wall-clock budget so that failure leaves the fallbacks
-//!    meaningful time.
-//! 2. **Salted re-solve** (rung 2): a fresh solver whose anti-degeneracy
-//!    perturbation stream is re-drawn under a different salt. Degenerate
-//!    pivot dead ends are salt-dependent; a re-draw routinely escapes
-//!    them. Succeeds → still [`Quality::Certified`] (it is the same LP).
-//! 3. **Self-seeded bootstrap** (rung 3): the population is approached
-//!    through a doubling schedule (8, 16, 32, …, N), each step dual-warm
-//!    seeded from the previous one's optimal bases exactly like a
-//!    population sweep. Warm bases steer the solver onto the optimal face
-//!    directly, skipping the degenerate cold phase-1 walk that breaks at
-//!    large N. Succeeds → [`Quality::SelfSeeded`]: the intervals are still
-//!    LP-certified, but the path that produced them was not the default
-//!    one, which is worth surfacing.
-//! 4. **Asymptotic floor** (rung 4): the algebraic can't-fail answer —
-//!    ABA throughput bounds (balanced-job refined when every station is
-//!    exponential), per-station intervals derived from visit ratios and
-//!    demands, `[0, N]` queue lengths. Pure arithmetic on the demand
-//!    vector: no iteration, no budget, no failure mode. Tagged
-//!    [`Quality::Asymptotic`].
+//! ## One ladder
 //!
-//! Every rung's outcome is recorded in [`SolveDiagnostics`], so a caller
-//! that receives a degraded answer can see exactly what was tried, what
+//! Every front door walks the same LP rungs on the [`super::ladder`]
+//! executor, each rung under a share of the wall clock still remaining:
+//!
+//! 1. **Direct** (35%): the front door's own certified solve — a cold
+//!    solve for `bound_all` and `solve()`, the warm re-solve for
+//!    `PopulationSweep::bounds_at`, the (optionally neighbor-seeded) solve
+//!    for `PlanningSession`. A revised-engine failure fails the rung; there
+//!    is no dense-tableau fallback underneath it.
+//! 2. **Salted** (30%): a fresh solver whose anti-degeneracy perturbation
+//!    stream is re-drawn under a different salt. Degenerate pivot dead ends
+//!    are salt-dependent; a re-draw routinely escapes them. Succeeds →
+//!    still [`Quality::Certified`] (it is the same LP).
+//! 3. **Bootstrap** (the rest; skipped at N ≤ 8, where it would repeat the
+//!    direct solve): the population is approached through a doubling
+//!    schedule (8, 16, 32, …, N), each step dual-warm seeded from the
+//!    previous one's optimal bases exactly like a population sweep. Warm
+//!    bases steer the solver onto the optimal face directly, skipping the
+//!    degenerate cold phase-1 walk that breaks at large N. Succeeds →
+//!    [`Quality::SelfSeeded`]: the intervals are still LP-certified, but
+//!    the path that produced them was not the default one.
+//!
+//! Each front door then adds its own always-answer tail, exempt from the
+//! deadline: `bound_all` and `bounds_at` end at the **floor** — ABA
+//! throughput bounds (balanced-job refined when every station is
+//! exponential), per-station intervals from visit ratios and demands,
+//! `[0, N]` queue lengths, tagged [`Quality::Asymptotic`];
+//! `PlanningSession` runs the **fluid** engine before the floor; `solve()`
+//! has no tail here because its own engine plan continues past the LP.
+//!
+//! Every attempt, the answering one included, is recorded in
+//! [`SolveDiagnostics`], so a caller can see exactly what was tried, what
 //! failed, and how much of the budget each attempt consumed.
 
 use super::aba::{aba_bounds, balanced_job_bounds};
+use super::ladder::{self, Attempt};
 use super::marginal::{
     response_time_from_throughput, BoundOptions, MarginalBoundSolver, NetworkBounds,
 };
@@ -51,30 +62,32 @@ use super::sweep::PopulationSweep;
 use super::BoundInterval;
 use crate::network::ClosedNetwork;
 use crate::{CoreError, Result};
-use mapqn_linalg::{BudgetExhausted, SolveBudget};
+use mapqn_linalg::{budget, BudgetExhausted, SolveBudget};
+use mapqn_lp::Basis;
 use std::time::{Duration, Instant};
 
-/// Fraction of the wall-clock budget the direct (rung 1) solve may spend
-/// before the ladder takes over. Chosen so that even when rung 1 burns its
-/// whole slice, the salted re-solve and the bootstrap both still get
-/// meaningful slices of what remains.
-pub(super) const DIRECT_SLICE: f64 = 0.35;
-
-/// Fraction of the *remaining* wall clock handed to the salted re-solve.
-const SALTED_SLICE: f64 = 0.3;
+/// The LP rungs every front door shares, with each rung's share of the
+/// wall clock still remaining when it starts. The direct share leaves the
+/// fallbacks meaningful time even when the direct solve burns its whole
+/// slice.
+const LP_RUNGS: [(Rung, f64); 3] = [
+    (Rung::Direct, 0.35),
+    (Rung::Salted, 0.3),
+    (Rung::Bootstrap, 1.0),
+];
 
 /// Smallest population worth bootstrapping: at or below this the direct
 /// solve and the bootstrap are the same computation, so the rung is
 /// skipped.
 const BOOTSTRAP_MIN: usize = 8;
 
-/// Salt offset of the rung-2 re-solve (the 64-bit golden ratio, the same
+/// Salt offset of the salted re-solve (the 64-bit golden ratio, the same
 /// constant the engine's own dead-end re-draws step by — any odd constant
 /// works, this one keeps the streams well spread).
 const SALTED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Salt offset of the bootstrap rung, distinct from both the original
-/// stream and the rung-2 stream.
+/// stream and the salted stream.
 const BOOTSTRAP_SALT: u64 = 0x3C6E_F372_FE94_F82A;
 
 /// Provenance of a [`NetworkBounds`]: which rung of the degradation ladder
@@ -103,17 +116,14 @@ impl std::fmt::Display for Quality {
     }
 }
 
-/// One rung of the degradation ladder (the per-solve ladder here, plus the
-/// session-level rungs [`crate::planning::PlanningSession`] adds on top).
+/// One rung of the degradation ladder: the shared LP rungs plus the
+/// always-answer tails the front doors append.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Rung {
     /// The ordinary certified solve.
     Direct,
     /// Fresh solver under a re-drawn perturbation salt.
     Salted,
-    /// Fresh solver under a tightened pivot tolerance (session ladder: a
-    /// drifting solve is often rescued by a stricter feasibility test).
-    Tightened,
     /// Self-seeded doubling-population bootstrap.
     Bootstrap,
     /// Mean-field fluid engine standing in for the LP (session ladder).
@@ -127,7 +137,6 @@ impl std::fmt::Display for Rung {
         let name = match self {
             Rung::Direct => "direct",
             Rung::Salted => "salted",
-            Rung::Tightened => "tightened",
             Rung::Bootstrap => "bootstrap",
             Rung::Fluid => "fluid",
             Rung::Floor => "floor",
@@ -136,32 +145,30 @@ impl std::fmt::Display for Rung {
     }
 }
 
-/// The record of one ladder attempt: what was tried, at which population,
-/// whether it failed (and how), and how long it took.
-#[derive(Debug, Clone)]
-pub struct LadderAttempt {
-    /// The rung that was attempted.
-    pub rung: Rung,
-    /// Population the attempt solved (differs from the target only for
-    /// bootstrap steps).
-    pub population: usize,
-    /// `None` when the attempt succeeded; the structured failure otherwise
-    /// (for objective-level failures this is
-    /// [`CoreError::ObjectiveSolve`], carrying the objective and
-    /// population that broke).
-    pub error: Option<CoreError>,
-    /// Wall clock this attempt consumed.
-    pub elapsed: Duration,
+impl Rung {
+    /// Provenance of an answer this rung produced (the planning session
+    /// re-tags a neighbor-seeded direct answer [`Quality::SelfSeeded`]).
+    #[must_use]
+    pub fn quality(self) -> Quality {
+        match self {
+            Rung::Direct | Rung::Salted => Quality::Certified,
+            Rung::Bootstrap => Quality::SelfSeeded,
+            Rung::Fluid | Rung::Floor => Quality::Asymptotic,
+        }
+    }
 }
+
+/// The record of one rung of a bounds ladder (see [`Attempt`]).
+pub type LadderAttempt = Attempt<Rung>;
 
 /// Structured record of how a solve went: the ladder attempts in order,
 /// the budget that governed them and the total wall clock consumed. An
-/// undegraded solve has no attempts — the interesting history starts when
-/// the ladder engages.
+/// undegraded solve records its one successful direct attempt.
 #[derive(Debug, Clone, Default)]
 pub struct SolveDiagnostics {
-    /// Ladder attempts in the order they ran (empty when the direct solve
-    /// succeeded on the default path).
+    /// Ladder attempts in the order they ran, the answering one last
+    /// (empty only for the raw `bound_all_seeded` path, which runs no
+    /// ladder).
     pub attempts: Vec<LadderAttempt>,
     /// The budget the solve ran under.
     pub budget: SolveBudget,
@@ -173,14 +180,13 @@ impl SolveDiagnostics {
     /// Whether any ladder rung beyond the direct solve ran.
     #[must_use]
     pub fn degraded(&self) -> bool {
-        self.attempts.iter().any(|a| a.rung != Rung::Direct)
+        self.attempts.iter().any(|a| a.step != Rung::Direct)
     }
 }
 
 /// Compact single-line log form, e.g.
 /// `consumed=1.24ms attempts=[direct@N=50 err 0.80ms; salted@N=50 ok 0.44ms]`
-/// (an undegraded solve renders as `consumed=… attempts=[]`) — the form
-/// session logs and `ScenarioFailure` reports are grepped by.
+/// — the form session logs and `ScenarioFailure` reports are grepped by.
 impl std::fmt::Display for SolveDiagnostics {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "consumed={:.2?} attempts=[", self.consumed)?;
@@ -192,141 +198,95 @@ impl std::fmt::Display for SolveDiagnostics {
             write!(
                 f,
                 "{}@N={} {} {:.2?}",
-                a.rung, a.population, outcome, a.elapsed
+                a.step, a.population, outcome, a.elapsed
             )?;
         }
         write!(f, "]")
     }
 }
 
-/// Whether an error is one the ladder can degrade past: solve-level
-/// failures (wrapped in [`CoreError::ObjectiveSolve`] with their objective
-/// and population) qualify; construction-grade errors (unsupported
-/// network, invalid routing) do not — no rung could answer those either.
-pub(super) fn ladder_eligible(error: &CoreError) -> bool {
-    matches!(error, CoreError::ObjectiveSolve { .. })
+/// The shared LP rungs for `population` (the bootstrap only past
+/// [`BOOTSTRAP_MIN`]) followed by `tail`, whose rungs each get the whole
+/// remainder.
+pub(crate) fn plan(population: usize, tail: &[Rung]) -> Vec<(Rung, f64)> {
+    LP_RUNGS
+        .iter()
+        .copied()
+        .filter(|&(rung, _)| rung != Rung::Bootstrap || population > BOOTSTRAP_MIN)
+        .chain(tail.iter().map(|&rung| (rung, 1.0)))
+        .collect()
 }
 
-/// Runs rungs 2–4 after the direct solve failed with `direct_error`.
-/// `start` is when the *direct* solve began, so the whole ladder shares
-/// one wall-clock allowance.
-pub(super) fn run_ladder(
+/// Walks [`plan`]`(N, tail)` for a bounds front door: `direct` answers the
+/// direct rung under its budget slice, [`fallback`] every other rung. The
+/// answer carries the answering rung's [`Quality`] and the full
+/// [`SolveDiagnostics`]; when no rung answers (possible only with an empty
+/// `tail`) the last failure is returned.
+pub(crate) fn walk_bounds(
     network: &ClosedNetwork,
     options: BoundOptions,
-    direct_error: CoreError,
     start: Instant,
+    tail: &[Rung],
+    mut direct: impl FnMut(SolveBudget) -> Result<NetworkBounds>,
 ) -> Result<NetworkBounds> {
-    let target = network.population();
-    let mut attempts = vec![LadderAttempt {
-        rung: Rung::Direct,
-        population: target,
-        error: Some(direct_error),
-        elapsed: start.elapsed(),
-    }];
-    let deadline = options.budget.wall_clock.map(|w| start + w);
-    let remaining = |fraction: f64| -> SolveBudget {
-        match deadline {
-            None => options.budget,
-            Some(d) => SolveBudget {
-                wall_clock: Some(
-                    d.saturating_duration_since(mapqn_linalg::budget::now()).mul_f64(fraction),
-                ),
-                ..options.budget
-            },
-        }
+    let population = network.population();
+    let walk = ladder::run(
+        &plan(population, tail),
+        options.budget,
+        start,
+        population,
+        |rung, slice| match rung {
+            Rung::Direct => direct(slice),
+            rung => fallback(network, options, rung, slice).map(|(bounds, _)| bounds),
+        },
+    );
+    let (rung, mut bounds) = walk.answer?;
+    bounds.quality = rung.quality();
+    bounds.diagnostics = SolveDiagnostics {
+        attempts: walk.attempts,
+        budget: options.budget,
+        consumed: budget::now().duration_since(start),
     };
-    let finish = |mut bounds: NetworkBounds,
-                  quality: Quality,
-                  attempts: Vec<LadderAttempt>|
-     -> NetworkBounds {
-        bounds.quality = quality;
-        bounds.diagnostics = SolveDiagnostics {
-            attempts,
-            budget: options.budget,
-            consumed: start.elapsed(),
-        };
-        bounds
-    };
-
-    // Rung 2: salted re-solve.
-    let t = mapqn_linalg::budget::now();
-    match salted_attempt(network, options, remaining(SALTED_SLICE)) {
-        Ok(bounds) => {
-            attempts.push(LadderAttempt {
-                rung: Rung::Salted,
-                population: target,
-                error: None,
-                elapsed: t.elapsed(),
-            });
-            return Ok(finish(bounds, Quality::Certified, attempts));
-        }
-        Err(e) => attempts.push(LadderAttempt {
-            rung: Rung::Salted,
-            population: target,
-            error: Some(e),
-            elapsed: t.elapsed(),
-        }),
-    }
-
-    // Rung 3: self-seeded bootstrap (pointless at tiny populations, where
-    // it would just repeat the direct solve).
-    if target > BOOTSTRAP_MIN {
-        let t = mapqn_linalg::budget::now();
-        match bootstrap_attempt(network, options, deadline) {
-            Ok(bounds) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Bootstrap,
-                    population: target,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish(bounds, Quality::SelfSeeded, attempts));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Bootstrap,
-                population: target,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
-        }
-    }
-
-    // Rung 4: the algebraic floor. Pure arithmetic — the only errors it
-    // can produce are construction-grade (no queueing station), which the
-    // solver that got us here would have rejected already.
-    let t = mapqn_linalg::budget::now();
-    let bounds = asymptotic_floor(network)?;
-    attempts.push(LadderAttempt {
-        rung: Rung::Floor,
-        population: target,
-        error: None,
-        elapsed: t.elapsed(),
-    });
-    Ok(finish(bounds, Quality::Asymptotic, attempts))
+    Ok(bounds)
 }
 
-/// Rung 2: a fresh solver over the same LP under a re-drawn perturbation
-/// salt.
-fn salted_attempt(
+/// The rungs every front door shares — salted re-solve, bootstrap and
+/// floor — under `slice`, returning the bounds and the solved bases (empty
+/// for the floor). The direct and fluid rungs belong to the front doors.
+///
+/// # Errors
+/// The rung's solve failure; [`CoreError::Unsupported`] for a rung the
+/// front door must answer itself.
+pub(crate) fn fallback(
     network: &ClosedNetwork,
     mut options: BoundOptions,
-    budget: SolveBudget,
-) -> Result<NetworkBounds> {
-    options.simplex.perturbation_salt =
-        options.simplex.perturbation_salt.wrapping_add(SALTED_SALT);
-    options.budget = budget;
-    let mut solver = MarginalBoundSolver::with_options(network, options)?;
-    solver.bound_all_seeded(&[])
+    rung: Rung,
+    slice: SolveBudget,
+) -> Result<(NetworkBounds, Vec<Basis>)> {
+    options.budget = slice;
+    match rung {
+        Rung::Salted => {
+            options.simplex.perturbation_salt =
+                options.simplex.perturbation_salt.wrapping_add(SALTED_SALT);
+            let mut solver = MarginalBoundSolver::with_options(network, options)?;
+            let bounds = solver.bound_all_seeded(&[])?;
+            Ok((bounds, solver.solved_bases()))
+        }
+        Rung::Bootstrap => bootstrap(network, options),
+        Rung::Floor => Ok((asymptotic_floor(network)?, Vec::new())),
+        Rung::Direct | Rung::Fluid => Err(CoreError::Unsupported(format!(
+            "the {rung} rung is answered by the front door"
+        ))),
+    }
 }
 
-/// Rung 3: approach the target population through a doubling schedule,
+/// Approaches the target population through a doubling schedule,
 /// dual-warm seeding every step from the previous one — the ROADMAP
-/// candidate fix for the cold-solve cliff, packaged as a fallback.
-fn bootstrap_attempt(
+/// candidate fix for the cold-solve cliff, packaged as a rung.
+fn bootstrap(
     network: &ClosedNetwork,
     mut options: BoundOptions,
-    deadline: Option<Instant>,
-) -> Result<NetworkBounds> {
+) -> Result<(NetworkBounds, Vec<Basis>)> {
     let target = network.population();
     let mut schedule = Vec::new();
     let mut p = BOOTSTRAP_MIN;
@@ -335,33 +295,42 @@ fn bootstrap_attempt(
         p *= 2;
     }
     schedule.push(target);
+    let deadline = options
+        .budget
+        .wall_clock
+        .map(|allowance| budget::now() + allowance);
     options.simplex.perturbation_salt =
         options.simplex.perturbation_salt.wrapping_add(BOOTSTRAP_SALT);
     let mut sweep = PopulationSweep::with_options(network, options)?;
     let mut last: Option<NetworkBounds> = None;
     for &population in &schedule {
         if let Some(d) = deadline {
-            let left = d.saturating_duration_since(mapqn_linalg::budget::now());
+            let left = d.saturating_duration_since(budget::now());
             if left.is_zero() {
                 return Err(CoreError::Lp(mapqn_lp::LpError::BudgetExhausted(
                     BudgetExhausted::WallClock,
                 )));
             }
-            // Each step re-anchors at the ladder's shared deadline, so the
-            // whole schedule — not each step — fits the allowance.
+            // Each step re-anchors at the rung's deadline, so the whole
+            // schedule — not each step — fits the slice.
             sweep.set_budget(SolveBudget {
                 wall_clock: Some(left),
                 ..options.budget
             });
         }
-        last = Some(sweep.bounds_at_raw(population)?);
+        last = Some(sweep.warm_solve(&network.with_population(population)?)?);
     }
-    // INFALLIBLE: the schedule ends with `population` itself, so the loop
+    // INFALLIBLE: the schedule ends with the target itself, so the loop
     // body ran at least once and set `last`.
-    Ok(last.expect("schedule always contains the target population"))
+    let bounds = last.expect("schedule always contains the target population");
+    let bases = sweep
+        .last_solver()
+        .map(MarginalBoundSolver::solved_bases)
+        .unwrap_or_default();
+    Ok((bounds, bases))
 }
 
-/// Rung 4: the algebraic floor. ABA system-throughput bounds (balanced-job
+/// The floor rung: the algebraic answer. ABA system-throughput bounds (balanced-job
 /// refined when every station is exponential — BJB assumes product form,
 /// which MAP service breaks), fanned out per station by the visit ratios;
 /// utilizations bounded by `X_max · D_k` and 1; queue lengths by `[0, N]`.
@@ -451,13 +420,13 @@ mod tests {
         let mut diag = SolveDiagnostics::default();
         assert_eq!(diag.to_string(), "consumed=0.00ns attempts=[]");
         diag.attempts.push(LadderAttempt {
-            rung: Rung::Direct,
+            step: Rung::Direct,
             population: 50,
             error: Some(CoreError::BoundLpFailed("x".into())),
             elapsed: Duration::from_millis(3),
         });
         diag.attempts.push(LadderAttempt {
-            rung: Rung::Salted,
+            step: Rung::Salted,
             population: 50,
             error: None,
             elapsed: Duration::from_millis(1),
@@ -473,14 +442,14 @@ mod tests {
         let mut diag = SolveDiagnostics::default();
         assert!(!diag.degraded());
         diag.attempts.push(LadderAttempt {
-            rung: Rung::Direct,
+            step: Rung::Direct,
             population: 5,
             error: None,
             elapsed: Duration::ZERO,
         });
         assert!(!diag.degraded());
         diag.attempts.push(LadderAttempt {
-            rung: Rung::Floor,
+            step: Rung::Floor,
             population: 5,
             error: None,
             elapsed: Duration::ZERO,

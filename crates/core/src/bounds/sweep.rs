@@ -38,7 +38,7 @@
 //! ```
 
 use super::marginal::{BoundOptions, MarginalBoundSolver, NetworkBounds, SlotOutcome};
-use super::robust;
+use super::robust::{self, Rung};
 use crate::network::ClosedNetwork;
 use crate::Result;
 use mapqn_linalg::SolveBudget;
@@ -112,8 +112,10 @@ pub struct SweepStats {
     /// Seeded objectives whose seed was rejected and that fell back to the
     /// primal warm-start path.
     pub dual_seed_rejections: usize,
-    /// Objectives that fell all the way back to the dense-tableau oracle —
-    /// should stay zero; see [`MarginalBoundSolver::stats`].
+    /// Objectives answered by a dense-tableau fallback. Always 0: the
+    /// revised engine no longer falls back at run time (a failed objective
+    /// fails the ladder's direct rung instead). Kept because `perfbench`
+    /// reports it as `sweep.dense_fallbacks`.
     pub dense_fallbacks: usize,
 }
 
@@ -170,8 +172,8 @@ impl PopulationSweep {
     /// exists.
     ///
     /// Solve-level failures (budget exhaustion, numerical breakdown) do
-    /// not surface as errors: the degradation ladder (see
-    /// [`super::robust`]) answers instead, and the returned
+    /// not surface as errors: this warm solve is the direct rung of the
+    /// degradation ladder (see [`super::robust`]), and the returned
     /// [`NetworkBounds::quality`] records which rung produced the
     /// intervals.
     ///
@@ -180,30 +182,30 @@ impl PopulationSweep {
     /// those either).
     pub fn bounds_at(&mut self, population: usize) -> Result<NetworkBounds> {
         let start = mapqn_linalg::budget::now();
-        match self.bounds_at_raw(population) {
-            Ok(bounds) => Ok(bounds),
-            Err(err) if robust::ladder_eligible(&err) => {
-                let network = self.network.with_population(population)?;
-                robust::run_ladder(&network, self.options, err, start)
-            }
-            Err(err) => Err(err),
-        }
+        let network = self.network.with_population(population)?;
+        let full = self.options.budget;
+        robust::walk_bounds(&network, self.options, start, &[Rung::Floor], |slice| {
+            self.options.budget = slice;
+            let direct = self.warm_solve(&network);
+            self.options.budget = full;
+            direct
+        })
     }
 
     /// Replaces the sweep's solve budget for subsequent populations (the
-    /// degradation ladder uses this to hand its bootstrap steps a shared
-    /// remaining-time allowance).
+    /// bootstrap rung uses this to hand its steps a shared remaining-time
+    /// allowance).
     pub(super) fn set_budget(&mut self, budget: SolveBudget) {
         self.options.budget = budget;
     }
 
-    /// The ladder-free solve behind [`PopulationSweep::bounds_at`]: one
+    /// The ladder-free warm solve behind [`PopulationSweep::bounds_at`]
+    /// of `network` (the sweep's network at the target population): one
     /// certified attempt that propagates failures to the caller. The
-    /// bootstrap rung of the ladder calls this directly — routing it
-    /// through the laddered front door would recurse.
-    pub(super) fn bounds_at_raw(&mut self, population: usize) -> Result<NetworkBounds> {
-        let network = self.network.with_population(population)?;
-        let mut solver = MarginalBoundSolver::with_options(&network, self.options)?;
+    /// bootstrap rung calls this directly — routing it through the
+    /// laddered front door would recurse.
+    pub(super) fn warm_solve(&mut self, network: &ClosedNetwork) -> Result<NetworkBounds> {
+        let mut solver = MarginalBoundSolver::with_options(network, self.options)?;
         // Only the slots with real pivot work are worth seeding; everything
         // else re-prices in ~zero pivots off the rolling chain the
         // family-grouped solve order sets up, and a dual seed there pays a
@@ -300,7 +302,6 @@ impl PopulationSweep {
         self.stats.repair_warm_objectives += solver_stats.feasibility_repairs;
         self.stats.dual_warm_objectives += solver_stats.dual_warm_solves;
         self.stats.dual_seed_rejections += solver_stats.dual_seed_rejections;
-        self.stats.dense_fallbacks += solver_stats.dense_fallbacks;
 
         self.previous = Some(solver);
         Ok(bounds)

@@ -18,10 +18,11 @@
 //!   request transparently falls back to a cold solve. Committing a
 //!   topology-changing delta ([`PlanningSession::apply`]) bumps the
 //!   session's topology version, invalidating every cached entry.
-//! * **A per-request retry/backoff ladder**: direct certified solve under
-//!   a wall-clock slice, salted re-solve, tightened-tolerance re-solve,
-//!   then the fluid engine and the algebraic floor. Every answer carries
-//!   its [`Quality`] tag and full [`SolveDiagnostics`].
+//! * **A per-request degradation ladder**: the LP rungs every bound front
+//!   door shares (direct solve, salted re-solve, self-seeded bootstrap —
+//!   see [`crate::bounds::robust`]), then the fluid engine and the
+//!   algebraic floor. Every answer carries its [`Quality`] tag and full
+//!   [`SolveDiagnostics`].
 //! * **A per-key circuit breaker**: a key whose certified rungs fail
 //!   repeatedly is routed straight to the fluid/asymptotic rung for a
 //!   cool-down window of requests, so one pathological model (the N≥50
@@ -83,7 +84,8 @@
 //! ```
 
 use crate::bounds::marginal::{BoundOptions, MarginalBoundSolver, NetworkBounds};
-use crate::bounds::robust::{self, LadderAttempt, Quality, Rung, SolveDiagnostics};
+use crate::bounds::ladder;
+use crate::bounds::robust::{self, Quality, Rung, SolveDiagnostics};
 use crate::fluid::{solve_fluid_with, FluidOptions};
 use crate::metrics::NetworkMetrics;
 use crate::network::ClosedNetwork;
@@ -96,23 +98,6 @@ use mapqn_lp::Basis;
 use mapqn_par::WorkPool;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
-
-/// Wall-clock fraction of the request budget the direct rung may spend.
-const SESSION_DIRECT_SLICE: f64 = 0.35;
-
-/// Fraction of the *remaining* wall clock handed to the salted rung.
-const SESSION_SALTED_SLICE: f64 = 0.4;
-
-/// Salt offset of the session's salted re-solve rung, distinct from the
-/// per-solve ladder's offsets so the two ladders never replay each other's
-/// perturbation streams.
-const SESSION_SALTED_SALT: u64 = 0xA54F_F53A_5F1D_36F1;
-
-/// Salt offset of the tightened-tolerance rung.
-const SESSION_TIGHTENED_SALT: u64 = 0x510E_527F_ADE6_82D1;
-
-/// Factor the tightened rung divides the simplex feasibility tolerance by.
-const TIGHTEN_FACTOR: f64 = 10.0;
 
 /// One what-if delta applied on top of the session's current model.
 #[derive(Debug, Clone)]
@@ -319,7 +304,8 @@ pub struct SessionStats {
     pub contained_panics: u64,
     /// Answers tagged [`Quality::Asymptotic`] (fluid or floor).
     pub degraded_answers: u64,
-    /// Answers tagged certified (direct, salted, tightened or seeded).
+    /// Answers tagged certified (direct, salted, bootstrap or
+    /// neighbor-seeded).
     pub certified_answers: u64,
 }
 
@@ -356,17 +342,66 @@ struct Breaker {
     open_until: Option<u64>,
 }
 
-/// What phase 2 has to do for one admitted request.
-enum JobMode {
-    /// Run the full ladder (optionally without the certified rungs, when
-    /// the `request-timeout` fault expired the budget at admission).
-    Full {
-        skip_certified: bool,
-        /// Neighbor seeds: the donor model and its solved bases.
-        seeds: Option<(ClosedNetwork, Vec<Basis>)>,
-    },
-    /// Breaker open: straight to the fluid/asymptotic rung.
-    DegradedOnly,
+/// What phase 2 runs for one admitted request: a ladder plan plus the
+/// direct rung's inputs.
+struct Job {
+    /// The rungs to walk, each with its share of the remaining wall clock.
+    plan: Vec<(Rung, f64)>,
+    /// Neighbor seeds for the direct rung: the donor model and its solved
+    /// bases.
+    seeds: Option<(ClosedNetwork, Vec<Basis>)>,
+    /// When set, the direct rung fails with this cause without solving.
+    doomed: Option<CoreError>,
+}
+
+impl Job {
+    /// The full session ladder: the shared LP rungs, then fluid and floor.
+    fn full(population: usize, seeds: Option<(ClosedNetwork, Vec<Basis>)>) -> Self {
+        Self {
+            plan: robust::plan(population, &[Rung::Fluid, Rung::Floor]),
+            seeds,
+            doomed: None,
+        }
+    }
+
+    /// `request-timeout`: the certified budget expired at admission, so the
+    /// direct rung fails with the injected fault and fluid/floor answer.
+    fn timed_out() -> Self {
+        Self {
+            plan: vec![(Rung::Direct, 1.0), (Rung::Fluid, 1.0), (Rung::Floor, 1.0)],
+            seeds: None,
+            doomed: Some(CoreError::Injected {
+                site: FaultSite::RequestTimeout.name(),
+            }),
+        }
+    }
+
+    /// Breaker open: straight to the fluid/asymptotic rungs.
+    fn breaker_open() -> Self {
+        Self {
+            plan: vec![(Rung::Fluid, 1.0), (Rung::Floor, 1.0)],
+            seeds: None,
+            doomed: None,
+        }
+    }
+
+    /// A contained panic: the direct rung records it and the floor answers.
+    fn panicked(message: String) -> Self {
+        Self {
+            plan: vec![(Rung::Direct, 1.0), (Rung::Floor, 1.0)],
+            seeds: None,
+            doomed: Some(CoreError::Panicked(message)),
+        }
+    }
+}
+
+/// How an admitted request gets its answer.
+enum Pending {
+    /// Answered at admission by a verified cache hit: the memoized bounds,
+    /// metrics and seeded flag.
+    Memo(NetworkBounds, NetworkMetrics, bool),
+    /// A solve job runs in phase 2.
+    Solve(Job),
 }
 
 /// Everything a solve job returns to the serial assembly phase.
@@ -385,10 +420,7 @@ struct Admission {
     key: CacheKey,
     seq: u64,
     started: std::time::Instant,
-    /// `Some` = answered at admission (verified cache hit); `None` = a
-    /// solve job runs in phase 2.
-    memo: Option<(NetworkBounds, NetworkMetrics, bool)>,
-    mode: JobMode,
+    pending: Pending,
     source: AnswerSource,
 }
 
@@ -517,17 +549,21 @@ impl PlanningSession {
 
         // Phase 2: parallel solves with per-request panic isolation. Only
         // requests that were not answered at admission carry a job.
-        let jobs: Vec<(usize, &ClosedNetwork, &JobMode)> = slots
+        let jobs: Vec<(usize, &ClosedNetwork, &Job)> = slots
             .iter()
             .enumerate()
             .filter_map(|(i, slot)| match slot {
-                Ok(adm) if adm.memo.is_none() => Some((i, &adm.network, &adm.mode)),
+                Ok(Admission {
+                    network,
+                    pending: Pending::Solve(job),
+                    ..
+                }) => Some((i, network, job)),
                 _ => None,
             })
             .collect();
         let options = &self.options;
-        let raw = self.pool.map_isolated(&jobs, |_, &(_, network, mode)| {
-            solve_request(network, options, mode)
+        let raw = self.pool.map_isolated(&jobs, |_, &(_, network, job)| {
+            solve_request(network, options, job)
         });
         let mut outcomes: HashMap<usize, std::result::Result<Result<SolveOutcome>, String>> =
             HashMap::new();
@@ -579,21 +615,20 @@ impl PlanningSession {
                 key,
                 seq,
                 started,
-                memo: None,
-                mode: JobMode::DegradedOnly,
+                pending: Pending::Solve(Job::breaker_open()),
                 source: AnswerSource::BreakerOpen,
             });
         }
 
         // `request-timeout`: the certified budget is treated as already
-        // expired at admission; the ladder starts at the fluid rung but
-        // the breaker still records the certified failure.
-        let skip_certified = mapqn_faults::fire_keyed(FaultSite::RequestTimeout, seq);
+        // expired at admission; the direct rung fails at once, fluid
+        // answers, and the breaker still records the certified failure.
+        let timed_out = mapqn_faults::fire_keyed(FaultSite::RequestTimeout, seq);
 
         // Verified cache lookup (skipped for quarantined keys — those cold
         // solve forever).
         let mut source = AnswerSource::Solve;
-        if !self.quarantined.contains(&key) && !skip_certified {
+        if !self.quarantined.contains(&key) && !timed_out {
             let stale = self
                 .cache
                 .get(&key)
@@ -616,7 +651,7 @@ impl PlanningSession {
                 };
                 let intact = MarginalBoundSolver::with_options(
                     &network,
-                    bound_options(&self.options, 0, SolveBudget::unlimited()),
+                    bound_options(&self.options),
                 )
                 .and_then(|solver| {
                     solver.verify_basis(&witness, self.options.verify_tolerance)
@@ -624,7 +659,8 @@ impl PlanningSession {
                 .map(|report| report.is_intact())
                 .unwrap_or(false);
                 if intact {
-                    let memo = (entry.bounds.clone(), entry.metrics.clone(), entry.seeded);
+                    let memo =
+                        Pending::Memo(entry.bounds.clone(), entry.metrics.clone(), entry.seeded);
                     self.stats.cache_hits += 1;
                     self.record_result(key, seq, false);
                     return Ok(Admission {
@@ -633,11 +669,7 @@ impl PlanningSession {
                         key,
                         seq,
                         started,
-                        memo: Some(memo),
-                        mode: JobMode::Full {
-                            skip_certified: false,
-                            seeds: None,
-                        },
+                        pending: memo,
                         source: AnswerSource::CacheHit,
                     });
                 }
@@ -651,12 +683,14 @@ impl PlanningSession {
             }
         }
 
-        // Neighbor seeding: warm-start from the nearest cached population
-        // of the same model (opt-in; see the module docs).
-        let seeds = if self.options.neighbor_seeding {
-            self.nearest_neighbor(&key)
+        // The full ladder, neighbor-seeded from the nearest cached
+        // population of the same model when opted in (see the module docs).
+        let job = if timed_out {
+            Job::timed_out()
+        } else if self.options.neighbor_seeding {
+            Job::full(key.population, self.nearest_neighbor(&key))
         } else {
-            None
+            Job::full(key.population, None)
         };
 
         Ok(Admission {
@@ -665,11 +699,7 @@ impl PlanningSession {
             key,
             seq,
             started,
-            memo: None,
-            mode: JobMode::Full {
-                skip_certified,
-                seeds,
-            },
+            pending: Pending::Solve(job),
             source,
         })
     }
@@ -711,7 +741,7 @@ impl PlanningSession {
         outcome: Option<std::result::Result<Result<SolveOutcome>, String>>,
     ) -> Result<PlanningAnswer> {
         // Verified cache hit: the memoized answer, verbatim.
-        if let Some((bounds, metrics, seeded)) = adm.memo {
+        if let Pending::Memo(bounds, metrics, seeded) = adm.pending {
             self.stats.certified_answers += 1;
             return Ok(PlanningAnswer {
                 label: adm.label,
@@ -732,16 +762,7 @@ impl PlanningSession {
                 // Contained panic: answer from the floor, recording the
                 // panic in the diagnostics.
                 self.stats.contained_panics += 1;
-                floor_outcome(
-                    &adm.network,
-                    vec![LadderAttempt {
-                        rung: Rung::Direct,
-                        population: adm.network.population(),
-                        error: Some(CoreError::Panicked(panic_message)),
-                        elapsed: Duration::ZERO,
-                    }],
-                    adm.started,
-                )
+                solve_request(&adm.network, &self.options, &Job::panicked(panic_message))
             }
             // INFALLIBLE: every non-memo admission slot had a job queued.
             None => unreachable!("solve job missing for admitted request"),
@@ -910,187 +931,83 @@ fn service_fingerprint(network: &ClosedNetwork) -> u64 {
     h
 }
 
-/// The bound options of one certified rung: the session's base salt plus a
-/// rung offset, under the given budget.
-fn bound_options(options: &SessionOptions, salt_offset: u64, budget: SolveBudget) -> BoundOptions {
+/// The bound options of the session's LP rungs: the session's base salt
+/// and no budget (each rung gets its slice from the ladder).
+fn bound_options(options: &SessionOptions) -> BoundOptions {
     let mut bound = BoundOptions::default();
-    bound.simplex.perturbation_salt = options.base_salt.wrapping_add(salt_offset);
-    bound.budget = budget;
+    bound.simplex.perturbation_salt = options.base_salt;
     bound
 }
 
-/// Runs the session ladder for one request. Pure function of its inputs
-/// (model, options, mode), so it is safe to fan out and its answers are
+/// Walks one request's ladder plan. Pure function of its inputs (model,
+/// options, job), so it is safe to fan out and its answers are
 /// schedule-independent.
 fn solve_request(
     network: &ClosedNetwork,
     options: &SessionOptions,
-    mode: &JobMode,
+    job: &Job,
 ) -> Result<SolveOutcome> {
     let start = budget::now();
-    let mut attempts: Vec<LadderAttempt> = Vec::new();
-    let population = network.population();
-    let deadline = options.budget.wall_clock.map(|w| start + w);
-    let remaining = |fraction: f64| -> SolveBudget {
-        match deadline {
-            None => options.budget,
-            Some(d) => SolveBudget {
-                wall_clock: Some(
-                    d.saturating_duration_since(budget::now()).mul_f64(fraction),
-                ),
-                ..options.budget
-            },
-        }
-    };
-
-    let run_certified = match mode {
-        JobMode::DegradedOnly => false,
-        JobMode::Full { skip_certified, .. } => {
-            if *skip_certified {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Direct,
-                    population,
-                    error: Some(CoreError::Injected {
-                        site: FaultSite::RequestTimeout.name(),
-                    }),
-                    elapsed: Duration::ZERO,
-                });
-            }
-            !*skip_certified
-        }
-    };
-
-    if run_certified {
-        let seeds = match mode {
-            JobMode::Full { seeds, .. } => seeds.as_ref(),
-            JobMode::DegradedOnly => None,
-        };
-
-        // Rung 1: direct certified solve under a budget slice (and the
-        // neighbor seeds, when armed).
-        let t = budget::now();
-        let direct = certified_attempt(
-            network,
-            bound_options(options, 0, remaining(SESSION_DIRECT_SLICE)),
-            seeds,
-        );
-        match direct {
-            Ok((bounds, bases, seeded)) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Direct,
-                    population,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish_certified(
-                    network, bounds, bases, Rung::Direct, seeded, attempts, options, start,
-                ));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Direct,
-                population,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
-        }
-
-        // Rung 2: salted re-solve (fresh perturbation stream, no seeds —
-        // the seeds belong to the stream that just failed).
-        let t = budget::now();
-        match certified_attempt(
-            network,
-            bound_options(
-                options,
-                SESSION_SALTED_SALT,
-                remaining(SESSION_SALTED_SLICE),
-            ),
-            None,
-        ) {
-            Ok((bounds, bases, _)) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Salted,
-                    population,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish_certified(
-                    network, bounds, bases, Rung::Salted, false, attempts, options, start,
-                ));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Salted,
-                population,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
-        }
-
-        // Rung 3: tightened tolerance (a drifting solve is often rescued
-        // by a stricter feasibility test) under yet another salt.
-        let t = budget::now();
-        let mut tightened = bound_options(options, SESSION_TIGHTENED_SALT, remaining(1.0));
-        tightened.simplex.tolerance /= TIGHTEN_FACTOR;
-        match certified_attempt(network, tightened, None) {
-            Ok((bounds, bases, _)) => {
-                attempts.push(LadderAttempt {
-                    rung: Rung::Tightened,
-                    population,
-                    error: None,
-                    elapsed: t.elapsed(),
-                });
-                return Ok(finish_certified(
-                    network, bounds, bases, Rung::Tightened, false, attempts, options, start,
-                ));
-            }
-            Err(e) => attempts.push(LadderAttempt {
-                rung: Rung::Tightened,
-                population,
-                error: Some(e),
-                elapsed: t.elapsed(),
-            }),
-        }
-    }
-
-    // Rung 4: the fluid engine — point metrics inside the floor's
-    // guaranteed intervals. Exempt from the budget (always-answer tier).
-    let t = budget::now();
-    match solve_fluid_with(network, &FluidOptions::default()) {
-        Ok(fluid) => {
-            attempts.push(LadderAttempt {
-                rung: Rung::Fluid,
-                population,
-                error: None,
-                elapsed: t.elapsed(),
-            });
-            let mut bounds = robust::asymptotic_floor(network)?;
-            bounds.quality = Quality::Asymptotic;
-            bounds.diagnostics = SolveDiagnostics {
-                attempts,
-                budget: options.budget,
-                consumed: start.elapsed(),
+    let base = bound_options(options);
+    let walk = ladder::run(
+        &job.plan,
+        options.budget,
+        start,
+        network.population(),
+        |rung, slice| {
+            let (bounds, bases, seeded) = match rung {
+                Rung::Direct => match &job.doomed {
+                    Some(cause) => return Err(cause.clone()),
+                    None => certified_attempt(
+                        network,
+                        BoundOptions {
+                            budget: slice,
+                            ..base
+                        },
+                        job.seeds.as_ref(),
+                    )?,
+                },
+                // Point metrics from the fluid engine, inside the floor's
+                // guaranteed intervals.
+                Rung::Fluid => {
+                    let fluid = solve_fluid_with(network, &FluidOptions::default())?;
+                    return Ok(SolveOutcome {
+                        bounds: robust::asymptotic_floor(network)?,
+                        metrics: fluid.metrics,
+                        bases: Vec::new(),
+                        rung,
+                        seeded: false,
+                    });
+                }
+                rung => {
+                    let (bounds, bases) = robust::fallback(network, base, rung, slice)?;
+                    (bounds, bases, false)
+                }
             };
-            return Ok(SolveOutcome {
-                metrics: fluid.metrics,
+            Ok(SolveOutcome {
+                metrics: midpoint_metrics(network, &bounds),
                 bounds,
-                bases: Vec::new(),
-                rung: Rung::Fluid,
-                seeded: false,
-            });
-        }
-        Err(e) => attempts.push(LadderAttempt {
-            rung: Rung::Fluid,
-            population,
-            error: Some(e),
-            elapsed: t.elapsed(),
-        }),
-    }
-
-    // Rung 5: the algebraic floor — pure arithmetic, cannot fail on any
-    // model the session admitted.
-    floor_outcome(network, attempts, start)
+                bases,
+                rung,
+                seeded,
+            })
+        },
+    );
+    let (rung, mut solved) = walk.answer?;
+    solved.bounds.quality = if solved.seeded {
+        Quality::SelfSeeded
+    } else {
+        rung.quality()
+    };
+    solved.bounds.diagnostics = SolveDiagnostics {
+        attempts: walk.attempts,
+        budget: options.budget,
+        consumed: budget::now().duration_since(start),
+    };
+    Ok(solved)
 }
 
-/// One certified attempt: a fresh solver, optionally neighbor-seeded.
+/// One direct attempt: a fresh solver, optionally neighbor-seeded.
 /// Returns the bounds, the solved bases (the cache witness) and whether
 /// seeds were actually offered.
 fn certified_attempt(
@@ -1112,70 +1029,6 @@ fn certified_attempt(
     let seeded = !translated.is_empty();
     let bounds = solver.bound_all_seeded(&translated)?;
     Ok((bounds, solver.solved_bases(), seeded))
-}
-
-/// Finalizes a certified rung's outcome: stamps quality, diagnostics and
-/// midpoint metrics.
-#[allow(clippy::too_many_arguments)]
-fn finish_certified(
-    network: &ClosedNetwork,
-    mut bounds: NetworkBounds,
-    bases: Vec<Basis>,
-    rung: Rung,
-    seeded: bool,
-    attempts: Vec<LadderAttempt>,
-    options: &SessionOptions,
-    start: std::time::Instant,
-) -> SolveOutcome {
-    bounds.quality = if seeded {
-        Quality::SelfSeeded
-    } else {
-        Quality::Certified
-    };
-    bounds.diagnostics = SolveDiagnostics {
-        attempts,
-        budget: options.budget,
-        consumed: start.elapsed(),
-    };
-    let metrics = midpoint_metrics(network, &bounds);
-    SolveOutcome {
-        metrics,
-        bounds,
-        bases,
-        rung,
-        seeded,
-    }
-}
-
-/// The floor answer: guaranteed intervals, midpoint metrics, recorded as
-/// the final ladder attempt.
-fn floor_outcome(
-    network: &ClosedNetwork,
-    mut attempts: Vec<LadderAttempt>,
-    start: std::time::Instant,
-) -> Result<SolveOutcome> {
-    let t = budget::now();
-    let mut bounds = robust::asymptotic_floor(network)?;
-    attempts.push(LadderAttempt {
-        rung: Rung::Floor,
-        population: network.population(),
-        error: None,
-        elapsed: t.elapsed(),
-    });
-    bounds.quality = Quality::Asymptotic;
-    bounds.diagnostics = SolveDiagnostics {
-        attempts,
-        budget: SolveBudget::unlimited(),
-        consumed: start.elapsed(),
-    };
-    let metrics = midpoint_metrics(network, &bounds);
-    Ok(SolveOutcome {
-        metrics,
-        bounds,
-        bases: Vec::new(),
-        rung: Rung::Floor,
-        seeded: false,
-    })
 }
 
 #[cfg(test)]

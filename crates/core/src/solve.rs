@@ -39,6 +39,7 @@
 //! [`FLUID_BAND_FLOOR`] so the quote never pretends to more accuracy than
 //! was ever measured.
 
+use crate::bounds::ladder::{self, Attempt};
 use crate::bounds::robust;
 use crate::bounds::{
     BoundInterval, BoundOptions, MarginalBoundSolver, NetworkBounds, Quality,
@@ -50,7 +51,7 @@ use crate::mva::mva_exact;
 use crate::network::ClosedNetwork;
 use crate::{CoreError, Result};
 use mapqn_linalg::{budget, SolveBudget};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Maximum population-normalized mean-queue-length error of the fluid
 /// engine at [`FLUID_BAND_REFERENCE_POPULATION`], as measured against the
@@ -158,17 +159,8 @@ impl Default for SolveOptions {
     }
 }
 
-/// The record of one engine attempt of a [`solve`] run.
-#[derive(Debug, Clone)]
-pub struct EngineAttempt {
-    /// Which engine ran.
-    pub engine: Engine,
-    /// `None` when the attempt produced the returned answer; the failure
-    /// that pushed the router to the next rung otherwise.
-    pub error: Option<CoreError>,
-    /// Wall clock the attempt consumed.
-    pub elapsed: Duration,
-}
+/// The record of one engine attempt of a [`solve`] run (see [`Attempt`]).
+pub type EngineAttempt = Attempt<Engine>;
 
 /// The answer of the [`solve`] front door.
 #[derive(Debug, Clone)]
@@ -310,59 +302,27 @@ pub fn solve_with(
     } else {
         network.with_population(population)?
     };
-    let plan = route(network, population, accuracy, options);
-
-    let mut attempts: Vec<EngineAttempt> = Vec::with_capacity(plan.len());
-    let mut last_error: Option<CoreError> = None;
-    for engine in plan {
-        let attempt_start = budget::now();
-        let remaining = remaining_budget(&budget, start);
-        match run_engine(&net, engine, &remaining, attempt_start, options) {
-            Ok((metrics, bounds, quality, error_estimate)) => {
-                let now = budget::now();
-                attempts.push(EngineAttempt {
-                    engine,
-                    error: None,
-                    elapsed: now.duration_since(attempt_start),
-                });
-                let accuracy_met = meets(accuracy, engine, quality, error_estimate);
-                return Ok(Solution {
-                    metrics,
-                    bounds,
-                    engine,
-                    quality,
-                    error_estimate,
-                    accuracy_met,
-                    attempts,
-                    elapsed: now.duration_since(start),
-                });
-            }
-            Err(error) => {
-                attempts.push(EngineAttempt {
-                    engine,
-                    error: Some(error.clone()),
-                    elapsed: budget::now().duration_since(attempt_start),
-                });
-                last_error = Some(error);
-            }
-        }
-    }
-    // The floor is pure arithmetic over demands: reaching this point means
-    // the network itself is one no engine supports (e.g. delay-only).
-    Err(last_error.unwrap_or_else(|| {
-        CoreError::Unsupported("no engine in the routing plan supports this network".into())
-    }))
-}
-
-/// Remaining wall-clock slice of `budget` measured from `start`; work caps
-/// pass through unchanged.
-fn remaining_budget(budget: &SolveBudget, start: Instant) -> SolveBudget {
-    SolveBudget {
-        wall_clock: budget
-            .wall_clock
-            .map(|allowance| allowance.saturating_sub(budget::now().duration_since(start))),
-        ..*budget
-    }
+    // Every engine may use all of the wall clock its predecessors left.
+    let plan: Vec<(Engine, f64)> = route(network, population, accuracy, options)
+        .into_iter()
+        .map(|engine| (engine, 1.0))
+        .collect();
+    let walk = ladder::run(&plan, budget, start, population, |engine, remaining| {
+        run_engine(&net, engine, &remaining, options)
+    });
+    // An exhausted plan means the floor itself failed: the network is one
+    // no engine supports (e.g. delay-only).
+    let (engine, (metrics, bounds, quality, error_estimate)) = walk.answer?;
+    Ok(Solution {
+        metrics,
+        bounds,
+        engine,
+        quality,
+        error_estimate,
+        accuracy_met: meets(accuracy, engine, quality, error_estimate),
+        attempts: walk.attempts,
+        elapsed: budget::now().duration_since(start),
+    })
 }
 
 fn meets(accuracy: Accuracy, engine: Engine, quality: Quality, error_estimate: f64) -> bool {
@@ -425,9 +385,9 @@ fn run_engine(
     net: &ClosedNetwork,
     engine: Engine,
     remaining: &SolveBudget,
-    attempt_start: Instant,
     options: &SolveOptions,
 ) -> Result<EngineOutcome> {
+    let attempt_start = budget::now();
     match engine {
         Engine::Mva => {
             remaining
@@ -458,28 +418,22 @@ fn run_engine(
             Ok((metrics, None, Quality::Certified, 0.0))
         }
         Engine::LpBounds => {
+            // The LP rungs only: when all of them fail, the router's own
+            // plan walks on to the fluid tier.
             let bound_options = BoundOptions {
                 budget: *remaining,
                 ..BoundOptions::default()
             };
-            let bounds = MarginalBoundSolver::with_options(net, bound_options)?.bound_all()?;
-            if bounds.quality == Quality::Asymptotic {
-                // The LP front door fell all the way to its own floor: the
-                // fluid tier strictly improves on that rung (a point
-                // estimate with a measured band), so surface the cause and
-                // let the router walk on.
-                let cause = bounds
-                    .diagnostics
-                    .attempts
-                    .iter()
-                    .rev()
-                    .find_map(|attempt| attempt.error.clone());
-                return Err(cause.unwrap_or_else(|| {
-                    CoreError::Unsupported(
-                        "LP bounds degraded to the asymptotic floor".into(),
-                    )
-                }));
-            }
+            let bounds = robust::walk_bounds(net, bound_options, attempt_start, &[], |slice| {
+                MarginalBoundSolver::with_options(
+                    net,
+                    BoundOptions {
+                        budget: slice,
+                        ..bound_options
+                    },
+                )?
+                .bound_all_seeded(&[])
+            })?;
             let metrics = midpoint_metrics(net, &bounds);
             let error = interval_error(&bounds);
             let quality = bounds.quality;

@@ -173,9 +173,9 @@ pub fn tpcw_network(params: &TpcwParameters) -> Result<ClosedNetwork> {
 /// be re-instantiated per level by a sweep or ensemble. This is the model
 /// family behind the capacity-planning example and the SCV×ACF grid of
 /// `bench_ensemble` — including the SCV=8 / decay-0.6 instance that
-/// historically drove the revised engine to a dense-oracle fallback at
-/// `N = 7` (fixed by the LP row equilibration; `tests/tpcw_server_tier.rs`
-/// keeps it at zero fallbacks).
+/// historically broke the revised engine at `N = 7` (fixed by the LP row
+/// equilibration; `tests/tpcw_server_tier.rs` keeps every answer there on
+/// the ladder's direct rung).
 ///
 /// # Errors
 /// Propagates network-construction and MAP-fitting failures.

@@ -7,7 +7,7 @@
 //! population where the cold solve historically cycled for minutes)
 //! answers within a 30 s budget instead of erroring.
 
-use mapqn_core::bounds::{BoundOptions, Quality};
+use mapqn_core::bounds::{BoundOptions, Quality, Rung};
 use mapqn_core::templates::figure5_network;
 use mapqn_core::MarginalBoundSolver;
 use mapqn_faults::FaultSite;
@@ -87,8 +87,8 @@ proptest! {
     }
 }
 
-/// An unbudgeted, fault-free solve reports certified provenance with an
-/// empty ladder history.
+/// An unbudgeted, fault-free solve reports certified provenance with a
+/// one-attempt history: the successful direct rung.
 #[test]
 fn undegraded_solves_report_certified_quality() {
     let _guard = quiet();
@@ -99,7 +99,13 @@ fn undegraded_solves_report_certified_quality() {
         .unwrap();
     assert_eq!(bounds.quality, Quality::Certified);
     assert!(!bounds.diagnostics.degraded());
-    assert!(bounds.diagnostics.attempts.is_empty());
+    let history: Vec<(Rung, bool)> = bounds
+        .diagnostics
+        .attempts
+        .iter()
+        .map(|a| (a.step, a.error.is_none()))
+        .collect();
+    assert_eq!(history, vec![(Rung::Direct, true)]);
     assert!(bounds.diagnostics.budget.is_unlimited());
     assert!(bounds.diagnostics.consumed > Duration::ZERO);
 }

@@ -164,44 +164,37 @@ fn fluid_nonconvergence_is_degraded_past_by_the_router() {
     assert_eq!(answer.engine, Engine::AsymptoticFloor);
     assert!(!answer.accuracy_met);
     assert!(answer.bounds.is_some());
-    assert!(answer.attempts.iter().any(|a| a.engine == Engine::Fluid && a.error.is_some()));
+    assert!(answer.attempts.iter().any(|a| a.step == Engine::Fluid && a.error.is_some()));
 }
 
-/// Permanent LP iteration exhaustion (revised engine *and* dense oracle)
-/// walks the whole ladder down to the algebraic floor.
+/// Permanent LP iteration exhaustion, and permanent basis-factorization
+/// breakdown, each walk the whole ladder down to the algebraic floor: the
+/// revised engine has no runtime fallback underneath the direct rung, so
+/// the direct and salted rungs both fail (the bootstrap sits out at N = 4).
 #[test]
 fn lp_iteration_exhaustion_degrades_to_the_floor() {
-    let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, u64::MAX);
-    let network = figure5_network(4, 4.0, 0.5).unwrap();
-    let mut solver = MarginalBoundSolver::with_options(&network, budgeted_options()).unwrap();
-    let bounds = solver.bound_all().unwrap();
-    assert_valid(&bounds);
-    assert_eq!(bounds.quality, Quality::Asymptotic);
-    assert!(bounds.diagnostics.degraded());
-    let rungs: Vec<Rung> = bounds.diagnostics.attempts.iter().map(|a| a.rung).collect();
-    assert_eq!(rungs, vec![Rung::Direct, Rung::Salted, Rung::Floor]);
-    assert!(bounds.diagnostics.attempts[0].error.is_some());
-    assert!(bounds.diagnostics.attempts[1].error.is_some());
-    assert!(bounds.diagnostics.attempts[2].error.is_none());
+    for site in [FaultSite::LpIterations, FaultSite::LpFactorization] {
+        let _guard = mapqn_faults::arm(site, 0, u64::MAX);
+        let network = figure5_network(4, 4.0, 0.5).unwrap();
+        let mut solver = MarginalBoundSolver::with_options(&network, budgeted_options()).unwrap();
+        let bounds = solver.bound_all().unwrap();
+        assert_valid(&bounds);
+        assert_eq!(bounds.quality, Quality::Asymptotic, "{site:?}");
+        assert!(bounds.diagnostics.degraded());
+        let rungs: Vec<Rung> = bounds.diagnostics.attempts.iter().map(|a| a.step).collect();
+        assert_eq!(
+            rungs,
+            vec![Rung::Direct, Rung::Salted, Rung::Floor],
+            "{site:?}"
+        );
+        assert!(bounds.diagnostics.attempts[0].error.is_some());
+        assert!(bounds.diagnostics.attempts[1].error.is_some());
+        assert!(bounds.diagnostics.attempts[2].error.is_none());
+    }
 }
 
-/// Permanent basis-factorization breakdown only disables the revised
-/// engine; the dense-tableau oracle (which keeps no factorization) absorbs
-/// it below the ladder, so the answer stays certified.
-#[test]
-fn lp_factorization_fault_is_absorbed_by_the_dense_oracle() {
-    let _guard = mapqn_faults::arm(FaultSite::LpFactorization, 0, u64::MAX);
-    let network = figure5_network(4, 4.0, 0.5).unwrap();
-    let mut solver = MarginalBoundSolver::with_options(&network, budgeted_options()).unwrap();
-    let bounds = solver.bound_all().unwrap();
-    assert_valid(&bounds);
-    assert_eq!(bounds.quality, Quality::Certified);
-    assert!(!bounds.diagnostics.degraded());
-}
-
-/// A transient fault (one injected iteration-limit) is absorbed before the
-/// ladder even engages: the engine's own dense fallback answers and the
-/// result stays certified.
+/// A transient fault (one injected iteration-limit) fails only the direct
+/// rung: the salted re-solve answers and the result stays certified.
 #[test]
 fn transient_lp_fault_is_absorbed_by_the_engine() {
     let _guard = mapqn_faults::arm(FaultSite::LpIterations, 0, 1);
@@ -210,6 +203,64 @@ fn transient_lp_fault_is_absorbed_by_the_engine() {
     let bounds = solver.bound_all().unwrap();
     assert_valid(&bounds);
     assert_eq!(bounds.quality, Quality::Certified);
+    let history: Vec<(Rung, bool)> = bounds
+        .diagnostics
+        .attempts
+        .iter()
+        .map(|a| (a.step, a.error.is_none()))
+        .collect();
+    assert_eq!(history, vec![(Rung::Direct, false), (Rung::Salted, true)]);
+}
+
+/// Every front door walks the same LP rung list. Two injected
+/// iteration-limit faults fail the direct and the salted rung once each,
+/// so `bound_all`, a planning session and the `solve()` router all answer
+/// from the self-seeded bootstrap — the session no longer drops to its
+/// fluid rung, and the router stays on the LP engine.
+#[test]
+fn every_front_door_walks_the_shared_lp_rungs() {
+    let network = figure5_network(10, 4.0, 0.5).unwrap();
+    let two_faults = || mapqn_faults::arm(FaultSite::LpIterations, 0, 2);
+
+    let bounds = {
+        let _guard = two_faults();
+        MarginalBoundSolver::new(&network)
+            .unwrap()
+            .bound_all()
+            .unwrap()
+    };
+    assert_valid(&bounds);
+    assert_eq!(
+        bounds.quality,
+        Quality::SelfSeeded,
+        "{}",
+        bounds.diagnostics
+    );
+    let rungs: Vec<Rung> = bounds.diagnostics.attempts.iter().map(|a| a.step).collect();
+    assert_eq!(rungs, vec![Rung::Direct, Rung::Salted, Rung::Bootstrap]);
+
+    let answer = {
+        let _guard = two_faults();
+        PlanningSession::new(network.clone())
+            .ask(&PlanningRequest::new("N=10", vec![]))
+            .unwrap()
+    };
+    assert!(answer.is_valid());
+    assert_eq!(
+        answer.rung,
+        Rung::Bootstrap,
+        "{}",
+        answer.bounds.diagnostics
+    );
+    assert_eq!(answer.bounds.quality, Quality::SelfSeeded);
+
+    let solution = {
+        let _guard = two_faults();
+        solve(&network, 10, Accuracy::Certified, SolveBudget::unlimited()).unwrap()
+    };
+    assert_eq!(solution.engine, Engine::LpBounds);
+    assert!(solution.accuracy_met);
+    assert_eq!(solution.quality, Quality::SelfSeeded);
 }
 
 /// Forced budget expiry (the `budget-expiry` hook makes every deadline

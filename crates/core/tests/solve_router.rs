@@ -175,14 +175,14 @@ fn exhausted_budget_degrades_to_fluid_not_error() {
         assert!(!answer.accuracy_met);
         // Every starved attempt is on the record, the answering one last.
         let last = answer.attempts.last().unwrap();
-        assert_eq!(last.engine, Engine::Fluid);
+        assert_eq!(last.step, Engine::Fluid);
         assert!(last.error.is_none());
         assert!(answer.attempts.len() >= 2);
         for starved in &answer.attempts[..answer.attempts.len() - 1] {
             assert!(
                 starved.error.is_some(),
                 "{:?} should have been starved",
-                starved.engine
+                starved.step
             );
         }
         // Conservation survives degradation.
@@ -203,7 +203,7 @@ fn fluid_nonconvergence_degrades_to_the_floor() {
     assert!(!answer.accuracy_met);
     assert!(answer.bounds.is_some());
     assert_eq!(answer.attempts.len(), 2);
-    assert_eq!(answer.attempts[0].engine, Engine::Fluid);
+    assert_eq!(answer.attempts[0].step, Engine::Fluid);
     assert!(answer.attempts[0].error.is_some());
     assert!(answer.metrics.system_throughput > 0.0);
 }

@@ -3,9 +3,9 @@
 //! Deterministic fault injection for the workspace's always-answer
 //! robustness layer.
 //!
-//! The degradation ladder in `mapqn-core` (revised simplex → salted
-//! re-solve → self-seeded bootstrap → asymptotic floor) only matters on the
-//! failure paths, and waiting for a degenerate model to wander onto each of
+//! The one degradation ladder every `mapqn-core` front door walks (direct
+//! solve → salted re-solve → self-seeded bootstrap, then the front door's
+//! fluid and/or asymptotic-floor tail) only matters on the failure paths, and waiting for a degenerate model to wander onto each of
 //! them makes the ladder untestable. This crate plants **hooks** at the
 //! interesting failure sites — LP pivot-loop exhaustion, basis-factorization
 //! breakdown, Gauss–Seidel divergence, budget expiry, a failing ensemble

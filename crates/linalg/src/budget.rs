@@ -8,8 +8,8 @@
 //! * [`SolveBudget`] is the **user-facing** description — "at most 30
 //!   seconds and 2 million pivots for this whole `bound_all`". It is made
 //!   of durations and counts, carries no running state, and lives in the
-//!   front-door option structs (`BoundOptions`, and scaled per rung by the
-//!   degradation ladder in `mapqn-core`).
+//!   front-door option structs (`BoundOptions`, and sliced per rung by the
+//!   degradation-ladder executor in `mapqn-core`).
 //! * [`EngineBudget`] is the **engine-facing** form: an absolute deadline
 //!   [`std::time::Instant`] plus a work cap, anchored by the front door at
 //!   solve entry ([`SolveBudget::engine_budget`]) and embedded in the
@@ -110,17 +110,6 @@ impl SolveBudget {
     #[must_use]
     pub fn is_unlimited(&self) -> bool {
         self.wall_clock.is_none() && self.max_pivots.is_none() && self.max_sweep_work.is_none()
-    }
-
-    /// The same budget with its wall-clock allowance scaled by `fraction`
-    /// (caps are kept as is). Used by the degradation ladder to hand each
-    /// rung a slice of the remaining time.
-    #[must_use]
-    pub fn scale_wall_clock(&self, fraction: f64) -> Self {
-        Self {
-            wall_clock: self.wall_clock.map(|d| d.mul_f64(fraction.max(0.0))),
-            ..*self
-        }
     }
 
     /// Anchors this budget at `start`, producing the engine-facing form
@@ -266,9 +255,6 @@ mod tests {
         assert_eq!(lp.deadline, Some(start + Duration::from_secs(10)));
         let sweep = budget.sweep_budget(start);
         assert_eq!(sweep.max_work, Some(2_000));
-        let half = budget.scale_wall_clock(0.5);
-        assert_eq!(half.wall_clock, Some(Duration::from_secs(5)));
-        assert_eq!(half.max_pivots, Some(1_000));
         assert!(SolveBudget::unlimited().is_unlimited());
         assert!(SolveBudget::default().is_unlimited());
     }

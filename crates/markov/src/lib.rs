@@ -40,7 +40,7 @@ pub use ctmc::Ctmc;
 pub use dtmc::Dtmc;
 pub use sparse_steady::{
     stationary_sparse, stationary_sparse_op, SparsePreconditioner, SparseSteadyOptions,
-    SparseSteadyReport, SpawnMode,
+    SparseSteadyReport,
 };
 pub use statespace::{StateSpace, StateSpaceBuilder};
 pub use steady::{

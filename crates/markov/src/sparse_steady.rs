@@ -50,7 +50,7 @@
 
 use crate::ctmc::Ctmc;
 use crate::{MarkovError, Result};
-use mapqn_linalg::{CsrMatrix, DVector, GeneratorOp};
+use mapqn_linalg::{DVector, GeneratorOp};
 use mapqn_par::{ScopedPool, WorkPool};
 
 /// Whether `MAPQN_SPARSE_DEBUG` residual tracing is on — read once per
@@ -110,15 +110,9 @@ pub struct SparseSteadyOptions {
     /// not a thread spawn: the default keeps that handshake a small
     /// fraction of the round (at ~6–7 generator entries per row it puts
     /// the parallel cut-in near 1–2k states — the figure-5 and TPC-W
-    /// validation sizes — where the old per-call-spawn design needed
-    /// 100k states to amortize its spawns). Set to 0 to force the
-    /// threaded path regardless of size (the determinism gates do this).
+    /// validation sizes). Set to 0 to force the threaded path regardless
+    /// of size (the determinism gates do this).
     pub parallel_threshold: usize,
-    /// How the engine acquires its worker threads. The default
-    /// [`SpawnMode::Persistent`] is strictly better at every size; the
-    /// per-call mode exists as the measured baseline of the `bench_exact`
-    /// pool-overhead comparison.
-    pub spawn_mode: SpawnMode,
     /// First preconditioner to try; on divergence or stall the engine falls
     /// back along [`SparsePreconditioner::GaussSeidel`] →
     /// [`SparsePreconditioner::Jacobi`] → [`SparsePreconditioner::Power`].
@@ -145,25 +139,11 @@ impl Default for SparseSteadyOptions {
             block_len: 4096,
             workers: 0,
             parallel_threshold: 8_192,
-            spawn_mode: SpawnMode::Persistent,
             preconditioner: SparsePreconditioner::GaussSeidel,
             sor_omega: 1.0,
             budget: mapqn_linalg::EngineBudget::none(),
         }
     }
-}
-
-/// How the sparse engine acquires worker threads for its parallel rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpawnMode {
-    /// One persistent pool for the whole solve: workers are spawned once,
-    /// parked between rounds, and joined when the solve returns. The
-    /// default — thousands of sweep rounds share one spawn.
-    Persistent,
-    /// Spawn and join threads on every parallel round (the pre-persistent
-    /// design). Kept as the measured baseline for the `bench_exact`
-    /// pool-overhead gate; never faster than [`SpawnMode::Persistent`].
-    PerCall,
 }
 
 /// Result of a sparse stationary solve: the distribution plus convergence
@@ -180,31 +160,6 @@ pub struct SparseSteadyReport {
     pub used: SparsePreconditioner,
 }
 
-/// The executor behind every parallel round of the solve: either a live
-/// persistent pool (workers parked between rounds) or a per-call-spawning
-/// `WorkPool` (the benchmark baseline). Both cut `data` at the same
-/// `chunk_len` boundaries, so the two modes — and every worker count —
-/// are bitwise identical.
-pub(crate) enum ParExec<'a> {
-    /// Rounds reuse the parked workers of one `WorkPool::scoped` region.
-    Persistent(&'a ScopedPool<'a>),
-    /// Every round spawns and joins its own threads.
-    PerCall(WorkPool),
-}
-
-impl ParExec<'_> {
-    pub(crate) fn for_each_chunk<T, F>(&self, data: &mut [T], chunk_len: usize, f: F)
-    where
-        T: Send,
-        F: Fn(usize, &mut [T]) + Sync,
-    {
-        match self {
-            ParExec::Persistent(pool) => pool.for_each_chunk(data, chunk_len, f),
-            ParExec::PerCall(pool) => pool.for_each_chunk(data, chunk_len, f),
-        }
-    }
-}
-
 /// `out = x^T A` computed as row scans of `A^T`, parallel over row blocks of
 /// the operator. Every output element is written by exactly one block, so
 /// the result is bitwise independent of the worker count — for materialized
@@ -212,27 +167,15 @@ impl ParExec<'_> {
 /// [`GeneratorOp::left_apply_rows_into`] block depends only on `x` and its
 /// own row.
 pub(crate) fn par_left_apply<O: GeneratorOp + ?Sized>(
-    exec: &ParExec<'_>,
+    pool: &ScopedPool<'_>,
     op: &O,
     block_len: usize,
     x: &[f64],
     out: &mut [f64],
 ) {
-    exec.for_each_chunk(out, block_len, |start, chunk| {
+    pool.for_each_chunk(out, block_len, |start, chunk| {
         op.left_apply_rows_into(start, x, chunk);
     });
-}
-
-/// CSR-typed alias of [`par_left_apply`] kept for the transient engine:
-/// `at` is `A^T` and the apply is its row-block matvec.
-pub(crate) fn par_left_mul(
-    exec: &ParExec<'_>,
-    at: &CsrMatrix,
-    block_len: usize,
-    x: &[f64],
-    out: &mut [f64],
-) {
-    par_left_apply(exec, at, block_len, x, out);
 }
 
 /// The worker count a solve should use, from the requested width and the
@@ -252,7 +195,7 @@ pub(crate) fn effective_workers(per_round_work: usize, threshold: usize, workers
 }
 
 /// Shared per-solve context: the generator operator, the per-state exit
-/// rates and the round executor.
+/// rates and the persistent pool every parallel round runs on.
 struct Kernel<'a, O: GeneratorOp + ?Sized> {
     /// The generator, seen through the operator trait. For the materialized
     /// representation this is the transposed CSR (row `i` lists the inflow
@@ -263,7 +206,9 @@ struct Kernel<'a, O: GeneratorOp + ?Sized> {
     exit: Vec<f64>,
     /// Largest exit rate (the residual/tolerance scale).
     q_max: f64,
-    exec: ParExec<'a>,
+    /// The solve's pool; every round cuts its data at the same `block_len`
+    /// boundaries, so every worker count is bitwise identical.
+    pool: &'a ScopedPool<'a>,
     block_len: usize,
 }
 
@@ -272,14 +217,14 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
         op: &'a O,
         exit: Vec<f64>,
         q_max: f64,
-        exec: ParExec<'a>,
+        pool: &'a ScopedPool<'a>,
         options: &SparseSteadyOptions,
     ) -> Self {
         Self {
             op,
             exit,
             q_max,
-            exec,
+            pool,
             block_len: options.block_len.max(1),
         }
     }
@@ -287,7 +232,7 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
     /// Residual `‖xQ‖_∞` of a candidate vector, using `scratch` as the
     /// product buffer.
     fn residual(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        par_left_apply(&self.exec, self.op, self.block_len, x, scratch);
+        par_left_apply(self.pool, self.op, self.block_len, x, scratch);
         scratch.iter().fold(0.0_f64, |m, r| m.max(r.abs()))
     }
 
@@ -309,7 +254,7 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
         let ci = qt.col_indices();
         let vals = qt.values();
         let exit = &self.exit;
-        self.exec.for_each_chunk(x_new, self.block_len, |start, chunk| {
+        self.pool.for_each_chunk(x_new, self.block_len, |start, chunk| {
             for bi in 0..chunk.len() {
                 let i = start + bi;
                 let mut s = 0.0;
@@ -336,14 +281,14 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
     /// through [`Kernel::jacobi_candidate`]. `z` is scratch for `w D^{-1}`.
     fn jacobi_power_step(&self, margin: f64, w_old: &[f64], z: &mut [f64], w_new: &mut [f64]) {
         let exit = &self.exit;
-        self.exec.for_each_chunk(z, self.block_len, |start, chunk| {
+        self.pool.for_each_chunk(z, self.block_len, |start, chunk| {
             for (bi, zi) in chunk.iter_mut().enumerate() {
                 let i = start + bi;
                 *zi = w_old[i] / (exit[i] * (1.0 + margin));
             }
         });
-        par_left_apply(&self.exec, self.op, self.block_len, z, w_new);
-        self.exec.for_each_chunk(w_new, self.block_len, |start, chunk| {
+        par_left_apply(self.pool, self.op, self.block_len, z, w_new);
+        self.pool.for_each_chunk(w_new, self.block_len, |start, chunk| {
             for (bi, wi) in chunk.iter_mut().enumerate() {
                 *wi += w_old[start + bi];
             }
@@ -354,7 +299,7 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
     /// `π ∝ w D^{-1}` (the margin cancels in the normalization).
     fn jacobi_candidate(&self, w: &[f64], pi: &mut [f64]) {
         let exit = &self.exit;
-        self.exec.for_each_chunk(pi, self.block_len, |start, chunk| {
+        self.pool.for_each_chunk(pi, self.block_len, |start, chunk| {
             for (bi, p) in chunk.iter_mut().enumerate() {
                 let i = start + bi;
                 *p = w[i] / exit[i];
@@ -365,8 +310,8 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
 
     /// One globally uniformized power step `x ← x (I + Q/q)`.
     fn uniformized_power_step(&self, q: f64, x_old: &[f64], x_new: &mut [f64]) {
-        par_left_apply(&self.exec, self.op, self.block_len, x_old, x_new);
-        self.exec.for_each_chunk(x_new, self.block_len, |start, chunk| {
+        par_left_apply(self.pool, self.op, self.block_len, x_old, x_new);
+        self.pool.for_each_chunk(x_new, self.block_len, |start, chunk| {
             for (bi, xi) in chunk.iter_mut().enumerate() {
                 *xi = x_old[start + bi] + *xi / q;
             }
@@ -475,32 +420,14 @@ pub fn stationary_sparse_op<O: GeneratorOp + ?Sized>(
     let row_blocks = n.div_ceil(options.block_len.max(1));
     let workers = effective_workers(op.nnz(), options.parallel_threshold, options.workers)
         .min(row_blocks.max(1));
-    match options.spawn_mode {
-        SpawnMode::Persistent => {
-            // One pool spans the whole solve, so every one of the (often
-            // thousands of) sweep rounds reuses the same parked workers
-            // instead of spawning fresh threads.
-            WorkPool::new(workers).scoped(|pool| {
-                solve_on(
-                    Kernel::new(op, exit, q_max, ParExec::Persistent(pool), options),
-                    options,
-                )
-            })
-        }
-        SpawnMode::PerCall => solve_on(
-            Kernel::new(
-                op,
-                exit,
-                q_max,
-                ParExec::PerCall(WorkPool::new(workers)),
-                options,
-            ),
-            options,
-        ),
-    }
+    // One pool spans the whole solve, so every one of the (often thousands
+    // of) sweep rounds reuses the same parked workers instead of spawning
+    // fresh threads.
+    WorkPool::new(workers)
+        .scoped(|pool| solve_on(Kernel::new(op, exit, q_max, pool, options), options))
 }
 
-/// The solve body, generic over the operator and round executor: the
+/// The solve body, generic over the operator: the
 /// fallback ladder of preconditioned sweep loops described in the module
 /// docs.
 fn solve_on<O: GeneratorOp + ?Sized>(
@@ -671,7 +598,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                     {
                         let factor = (rho / (1.0 - rho)).min(2e4);
                         kernel
-                            .exec
+                            .pool
                             .for_each_chunk(&mut x_next, kernel.block_len, |start, chunk| {
                                 for (bi, v) in chunk.iter_mut().enumerate() {
                                     let i = start + bi;
@@ -901,18 +828,6 @@ mod tests {
             );
             assert_eq!(serial.sweeps, parallel.sweeps);
         }
-        // The per-call-spawn baseline is bit-identical too (same chunk
-        // boundaries, different thread acquisition).
-        let percall = stationary_sparse(
-            &ctmc,
-            &SparseSteadyOptions {
-                workers: 3,
-                spawn_mode: SpawnMode::PerCall,
-                ..base
-            },
-        )
-        .unwrap();
-        assert_eq!(serial.pi.as_slice(), percall.pi.as_slice());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! cumulative Poisson weight is close enough to one.
 
 use crate::ctmc::Ctmc;
-use crate::sparse_steady::{effective_workers, par_left_mul, ParExec};
+use crate::sparse_steady::{effective_workers, par_left_apply};
 use crate::{MarkovError, Result};
 use mapqn_linalg::DVector;
 use mapqn_par::WorkPool;
@@ -105,7 +105,6 @@ pub fn transient_distribution(
     // amortize a per-term thread spawn (the pre-persistent design), but
     // trivially amortizing a parked-worker wake/quiesce round.
     WorkPool::new(workers).scoped(|pool| {
-        let exec = ParExec::Persistent(pool);
         let mut term_next = vec![0.0_f64; n];
 
         let mut weight = (-lambda).exp();
@@ -132,7 +131,7 @@ pub fn transient_distribution(
                     residual: 1.0 - cumulative,
                 });
             }
-            par_left_mul(&exec, &pt, block_len, term_vec.as_slice(), &mut term_next);
+            par_left_apply(pool, &pt, block_len, term_vec.as_slice(), &mut term_next);
             term_vec.as_mut_slice().copy_from_slice(&term_next);
             if weight > 0.0 {
                 weight *= lambda / k as f64;

@@ -342,10 +342,8 @@ impl WorkPool {
 
     /// One-shot convenience: [`WorkPool::scoped`] around a single
     /// [`ScopedPool::for_each_chunk`] round. Spawns and joins threads per
-    /// call — the right tool for isolated coarse operations, and the
-    /// per-call-spawn baseline the `bench_exact` pool microbench measures
-    /// the persistent mode against. Hot loops should hoist a
-    /// [`WorkPool::scoped`] around themselves instead.
+    /// call — the right tool for isolated coarse operations. Hot loops
+    /// should hoist a [`WorkPool::scoped`] around themselves instead.
     ///
     /// # Panics
     /// Re-raises the panic of any chunk job after the pool has quiesced.

@@ -47,11 +47,8 @@ fn main() {
     let stats = sweep.stats();
     println!();
     println!(
-        "sweep warm starts: {} dual, {} repaired, {} rejections, {} dense fallbacks",
-        stats.dual_warm_objectives,
-        stats.repair_warm_objectives,
-        stats.dual_seed_rejections,
-        stats.dense_fallbacks
+        "sweep warm starts: {} dual, {} repaired, {} rejections",
+        stats.dual_warm_objectives, stats.repair_warm_objectives, stats.dual_seed_rejections
     );
     println!("The exact values always fall between the bounds, and the bounds tighten towards the");
     println!("asymptotic regime as the population grows — the behaviour shown in Figure 8 of the paper.");

@@ -98,7 +98,7 @@ fn main() {
     }
     let stats = sweep.stats();
     println!(
-        "  warm starts: {} dual, {} repaired, {} dense fallbacks",
-        stats.dual_warm_objectives, stats.repair_warm_objectives, stats.dense_fallbacks
+        "  warm starts: {} dual, {} repaired",
+        stats.dual_warm_objectives, stats.repair_warm_objectives
     );
 }

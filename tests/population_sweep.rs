@@ -191,7 +191,10 @@ proptest! {
             .collect();
         let runner = EnsembleRunner::new().with_threads(3);
         let report = runner.run(&single).unwrap();
-        prop_assert_eq!(report.stats.dense_fallbacks, 0, "single-pop ensemble fell back");
+        prop_assert!(
+            report.results.iter().flat_map(|r| &r.bounds).all(|b| !b.diagnostics.degraded()),
+            "single-pop ensemble degraded"
+        );
         for (job, model) in models.iter().enumerate() {
             let net = model.network.with_population(population).unwrap();
             let mut serial = MarginalBoundSolver::with_options(
@@ -200,7 +203,7 @@ proptest! {
             )
             .unwrap();
             let serial_bounds = serial.bound_all().unwrap();
-            prop_assert_eq!(serial.stats().dense_fallbacks, 0);
+            prop_assert!(!serial_bounds.diagnostics.degraded());
             assert_bounds_bitwise_equal(
                 &serial_bounds,
                 &report.results[job].bounds[0],
@@ -218,7 +221,10 @@ proptest! {
             })
             .collect();
         let ranged_report = runner.run(&ranged).unwrap();
-        prop_assert_eq!(ranged_report.stats.dense_fallbacks, 0, "ranged ensemble fell back");
+        prop_assert!(
+            ranged_report.results.iter().flat_map(|r| &r.bounds).all(|b| !b.diagnostics.degraded()),
+            "ranged ensemble degraded"
+        );
         let one_worker = EnsembleRunner::new().with_threads(1).run(&ranged).unwrap();
         prop_assert_eq!(one_worker.stats, ranged_report.stats);
         for (job, scenario) in ranged.iter().enumerate() {
@@ -337,5 +343,5 @@ fn bound_all_solves_the_dedicated_system_throughput_objective() {
     // objective.
     let r = solver.response_time_bounds().unwrap();
     assert!(r.contains(exact.system_response_time, 1e-6));
-    assert_eq!(solver.stats().dense_fallbacks, 0);
+    assert!(!all.diagnostics.degraded());
 }

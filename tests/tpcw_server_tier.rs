@@ -6,8 +6,8 @@
 //! both recovery lanes, and fall back to the dense-tableau oracle. The LP
 //! row equilibration (power-of-two row scaling in `RevisedSimplex::new`)
 //! plus the in-place feasibility repair and the dual-chain verification
-//! refresh fixed it; these tests pin `dense_fallbacks == 0` so the corner
-//! stays closed.
+//! refresh fixed it; these tests pin that every answer comes from the
+//! ladder's direct rung (no degradation) so the corner stays closed.
 
 use mapqn::core::bounds::{BoundOptions, PopulationSweep};
 use mapqn::core::templates::{tpcw_server_tier, TpcwParameters};
@@ -36,6 +36,11 @@ fn scv8_decay06_sweep_crosses_population_7_without_dense_fallbacks() {
         let bounds = sweep.bounds_at(n).unwrap();
         assert_eq!(bounds.population, n);
         assert!(
+            !bounds.diagnostics.degraded(),
+            "N={n}: {}",
+            bounds.diagnostics
+        );
+        assert!(
             bounds.system_throughput.lower <= bounds.system_throughput.upper,
             "N={n}: malformed interval"
         );
@@ -59,7 +64,8 @@ fn scv8_decay06_sweep_stays_clean_under_ensemble_salts() {
         options.simplex.perturbation_salt = salt;
         let mut sweep = PopulationSweep::with_options(&tier, options).unwrap();
         for n in 1..=8 {
-            sweep.bounds_at(n).unwrap();
+            let bounds = sweep.bounds_at(n).unwrap();
+            assert!(!bounds.diagnostics.degraded(), "salt {salt:#x} N={n}");
         }
         assert_eq!(
             sweep.stats().dense_fallbacks,
@@ -80,7 +86,6 @@ fn scv8_decay06_cold_solve_at_population_7_uses_the_revised_engine() {
     let bounds = solver.bound_all().unwrap();
     assert!(bounds.system_throughput.lower > 0.0);
     assert!(bounds.system_throughput.lower <= bounds.system_throughput.upper);
-    let stats = solver.stats();
-    assert_eq!(stats.dense_fallbacks, 0, "cold corner solve fell back: {stats:?}");
-    assert!(stats.revised_solves > 0);
+    assert!(!bounds.diagnostics.degraded(), "cold corner solve degraded: {}", bounds.diagnostics);
+    assert!(solver.stats().revised_solves > 0);
 }
