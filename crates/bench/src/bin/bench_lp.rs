@@ -21,7 +21,7 @@
 //! `MAPQN_SCALE=full` enlarges the experiment.
 
 use mapqn_bench::{Scale, Table};
-use mapqn_core::bounds::{BoundOptions, NetworkBounds};
+use mapqn_core::bounds::{BoundOptions, NetworkBounds, SolverTimings};
 use mapqn_core::random_models::{random_model, RandomModelSpec};
 use mapqn_core::templates::figure5_network;
 use mapqn_core::MarginalBoundSolver;
@@ -65,11 +65,23 @@ fn max_interval_diffs(a: &NetworkBounds, b: &NetworkBounds) -> (f64, f64) {
     (worst_tu, worst_mql)
 }
 
+/// Wall time per simplex iteration of the primal and dual solves, in µs —
+/// the same definition as the benchmark's `lp.us_per_pivot`, so the
+/// LU/eta solve kernel shows up per pivot rather than per answer.
+fn us_per_pivot(timings: &SolverTimings) -> f64 {
+    let pivots = timings.primal_pivots + timings.dual_pivots;
+    if pivots == 0 {
+        return 0.0;
+    }
+    (timings.primal_ns + timings.dual_ns) as f64 / 1e3 / pivots as f64
+}
+
 struct Case {
     model: usize,
     population: usize,
     cold_dense_ms: f64,
     warm_revised_ms: f64,
+    us_per_pivot: f64,
     speedup: f64,
     max_diff_thr_util: f64,
     max_diff_mql: f64,
@@ -89,7 +101,7 @@ fn main() {
     println!("LP engine comparison on the Table 1 random-model kernel");
     println!("(cold dense tableau vs warm-started revised simplex)\n");
     let mut table = Table::new(&[
-        "model", "N", "dense ms", "revised ms", "speedup", "diff t/u", "diff mql",
+        "model", "N", "dense ms", "revised ms", "us/pivot", "speedup", "diff t/u", "diff mql",
     ]);
     let mut cases: Vec<Case> = Vec::new();
 
@@ -108,6 +120,7 @@ fn main() {
             let mut revised_solver = MarginalBoundSolver::new(&network).expect("solver");
             let revised_bounds = revised_solver.bound_all().expect("revised bound_all");
             let warm_revised_ms = start.elapsed().as_secs_f64() * 1e3;
+            let us_per_pivot = us_per_pivot(&revised_solver.timings());
 
             let (diff_tu, diff_mql) = max_interval_diffs(&dense_bounds, &revised_bounds);
             let speedup = cold_dense_ms / warm_revised_ms;
@@ -116,6 +129,7 @@ fn main() {
                 n.to_string(),
                 format!("{cold_dense_ms:.2}"),
                 format!("{warm_revised_ms:.2}"),
+                format!("{us_per_pivot:.1}"),
                 format!("{speedup:.1}x"),
                 format!("{diff_tu:.2e}"),
                 format!("{diff_mql:.2e}"),
@@ -125,6 +139,7 @@ fn main() {
                 population: n,
                 cold_dense_ms,
                 warm_revised_ms,
+                us_per_pivot,
                 speedup,
                 max_diff_thr_util: diff_tu,
                 max_diff_mql: diff_mql,
@@ -195,7 +210,7 @@ fn main() {
     // the cliff; the cliff itself is exercised by the always-answer gate
     // below, which budgets the solve and lets the degradation ladder
     // answer it.
-    let profile_populations: Vec<usize> = scale.pick(vec![40, 44], vec![40, 44, 48]);
+    let profile_populations = [40usize, 44, 48];
     struct ColdProfile {
         population: usize,
         total_ms: f64,
@@ -203,13 +218,14 @@ fn main() {
         phase1_ms: f64,
         primal_ms: f64,
         primal_pivots: u64,
+        us_per_pivot: f64,
         /// Whether the cold solve needed the degradation ladder.
         degraded: bool,
     }
     let mut profiles: Vec<ColdProfile> = Vec::new();
     println!("\nFigure 8 case study (SCV=16): cold bound_all per-phase profile:");
     let mut profile_table = Table::new(&[
-        "N", "total ms", "setup ms", "phase1 ms", "primal ms", "pivots", "degraded",
+        "N", "total ms", "setup ms", "phase1 ms", "primal ms", "pivots", "us/pivot", "degraded",
     ]);
     for &n in &profile_populations {
         let network = figure5_network(n, 16.0, 0.5).expect("figure8 network");
@@ -225,6 +241,7 @@ fn main() {
             phase1_ms: timings.phase1_ns as f64 / 1e6,
             primal_ms: timings.primal_ns as f64 / 1e6,
             primal_pivots: timings.primal_pivots,
+            us_per_pivot: us_per_pivot(&timings),
             degraded: bounds.diagnostics.degraded(),
         };
         profile_table.add_row(vec![
@@ -234,6 +251,7 @@ fn main() {
             format!("{:.1}", profile.phase1_ms),
             format!("{:.1}", profile.primal_ms),
             profile.primal_pivots.to_string(),
+            format!("{:.1}", profile.us_per_pivot),
             profile.degraded.to_string(),
         ]);
         profiles.push(profile);
@@ -289,11 +307,12 @@ fn main() {
     json.push_str("  \"cases\": [\n");
     for (i, c) in cases.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"model\": {}, \"population\": {}, \"cold_dense_ms\": {:.3}, \"warm_revised_ms\": {:.3}, \"speedup\": {:.2}, \"max_diff_thr_util\": {:.3e}, \"max_diff_mql\": {:.3e}}}{}\n",
+            "    {{\"model\": {}, \"population\": {}, \"cold_dense_ms\": {:.3}, \"warm_revised_ms\": {:.3}, \"us_per_pivot\": {:.2}, \"speedup\": {:.2}, \"max_diff_thr_util\": {:.3e}, \"max_diff_mql\": {:.3e}}}{}\n",
             c.model,
             c.population,
             c.cold_dense_ms,
             c.warm_revised_ms,
+            c.us_per_pivot,
             c.speedup,
             c.max_diff_thr_util,
             c.max_diff_mql,
@@ -332,13 +351,14 @@ fn main() {
     json.push_str("  \"fig8_cold_profile\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"population\": {}, \"total_ms\": {:.3}, \"setup_ms\": {:.3}, \"phase1_ms\": {:.3}, \"primal_ms\": {:.3}, \"primal_pivots\": {}, \"degraded\": {}}}{}\n",
+            "    {{\"population\": {}, \"total_ms\": {:.3}, \"setup_ms\": {:.3}, \"phase1_ms\": {:.3}, \"primal_ms\": {:.3}, \"primal_pivots\": {}, \"us_per_pivot\": {:.2}, \"degraded\": {}}}{}\n",
             p.population,
             p.total_ms,
             p.setup_ms,
             p.phase1_ms,
             p.primal_ms,
             p.primal_pivots,
+            p.us_per_pivot,
             p.degraded,
             if i + 1 < profiles.len() { "," } else { "" }
         ));

@@ -26,10 +26,6 @@ pub struct Lu {
     perm: Vec<usize>,
     /// Sign of the permutation (+1.0 or -1.0), used for determinants.
     perm_sign: f64,
-    /// Optional transposed copy of the packed factors (see
-    /// [`Lu::cache_transpose`]): turns the column-strided memory accesses of
-    /// the transpose solve into contiguous row scans.
-    lu_t: Option<DMatrix>,
 }
 
 /// Pivot threshold below which a matrix is reported as singular.
@@ -50,6 +46,7 @@ impl Lu {
         let mut lu = a.clone();
         let mut perm: Vec<usize> = (0..n).collect();
         let mut perm_sign = 1.0;
+        let mut pivot_cols: Vec<usize> = Vec::with_capacity(n);
 
         for k in 0..n {
             // Find the pivot: the largest |entry| in column k at or below row k.
@@ -76,11 +73,18 @@ impl Lu {
                 perm_sign = -perm_sign;
             }
             let pivot = lu[(k, k)];
+            // The rows below are updated only where the pivot row is
+            // non-zero: skipping `factor * 0` leaves every entry bitwise as
+            // the full-row update would (up to the sign of a zero entry when
+            // the input itself holds -0.0), so sparse matrices factor in
+            // time proportional to their fill rather than `n^3`.
+            pivot_cols.clear();
+            pivot_cols.extend(((k + 1)..n).filter(|&j| lu[(k, j)] != 0.0));
             for i in (k + 1)..n {
                 let factor = lu[(i, k)] / pivot;
                 lu[(i, k)] = factor;
                 if factor != 0.0 {
-                    for j in (k + 1)..n {
+                    for &j in &pivot_cols {
                         let ukj = lu[(k, j)];
                         lu[(i, j)] -= factor * ukj;
                     }
@@ -92,24 +96,16 @@ impl Lu {
             lu,
             perm,
             perm_sign,
-            lu_t: None,
         })
     }
 
-    /// Caches a transposed copy of the packed factors so that subsequent
-    /// transpose solves scan memory contiguously. Costs `O(n^2)` time and
-    /// memory once; worthwhile when many transpose solves follow (the BTRAN
-    /// of the revised simplex runs one per pivot).
-    pub fn cache_transpose(&mut self) {
-        let n = self.order();
-        let mut t = DMatrix::zeros(n, n);
-        for i in 0..n {
-            let row = self.lu.row(i);
-            for (j, &v) in row.iter().enumerate() {
-                t[(j, i)] = v;
-            }
-        }
-        self.lu_t = Some(t);
+    /// Consumes the factorization, returning the packed factors (strictly
+    /// lower part `L` with implicit unit diagonal, upper part `U`) and the
+    /// row permutation (`perm[i]` is the original row of factor row `i`).
+    /// Lets callers re-store the factors in another layout.
+    #[must_use]
+    pub fn into_parts(self) -> (DMatrix, Vec<usize>) {
+        (self.lu, self.perm)
     }
 
     /// Order of the factorized matrix.
@@ -136,30 +132,15 @@ impl Lu {
         Ok(DVector::from_vec(x))
     }
 
-    /// Solves `A x = b` overwriting `b` with the solution. Allocates a
-    /// scratch buffer; hot paths should prefer
-    /// [`Lu::solve_in_place_with_scratch`].
+    /// Solves `A x = b` overwriting `b` with the solution.
     ///
     /// # Panics
     /// Panics if `b.len()` differs from the matrix order.
     pub fn solve_in_place(&self, b: &mut [f64]) {
-        let mut scratch = vec![0.0; self.order()];
-        self.solve_in_place_with_scratch(b, &mut scratch);
-    }
-
-    /// Solves `A x = b` overwriting `b`, reusing `scratch` (resized as
-    /// needed). This is the allocation-free kernel behind [`Lu::solve`],
-    /// used on the hot path of the revised simplex (FTRAN).
-    ///
-    /// # Panics
-    /// Panics if `b.len()` differs from the matrix order.
-    pub fn solve_in_place_with_scratch(&self, b: &mut [f64], scratch: &mut Vec<f64>) {
         let n = self.order();
         assert_eq!(b.len(), n, "lu solve_in_place: wrong rhs length");
         // Apply permutation: x = P b.
-        scratch.clear();
-        scratch.extend(self.perm.iter().map(|&p| b[p]));
-        let x = scratch.as_mut_slice();
+        let mut x: Vec<f64> = self.perm.iter().map(|&p| b[p]).collect();
         // Forward substitution with unit lower-triangular L (row-contiguous).
         for i in 1..n {
             let row = self.lu.row(i);
@@ -178,79 +159,43 @@ impl Lu {
             }
             x[i] = s / row[i];
         }
-        b.copy_from_slice(x);
+        b.copy_from_slice(&x);
     }
 
-    /// Solves `A^T x = b` overwriting `b` with the solution (BTRAN of the
-    /// revised simplex: with `P A = L U`, solve `U^T z = b`, `L^T w = z`,
-    /// then undo the row permutation). Allocates a scratch buffer; hot paths
-    /// should prefer [`Lu::solve_transpose_in_place_with_scratch`].
+    /// Solves `A^T x = b` overwriting `b` with the solution: with
+    /// `P A = L U`, solve `U^T z = b`, `L^T w = z`, then undo the row
+    /// permutation.
     ///
     /// # Panics
     /// Panics if `b.len()` differs from the matrix order.
     pub fn solve_transpose_in_place(&self, b: &mut [f64]) {
-        let mut scratch = vec![0.0; self.order()];
-        self.solve_transpose_in_place_with_scratch(b, &mut scratch);
-    }
-
-    /// Solves `A^T x = b` overwriting `b`, reusing `scratch` (resized as
-    /// needed).
-    ///
-    /// # Panics
-    /// Panics if `b.len()` differs from the matrix order.
-    pub fn solve_transpose_in_place_with_scratch(&self, b: &mut [f64], scratch: &mut Vec<f64>) {
         let n = self.order();
         assert_eq!(b.len(), n, "lu solve_transpose_in_place: wrong rhs length");
-        if let Some(t) = &self.lu_t {
-            // Contiguous path: row `i` of the cached transpose is column `i`
-            // of the packed storage.
-            // Forward substitution with U^T (lower triangular, diag of U).
-            for i in 0..n {
-                let row = t.row(i);
-                let mut s = b[i];
-                for (uji, bj) in row[..i].iter().zip(b[..i].iter()) {
-                    s -= uji * bj;
-                }
-                b[i] = s / row[i];
+        let data = self.lu.as_slice();
+        // Forward substitution with U^T (lower triangular, diagonal of U).
+        // Row `i` of U^T is column `i` of the packed storage (stride n).
+        for i in 0..n {
+            let mut s = b[i];
+            for (j, bj) in b[..i].iter().enumerate() {
+                s -= data[j * n + i] * bj;
             }
-            // Back substitution with L^T (unit upper triangular).
-            for i in (0..n).rev() {
-                let row = t.row(i);
-                let mut s = b[i];
-                for (lji, bj) in row[i + 1..].iter().zip(b[i + 1..].iter()) {
-                    s -= lji * bj;
-                }
-                b[i] = s;
+            b[i] = s / data[i * n + i];
+        }
+        // Back substitution with L^T (unit upper triangular).
+        for i in (0..n).rev() {
+            let mut s = b[i];
+            for (off, bj) in b[i + 1..].iter().enumerate() {
+                let j = i + 1 + off;
+                s -= data[j * n + i] * bj;
             }
-        } else {
-            let data = self.lu.as_slice();
-            // Forward substitution with U^T (lower triangular, diagonal of
-            // U). Row `i` of U^T is column `i` of the packed storage
-            // (stride n).
-            for i in 0..n {
-                let mut s = b[i];
-                for (j, bj) in b[..i].iter().enumerate() {
-                    s -= data[j * n + i] * bj;
-                }
-                b[i] = s / data[i * n + i];
-            }
-            // Back substitution with L^T (unit upper triangular).
-            for i in (0..n).rev() {
-                let mut s = b[i];
-                for (off, bj) in b[i + 1..].iter().enumerate() {
-                    let j = i + 1 + off;
-                    s -= data[j * n + i] * bj;
-                }
-                b[i] = s;
-            }
+            b[i] = s;
         }
         // x = P^T w, i.e. x[perm[i]] = w[i].
-        scratch.clear();
-        scratch.resize(n, 0.0);
+        let mut x = vec![0.0; n];
         for (i, &p) in self.perm.iter().enumerate() {
-            scratch[p] = b[i];
+            x[p] = b[i];
         }
-        b.copy_from_slice(scratch);
+        b.copy_from_slice(&x);
     }
 
     /// Solves `A^T x = b` for a single right-hand side.
@@ -454,6 +399,89 @@ mod tests {
         for i in 0..3 {
             assert!(approx_eq(y[i], reference_t[i], 1e-14));
         }
+    }
+
+    /// Reference elimination updating every column right of the pivot,
+    /// zeros included: same pivot rule, swaps and operation order as
+    /// [`Lu::new`] before it learned to skip the pivot row's zeros.
+    fn full_row_reference(a: &DMatrix) -> (DMatrix, Vec<usize>) {
+        let n = a.nrows();
+        let mut lu = a.clone();
+        let mut perm: Vec<usize> = (0..n).collect();
+        for k in 0..n {
+            let mut pivot_row = k;
+            let mut pivot_val = lu[(k, k)].abs();
+            for i in (k + 1)..n {
+                if lu[(i, k)].abs() > pivot_val {
+                    pivot_val = lu[(i, k)].abs();
+                    pivot_row = i;
+                }
+            }
+            for j in 0..n {
+                let tmp = lu[(k, j)];
+                lu[(k, j)] = lu[(pivot_row, j)];
+                lu[(pivot_row, j)] = tmp;
+            }
+            perm.swap(k, pivot_row);
+            let pivot = lu[(k, k)];
+            for i in (k + 1)..n {
+                let factor = lu[(i, k)] / pivot;
+                lu[(i, k)] = factor;
+                if factor != 0.0 {
+                    for j in (k + 1)..n {
+                        let ukj = lu[(k, j)];
+                        lu[(i, j)] -= factor * ukj;
+                    }
+                }
+            }
+        }
+        (lu, perm)
+    }
+
+    fn assert_factors_bitwise_equal(a: &DMatrix) {
+        let (packed, perm) = Lu::new(a).unwrap().into_parts();
+        let (reference, reference_perm) = full_row_reference(a);
+        assert_eq!(perm, reference_perm);
+        let pairs = packed.as_slice().iter().zip(reference.as_slice());
+        for (i, (got, want)) in pairs.enumerate() {
+            assert_eq!(got.to_bits(), want.to_bits(), "entry {i}: {got} vs {want}");
+        }
+    }
+
+    #[test]
+    fn skip_zero_elimination_is_bitwise_equal_to_full_row_updates() {
+        // Dense: every entry non-zero and irrational-looking.
+        let n = 9;
+        let dense = DMatrix::from_fn(n, n, |i, j| ((i * 31 + j * 17) % 13) as f64 / 7.0 + 0.1);
+        assert_factors_bitwise_equal(&dense);
+
+        // Sparse: a permuted diagonal plus a scattering of off-diagonal
+        // entries, so the pivot rows are mostly zeros and rows swap.
+        let n = 24;
+        let sparse = DMatrix::from_fn(n, n, |i, j| {
+            if j == (i * 5 + 3) % n {
+                1.0 + i as f64 / 3.0
+            } else if (i * 7 + j * 11) % 9 == 0 {
+                -((i + 2 * j) as f64) / 5.0
+            } else {
+                0.0
+            }
+        });
+        assert_factors_bitwise_equal(&sparse);
+
+        // Ties in pivot magnitude: column 0 offers 2 and -2, later columns
+        // offer equal-magnitude candidates after elimination too.
+        let ties = DMatrix::from_row_slice(
+            4,
+            4,
+            &[
+                2.0, 1.0, 0.0, 3.0, //
+                -2.0, 0.0, 1.0, 0.0, //
+                1.0, 1.0, 1.0, 0.0, //
+                0.0, -1.0, 0.0, 1.0,
+            ],
+        );
+        assert_factors_bitwise_equal(&ties);
     }
 
     #[test]

@@ -53,6 +53,13 @@ use crate::revised::{Basis, RevisedSimplex, Work, FEAS_TOL, MIN_PIVOT, PIVOT_TOL
 use crate::simplex::{LpSolution, SimplexOptions};
 use crate::{LpError, Result};
 
+/// Whether `MAPQN_DUAL_DEBUG` tracing is on — read once per process. Prints
+/// why a dual warm start was rejected and how an accepted one went.
+fn dual_debug() -> bool {
+    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FLAG.get_or_init(|| std::env::var_os("MAPQN_DUAL_DEBUG").is_some())
+}
+
 /// Dual-feasibility tolerance for accepting a seeded basis, scaled by the
 /// magnitude of the dual prices (like the primal engine's scale-aware
 /// optimality verdict): a reduced cost negative within the pricing noise
@@ -137,7 +144,7 @@ impl RevisedSimplex {
         let maximize = sense == Sense::Maximize;
         let costs = self.phase2_costs(objective, maximize);
 
-        let debug = std::env::var_os("MAPQN_DUAL_DEBUG").is_some();
+        let debug = dual_debug();
         let t_start = mapqn_linalg::budget::now();
         let Some(mut work) = self.seed_work(seed) else {
             if debug { eprintln!("dual-reject: seed factorization failed"); }
@@ -549,7 +556,7 @@ impl RevisedSimplex {
         // near-optimal seed, it is a different vertex altogether — the dual
         // repair would hand most of the work to the primal polish anyway.
         if 4 * barred > nonbasic {
-            if std::env::var_os("MAPQN_DUAL_DEBUG").is_some() {
+            if dual_debug() {
                 eprintln!("dual-reject: {barred}/{nonbasic} columns dual infeasible");
             }
             return None;

@@ -23,6 +23,13 @@ use crate::simplex::{LpSolution, LpStatus, SimplexOptions};
 use crate::{LpError, Result};
 use mapqn_linalg::CscMatrix;
 
+/// Whether `MAPQN_LP_DEBUG` tracing is on — read once per process. Prints
+/// the pivot, repair and phase-1 give-up events to stderr.
+fn lp_debug() -> bool {
+    static FLAG: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
+    *FLAG.get_or_init(|| std::env::var_os("MAPQN_LP_DEBUG").is_some())
+}
+
 /// Entries below this magnitude are treated as zero in the ratio test. Kept
 /// small so that every row that meaningfully bounds the step participates;
 /// numerical stability comes from the second ratio-test pass preferring the
@@ -73,7 +80,7 @@ const MAX_TINY_PIVOT_STEP: f64 = 1.0;
 /// *length* of the eta chain (each suspect pivot already forces a refresh,
 /// so the chain never contains a near-singular eta); a short chain on top
 /// of a fresh LU prices to far better than the optimality tolerance. The
-/// unconditional refresh cost one `O(m^3)` factorization per objective,
+/// unconditional refresh cost one full refactorization per objective,
 /// which dominated short solves — exactly the solves a dual-warm
 /// population sweep produces (its repairs are capped well under this
 /// threshold, so a transferred basis finishes without any refactorization
@@ -533,7 +540,7 @@ impl RevisedSimplex {
             // "stuck while macroscopically infeasible" (reject).
             let noise_level = worst <= 10.0 * RATIO_DELTA;
             if budget == 0 {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!("dual-polish: budget exhausted (worst {worst:.3e})");
                 }
                 return Ok(false);
@@ -577,7 +584,7 @@ impl RevisedSimplex {
                     }
                     return Ok(true);
                 }
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!("dual-polish: no entering candidate (worst {worst:.3e})");
                 }
                 return Ok(false);
@@ -610,7 +617,7 @@ impl RevisedSimplex {
                     }
                     return Ok(true);
                 }
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!("dual-polish: tiny pivot {best_pivot:.3e} (worst {worst:.3e})");
                 }
                 return Ok(false);
@@ -622,7 +629,7 @@ impl RevisedSimplex {
                 || d[r].abs() < MIN_PIVOT
                 || d[r].signum() != best_pivot.signum()
             {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!(
                         "dual-polish: cross-check failed (ftran {:.3e} btran {best_pivot:.3e})",
                         d[r]
@@ -1091,7 +1098,7 @@ impl RevisedSimplex {
             // right-hand side, so the same vertex immediately re-certifies
             // "optimal" under any draw.)
             if infeasibility > 1e-3 * rhs_scale {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!(
                         "phase1-infeasible-verdict: residual {infeasibility:.3e} after {} its",
                         work.iterations
@@ -1108,7 +1115,7 @@ impl RevisedSimplex {
             }
             gray_zone_attempts += 1;
             phase1_options.tolerance = (phase1_options.tolerance / 100.0).max(1e-13);
-            if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+            if lp_debug() {
                 eprintln!(
                     "phase1-gray-zone: residual {infeasibility:.3e} after {} its, retightening to {:.0e}",
                     work.iterations, phase1_options.tolerance
@@ -1288,7 +1295,7 @@ impl RevisedSimplex {
                     }
                 }
                 if fixable || artificial_infeasible {
-                    if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                    if lp_debug() {
                         let worst = work.xb.iter().cloned().fold(0.0f64, f64::min);
                         eprintln!(
                             "refresh-lost-feasibility: worst xb {worst:.3e}, repaired {repaired}, m {}",
@@ -1378,7 +1385,7 @@ impl RevisedSimplex {
                 return Ok(true);
             };
             if budget == 0 {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!("inplace-repair: budget exhausted (worst {worst:.3e})");
                 }
                 return Ok(false);
@@ -1405,7 +1412,7 @@ impl RevisedSimplex {
                 }
             }
             let Some(q) = entering else {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!("inplace-repair: no entering for row {r} (viol {worst:.3e})");
                 }
                 return Ok(false);
@@ -1426,7 +1433,7 @@ impl RevisedSimplex {
                 || d[r].abs() < MIN_PIVOT
                 || d[r].signum() != best_pivot.signum()
             {
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     eprintln!(
                         "inplace-repair: pivot cross-check failed row {r}: ftran {:.3e} vs btran {:.3e}",
                         d[r], best_pivot
@@ -1684,7 +1691,7 @@ impl RevisedSimplex {
                     banned.fill(false);
                     continue;
                 }
-                if std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+                if lp_debug() {
                     let dmax = d.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
                     eprintln!(
                         "unbounded-verdict: col {q}, max |d| {dmax:.3e}, iterations {}",
@@ -1715,7 +1722,7 @@ impl RevisedSimplex {
                 continue;
             }
 
-            if tiny_pivot && std::env::var_os("MAPQN_LP_DEBUG").is_some() {
+            if tiny_pivot && lp_debug() {
                 eprintln!(
                     "tiny-pivot-step: col {q} pivot {best_pivot:.3e} theta {theta:.3e} at iteration {}",
                     work.iterations
