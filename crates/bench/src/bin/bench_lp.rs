@@ -4,11 +4,6 @@
 //! and records the measurements in `BENCH_lp.json` so future PRs have a
 //! perf trajectory.
 //!
-//! Also sweeps the Figure 5 template across populations twice — from
-//! scratch, and seeding each population's solver with the previous
-//! population's translated basis — to measure what cross-`N` basis reuse
-//! buys.
-//!
 //! A **large-N cold profile** section times cold `bound_all()` on the
 //! Figure 8 case study (SCV=16) near the top of the range the cold path
 //! can still finish, split by solver phase (`SolverTimings`: constraint
@@ -166,42 +161,6 @@ fn main() {
         cases.iter().all(|c| c.speedup >= 3.0)
     );
 
-    // Population sweep on the Figure 5 template: cold every N vs seeding
-    // each solver with the previous population's translated basis.
-    let sweep_populations: Vec<usize> = scale.pick((2..=8).collect(), (2..=16).collect());
-    let mut sweep_cold_ms = Vec::new();
-    let mut sweep_seeded_ms = Vec::new();
-    let mut previous: Option<MarginalBoundSolver> = None;
-    for &n in &sweep_populations {
-        let network = figure5_network(n, 4.0, 0.5).expect("figure5 network");
-
-        let start = Instant::now();
-        let mut cold = MarginalBoundSolver::new(&network).expect("solver");
-        cold.bound_all().expect("bound_all");
-        sweep_cold_ms.push(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        let mut seeded = MarginalBoundSolver::new(&network).expect("solver");
-        if let Some(prev) = previous.as_ref() {
-            if let Some(basis) = prev.translate_basis_to(&seeded) {
-                seeded.seed_basis(basis).expect("seed basis");
-            }
-        }
-        seeded.bound_all().expect("bound_all");
-        sweep_seeded_ms.push(start.elapsed().as_secs_f64() * 1e3);
-        previous = Some(seeded);
-    }
-    println!("\nFigure 5 population sweep (revised engine, ms per bound_all):");
-    let mut sweep_table = Table::new(&["N", "cold", "seeded from N-1"]);
-    for (i, &n) in sweep_populations.iter().enumerate() {
-        sweep_table.add_row(vec![
-            n.to_string(),
-            format!("{:.2}", sweep_cold_ms[i]),
-            format!("{:.2}", sweep_seeded_ms[i]),
-        ]);
-    }
-    sweep_table.print();
-
     // Large-N cold profile on the Figure 8 case study (SCV=16): per-phase
     // wall-clock of a cold bound_all near the top of the cold-solvable
     // range. The cold path breaks down sharply just above it — at N = 50
@@ -323,31 +282,6 @@ fn main() {
     json.push_str(&format!(
         "  \"geomean_speedup\": {geomean_speedup:.2},\n  \"worst_diff_thr_util\": {worst_diff_tu:.3e},\n  \"worst_diff_mql\": {worst_diff_mql:.3e},\n  \"intervals_match\": {all_match},\n"
     ));
-    json.push_str("  \"figure5_sweep\": {\n    \"populations\": [");
-    json.push_str(
-        &sweep_populations
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("],\n    \"cold_ms\": [");
-    json.push_str(
-        &sweep_cold_ms
-            .iter()
-            .map(|v| format!("{v:.3}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("],\n    \"seeded_ms\": [");
-    json.push_str(
-        &sweep_seeded_ms
-            .iter()
-            .map(|v| format!("{v:.3}"))
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    json.push_str("]\n  },\n");
     json.push_str("  \"fig8_cold_profile\": [\n");
     for (i, p) in profiles.iter().enumerate() {
         json.push_str(&format!(

@@ -2,20 +2,15 @@
 //! replaying the TPC-W server-tier what-if stream a planning service
 //! actually receives, plus a fault storm over every `mapqn-faults` site.
 //!
-//! Three legs, all over the bursty TPC-W server tier (SCV 16, ACF decay
+//! Two legs, both over the bursty TPC-W server tier (SCV 16, ACF decay
 //! 0.85 — Figure 3's fitted parameters):
 //!
 //! 1. **Sustained QPS replay** — the multiprogramming-level sweep asked
 //!    over and over, the way dashboards poll a planning service. Round 1
 //!    cold-solves and populates the warm-basis cache; every later round
 //!    must be answered entirely from verified cache hits, **bitwise
-//!    identical** to the cold answers (neighbor seeding off — the
-//!    determinism contract).
-//! 2. **Seeded sweep** — the same stream with neighbor seeding on: misses
-//!    warm-start from the nearest cached population. Gates validity and
-//!    certification only; seeded answers are exempt from the bitwise
-//!    contract by design and flagged as such.
-//! 3. **Fault storm** — every fault site armed round-robin (window
+//!    identical** to the cold answers (the determinism contract).
+//! 2. **Fault storm** — every fault site armed round-robin (window
 //!    `0:all`, one site per request) across a replay with repeating keys.
 //!    Gates: ≥ 99% of requests return a valid quality-tagged answer, zero
 //!    process aborts, and every answer served as a cache hit stays bitwise
@@ -28,8 +23,7 @@
 use mapqn_bench::{Scale, Table};
 use mapqn_core::templates::{tpcw_server_tier, TpcwParameters};
 use mapqn_core::{
-    AnswerSource, NetworkBounds, PlanningAnswer, PlanningRequest, PlanningSession, Quality,
-    SessionOptions, WhatIf,
+    AnswerSource, NetworkBounds, PlanningAnswer, PlanningRequest, PlanningSession, WhatIf,
 };
 use mapqn_sim::CacheServerParameters;
 use std::collections::HashMap;
@@ -130,53 +124,6 @@ fn run_qps_leg(max_level: usize, rounds: usize) -> QpsLeg {
     }
 }
 
-struct SeededLeg {
-    answers: usize,
-    seeded_answers: usize,
-    certified: usize,
-    invalid: usize,
-}
-
-/// Leg 2: the same sweep with neighbor seeding on — misses warm-start from
-/// the nearest cached population; answers must stay certified and flagged.
-fn run_seeded_leg(max_level: usize) -> SeededLeg {
-    let _guard = mapqn_faults::exclusive();
-    let mut session = PlanningSession::with_options(
-        tier_model(),
-        SessionOptions {
-            neighbor_seeding: true,
-            ..SessionOptions::default()
-        },
-    );
-    let mut seeded = 0usize;
-    let mut certified = 0usize;
-    let mut invalid = 0usize;
-    let requests = sweep_requests(max_level);
-    // Asked one by one — a sweep, not a batch — so every answer is in the
-    // cache before the next level's admission looks for a donor.
-    for request in &requests {
-        let answer = session.ask(request).expect("seeded sweep answer");
-        if answer.seeded {
-            seeded += 1;
-        }
-        if matches!(
-            answer.bounds.quality,
-            Quality::Certified | Quality::SelfSeeded
-        ) {
-            certified += 1;
-        }
-        if !answer.is_valid() {
-            invalid += 1;
-        }
-    }
-    SeededLeg {
-        answers: requests.len(),
-        seeded_answers: seeded,
-        certified,
-        invalid,
-    }
-}
-
 struct StormLeg {
     requests: usize,
     valid: usize,
@@ -189,7 +136,7 @@ struct StormLeg {
     degraded_answers: u64,
 }
 
-/// Leg 3: the fault storm. Every site of [`mapqn_faults::FaultSite::ALL`]
+/// Leg 2: the fault storm. Every site of [`mapqn_faults::FaultSite::ALL`]
 /// is armed round-robin with a fire-always window while a replay with
 /// repeating keys runs; the session must keep answering.
 fn run_storm_leg(span: usize, storm_requests: usize) -> StormLeg {
@@ -264,7 +211,6 @@ fn main() {
     println!("Planning-service benchmark: TPC-W server-tier what-if stream\n");
 
     let qps = run_qps_leg(max_level, rounds);
-    let seeded = run_seeded_leg(max_level);
     let storm = run_storm_leg(storm_span, storm_requests);
 
     let mut table = Table::new(&["leg", "answers", "metric", "hits", "bit diffs", "invalid"]);
@@ -275,14 +221,6 @@ fn main() {
         format!("{}/{}", qps.cache_hits, qps.expected_hits),
         qps.bitwise_mismatches.to_string(),
         qps.invalid.to_string(),
-    ]);
-    table.add_row(vec![
-        "seeded_sweep".into(),
-        seeded.answers.to_string(),
-        format!("{} seeded", seeded.seeded_answers),
-        "-".into(),
-        "-".into(),
-        seeded.invalid.to_string(),
     ]);
     table.add_row(vec![
         "fault_storm".into(),
@@ -308,7 +246,7 @@ fn main() {
     // set). The benchmark reaching this line IS the zero-abort evidence:
     // every fault and panic was contained in-process.
     let json = format!(
-        "{{\n  \"benchmark\": \"planning_service_session\",\n  \"scale\": \"{scale:?}\",\n  \"qps_replay\": {{\"answers\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"sustained_qps\": {:.1}, \"cache_hits\": {}, \"expected_hits\": {}, \"bitwise_mismatches\": {}, \"invalid\": {}}},\n  \"seeded_sweep\": {{\"answers\": {}, \"seeded_answers\": {}, \"certified\": {}, \"invalid\": {}}},\n  \"fault_storm\": {{\"requests\": {}, \"valid\": {}, \"valid_fraction\": {:.4}, \"cache_hits_checked\": {}, \"bitwise_mismatches\": {}, \"quarantines\": {}, \"breaker_short_circuits\": {}, \"contained_panics\": {}, \"degraded_answers\": {}}},\n  \"process_aborts\": 0\n}}\n",
+        "{{\n  \"benchmark\": \"planning_service_session\",\n  \"scale\": \"{scale:?}\",\n  \"qps_replay\": {{\"answers\": {}, \"cold_ms\": {:.3}, \"warm_ms\": {:.3}, \"sustained_qps\": {:.1}, \"cache_hits\": {}, \"expected_hits\": {}, \"bitwise_mismatches\": {}, \"invalid\": {}}},\n  \"fault_storm\": {{\"requests\": {}, \"valid\": {}, \"valid_fraction\": {:.4}, \"cache_hits_checked\": {}, \"bitwise_mismatches\": {}, \"quarantines\": {}, \"breaker_short_circuits\": {}, \"contained_panics\": {}, \"degraded_answers\": {}}},\n  \"process_aborts\": 0\n}}\n",
         qps.answers,
         qps.cold_ms,
         qps.warm_ms,
@@ -317,10 +255,6 @@ fn main() {
         qps.expected_hits,
         qps.bitwise_mismatches,
         qps.invalid,
-        seeded.answers,
-        seeded.seeded_answers,
-        seeded.certified,
-        seeded.invalid,
         storm.requests,
         storm.valid,
         storm.valid_fraction,
@@ -335,10 +269,10 @@ fn main() {
     println!("\nwrote BENCH_service.json");
 
     // Acceptance gates.
-    if qps.invalid > 0 || seeded.invalid > 0 {
+    if qps.invalid > 0 {
         eprintln!(
-            "FAIL: {} invalid answers on the fault-free legs (gate 0)",
-            qps.invalid + seeded.invalid
+            "FAIL: {} invalid answers on the fault-free leg (gate 0)",
+            qps.invalid
         );
         std::process::exit(1);
     }
@@ -353,20 +287,6 @@ fn main() {
         eprintln!(
             "FAIL: {} interval endpoints differ between cache hits and cold solves",
             qps.bitwise_mismatches
-        );
-        std::process::exit(1);
-    }
-    if seeded.certified != seeded.answers {
-        eprintln!(
-            "FAIL: {}/{} seeded-sweep answers certified (gate: all)",
-            seeded.certified, seeded.answers
-        );
-        std::process::exit(1);
-    }
-    if seeded.seeded_answers + 1 != seeded.answers {
-        eprintln!(
-            "FAIL: {}/{} seeded-sweep answers were neighbor-seeded (gate: all but the first)",
-            seeded.seeded_answers, seeded.answers
         );
         std::process::exit(1);
     }

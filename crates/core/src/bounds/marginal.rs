@@ -296,8 +296,8 @@ struct SolverContext {
 /// when the whole solve finished within this many pivots: a seed can be
 /// technically usable (dual feasible, repairable) yet land far from the new
 /// optimum, and a long walk from a carried vertex is no better than the
-/// rolling path it displaced. The sweep uses the classification to stop
-/// offering seeds to slots whose optima reorganize with the population.
+/// rolling path it displaced. The sweep flips the translation variant of
+/// any slot whose offered seed ends up classified as a non-transfer.
 const TRANSFER_ACCEPT_ITERATIONS: usize = 100;
 
 /// Which engine path answered one canonical objective slot of a
@@ -708,10 +708,11 @@ impl MarginalBoundSolver {
     /// basis for the canonical slot (all minimizations of
     /// `MarginalBoundSolver::canonical_indices` at slots `0..len`, then
     /// all maximizations at `len..2*len`); pass an empty slice (or `None`
-    /// entries) to leave slots unseeded. Seeds are typically produced by
-    /// [`MarginalBoundSolver::translate_solved_bases_to`] on the same
-    /// network at a neighbouring population; unusable seeds fall back to the
-    /// primal warm-start path, so seeding can only help.
+    /// entries) to leave slots unseeded. [`super::PopulationSweep`] builds
+    /// its seeds by translating the previous population's
+    /// [`MarginalBoundSolver::solved_bases`] with
+    /// [`MarginalBoundSolver::translate_basis`] or one of its variants;
+    /// unusable seeds fall back to the primal warm-start path.
     ///
     /// Both blocks are solved in the same order with and without seeds —
     /// all minimizations (family-grouped), then all maximizations — so a
@@ -1042,29 +1043,21 @@ impl MarginalBoundSolver {
         Ok(problem.solve_with(&options)?)
     }
 
-    /// The basis cached from the most recent revised-engine solve, if any.
-    /// Together with [`MarginalBoundSolver::translate_basis_to`] this lets a
-    /// population sweep seed the next population's solver.
-    #[must_use]
-    pub fn warm_basis(&self) -> Option<Basis> {
-        self.context.warm.as_ref().and_then(|w| w.basis.clone())
-    }
-
     /// The optimal bases recorded by the last
     /// [`MarginalBoundSolver::bound_all`]-style call, in canonical slot
     /// order (minimizations of `MarginalBoundSolver::canonical_indices`
     /// at slots `0..len`, then maximizations). Empty before the first such
     /// call.
     #[must_use]
-    pub fn solved_bases(&self) -> Vec<Basis> {
-        self.context.solved_bases.clone()
+    pub fn solved_bases(&self) -> &[Basis] {
+        &self.context.solved_bases
     }
 
     /// The engine path taken for each canonical slot of the last
     /// [`MarginalBoundSolver::bound_all`]-style call (aligned with
     /// [`MarginalBoundSolver::solved_bases`]). Empty before the first such
-    /// call. A population sweep uses this to stop offering seeds to slots
-    /// that keep rejecting them.
+    /// call. A population sweep uses this to pick each slot's next seed
+    /// translation.
     #[must_use]
     pub fn solve_outcomes(&self) -> Vec<SlotOutcome> {
         self.context.solve_outcomes.clone()
@@ -1148,6 +1141,12 @@ impl MarginalBoundSolver {
     /// neither the absolute nor the edge-anchored translation matches. For
     /// a population increase the map is strictly increasing (injective);
     /// the levels it skips are covered by their rows' slacks/artificials.
+    ///
+    /// Unlike the absolute and split maps, it is only a reliable candidate
+    /// one population up, the step a sweep takes. Three populations up
+    /// (solved bases of the fig5 SCV 16 case study and of a Table 1 model
+    /// at N = 2, 4, 6), 1–12 of the 20 translated bases have columns the
+    /// engine must repair away before they factorize.
     #[must_use]
     pub fn translate_basis_proportional(
         &self,
@@ -1246,56 +1245,6 @@ impl MarginalBoundSolver {
             }
         }
         Basis::from_columns(columns)
-    }
-
-    /// Translates this solver's cached warm basis into `target`'s numbering
-    /// (see [`MarginalBoundSolver::translate_basis`]).
-    #[must_use]
-    pub fn translate_basis_to(&self, target: &MarginalBoundSolver) -> Option<Basis> {
-        let basis = self.context.warm.as_ref()?.basis.as_ref()?;
-        Some(self.translate_basis(basis, target))
-    }
-
-    /// Translates every basis recorded by the last full solve (see
-    /// [`MarginalBoundSolver::solved_bases`]) into `target`'s variable
-    /// numbering, preserving the canonical objective order — the seed
-    /// vector for [`MarginalBoundSolver::bound_all_seeded`] on the same
-    /// network at a different population. Returns `None` when no full solve
-    /// has run yet.
-    #[must_use]
-    pub fn translate_solved_bases_to(&self, target: &MarginalBoundSolver) -> Option<Vec<Basis>> {
-        if self.context.solved_bases.is_empty() {
-            return None;
-        }
-        Some(
-            self.context
-                .solved_bases
-                .iter()
-                .map(|basis| self.translate_basis(basis, target))
-                .collect(),
-        )
-    }
-
-    /// Seeds the revised engine with a starting basis (typically obtained
-    /// from [`MarginalBoundSolver::translate_basis_to`] on a neighbouring
-    /// population's solver). Invalid or infeasible seeds are repaired or
-    /// ignored by the engine, so this can only help.
-    ///
-    /// # Errors
-    /// Propagates LP construction failures.
-    pub fn seed_basis(&mut self, basis: Basis) -> Result<()> {
-        match self.context.warm.as_mut() {
-            Some(warm) => warm.basis = Some(basis),
-            None => {
-                let engine = RevisedSimplex::new(&self.base).map_err(CoreError::Lp)?;
-                engine.set_perturbation_salt(self.options.simplex.perturbation_salt);
-                self.context.warm = Some(WarmState {
-                    engine,
-                    basis: Some(basis),
-                });
-            }
-        }
-        Ok(())
     }
 }
 

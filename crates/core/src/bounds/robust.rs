@@ -25,9 +25,9 @@
 //!
 //! 1. **Direct** (35%): the front door's own certified solve — a cold
 //!    solve for `bound_all` and `solve()`, the warm re-solve for
-//!    `PopulationSweep::bounds_at`, the (optionally neighbor-seeded) solve
-//!    for `PlanningSession`. A revised-engine failure fails the rung; there
-//!    is no dense-tableau fallback underneath it.
+//!    `PopulationSweep::bounds_at`, the cold solve for `PlanningSession`.
+//!    A revised-engine failure fails the rung; there is no dense-tableau
+//!    fallback underneath it.
 //! 2. **Salted** (30%): a fresh solver whose anti-degeneracy perturbation
 //!    stream is re-drawn under a different salt. Degenerate pivot dead ends
 //!    are salt-dependent; a re-draw routinely escapes them. Succeeds →
@@ -146,8 +146,7 @@ impl std::fmt::Display for Rung {
 }
 
 impl Rung {
-    /// Provenance of an answer this rung produced (the planning session
-    /// re-tags a neighbor-seeded direct answer [`Quality::SelfSeeded`]).
+    /// Provenance of an answer this rung produced.
     #[must_use]
     pub fn quality(self) -> Quality {
         match self {
@@ -251,8 +250,9 @@ pub(crate) fn walk_bounds(
 }
 
 /// The rungs every front door shares — salted re-solve, bootstrap and
-/// floor — under `slice`, returning the bounds and the solved bases (empty
-/// for the floor). The direct and fluid rungs belong to the front doors.
+/// floor — under `slice`, returning the bounds and the slot-0 optimal basis
+/// (`None` for the floor). The direct and fluid rungs belong to the front
+/// doors.
 ///
 /// # Errors
 /// The rung's solve failure; [`CoreError::Unsupported`] for a rung the
@@ -262,22 +262,31 @@ pub(crate) fn fallback(
     mut options: BoundOptions,
     rung: Rung,
     slice: SolveBudget,
-) -> Result<(NetworkBounds, Vec<Basis>)> {
+) -> Result<(NetworkBounds, Option<Basis>)> {
     options.budget = slice;
     match rung {
         Rung::Salted => {
             options.simplex.perturbation_salt =
                 options.simplex.perturbation_salt.wrapping_add(SALTED_SALT);
-            let mut solver = MarginalBoundSolver::with_options(network, options)?;
-            let bounds = solver.bound_all_seeded(&[])?;
-            Ok((bounds, solver.solved_bases()))
+            fresh_solve(network, options)
         }
         Rung::Bootstrap => bootstrap(network, options),
-        Rung::Floor => Ok((asymptotic_floor(network)?, Vec::new())),
+        Rung::Floor => Ok((asymptotic_floor(network)?, None)),
         Rung::Direct | Rung::Fluid => Err(CoreError::Unsupported(format!(
             "the {rung} rung is answered by the front door"
         ))),
     }
+}
+
+/// One unseeded solve on a fresh solver under `options`: the bounds and the
+/// slot-0 optimal basis (a planning-cache witness).
+pub(crate) fn fresh_solve(
+    network: &ClosedNetwork,
+    options: BoundOptions,
+) -> Result<(NetworkBounds, Option<Basis>)> {
+    let mut solver = MarginalBoundSolver::with_options(network, options)?;
+    let bounds = solver.bound_all_seeded(&[])?;
+    Ok((bounds, solver.solved_bases().first().cloned()))
 }
 
 /// Approaches the target population through a doubling schedule,
@@ -286,7 +295,7 @@ pub(crate) fn fallback(
 fn bootstrap(
     network: &ClosedNetwork,
     mut options: BoundOptions,
-) -> Result<(NetworkBounds, Vec<Basis>)> {
+) -> Result<(NetworkBounds, Option<Basis>)> {
     let target = network.population();
     let mut schedule = Vec::new();
     let mut p = BOOTSTRAP_MIN;
@@ -323,11 +332,10 @@ fn bootstrap(
     // INFALLIBLE: the schedule ends with the target itself, so the loop
     // body ran at least once and set `last`.
     let bounds = last.expect("schedule always contains the target population");
-    let bases = sweep
+    let witness = sweep
         .last_solver()
-        .map(MarginalBoundSolver::solved_bases)
-        .unwrap_or_default();
-    Ok((bounds, bases))
+        .and_then(|solver| solver.solved_bases().first().cloned());
+    Ok((bounds, witness))
 }
 
 /// The floor rung: the algebraic answer. ABA system-throughput bounds (balanced-job

@@ -43,15 +43,11 @@
 //!
 //! ## Determinism contract
 //!
-//! With [`SessionOptions::neighbor_seeding`] off (the default), a request's
-//! answer is a pure function of the resolved model: cold solves of the same
-//! key are bitwise identical, cache hits return the memoized cold answer
-//! verbatim, and a quarantined fallback re-runs exactly the cold path — so
-//! hit, fallback and cold answers agree bit for bit (the property the cache
-//! proptests pin). Neighbor seeding trades this replay guarantee for speed:
-//! seeded solves are still LP-certified but may differ from a cold solve in
-//! the last ~1e-8, so answers carry a [`PlanningAnswer::seeded`] flag and
-//! seeding stays opt-in.
+//! A request's answer is a pure function of the resolved model: cold solves
+//! of the same key are bitwise identical, cache hits return the memoized
+//! cold answer verbatim, and a quarantined fallback re-runs exactly the cold
+//! path — so hit, fallback and cold answers agree bit for bit (the property
+//! the cache proptests pin).
 //!
 //! ```
 //! use mapqn_core::{PlanningRequest, PlanningSession, Service, Station, WhatIf};
@@ -202,9 +198,6 @@ pub struct PlanningAnswer {
     /// How the session produced the answer (cache, solve, fallback,
     /// breaker).
     pub source: AnswerSource,
-    /// Whether the answer came from a neighbor-seeded solve (excluded from
-    /// the bitwise replay contract; see the module docs).
-    pub seeded: bool,
     /// Wall clock from admission to answer.
     pub elapsed: Duration,
     /// Ordinal of this request within the session.
@@ -259,10 +252,6 @@ pub struct SessionOptions {
     /// How many subsequent requests a tripped breaker stays open for
     /// before a probe request may re-attempt the certified path.
     pub breaker_cooldown: u64,
-    /// Warm-start cache misses from the nearest cached population of the
-    /// same model (dual-simplex seeded). Off by default: seeded solves
-    /// trade the bitwise replay contract for speed (see module docs).
-    pub neighbor_seeding: bool,
     /// Base perturbation salt of every solve in the session. Identical
     /// models always solve under identical salts, so replays are bitwise.
     pub base_salt: u64,
@@ -278,7 +267,6 @@ impl Default for SessionOptions {
             budget: SolveBudget::unlimited(),
             breaker_threshold: 2,
             breaker_cooldown: 16,
-            neighbor_seeding: false,
             base_salt: 0,
             verify_tolerance: 1e-6,
             threads: 0,
@@ -304,8 +292,7 @@ pub struct SessionStats {
     pub contained_panics: u64,
     /// Answers tagged [`Quality::Asymptotic`] (fluid or floor).
     pub degraded_answers: u64,
-    /// Answers tagged certified (direct, salted, bootstrap or
-    /// neighbor-seeded).
+    /// Answers tagged certified (direct, salted or bootstrap).
     pub certified_answers: u64,
 }
 
@@ -324,13 +311,9 @@ struct CacheEntry {
     /// The slot-0 optimal basis — the phase-1 stand-in the integrity
     /// recheck verifies on every hit.
     witness: Basis,
-    /// All solved bases in canonical slot order, for neighbor seeding.
-    bases: Vec<Basis>,
     /// Topology version the entry was created under; entries from older
     /// versions are evicted on lookup.
     version: u64,
-    /// Whether the entry's solve was neighbor-seeded.
-    seeded: bool,
 }
 
 /// Per-key circuit-breaker state.
@@ -342,24 +325,20 @@ struct Breaker {
     open_until: Option<u64>,
 }
 
-/// What phase 2 runs for one admitted request: a ladder plan plus the
-/// direct rung's inputs.
+/// What phase 2 runs for one admitted request: a ladder plan, and whether
+/// its direct rung is doomed.
 struct Job {
     /// The rungs to walk, each with its share of the remaining wall clock.
     plan: Vec<(Rung, f64)>,
-    /// Neighbor seeds for the direct rung: the donor model and its solved
-    /// bases.
-    seeds: Option<(ClosedNetwork, Vec<Basis>)>,
     /// When set, the direct rung fails with this cause without solving.
     doomed: Option<CoreError>,
 }
 
 impl Job {
     /// The full session ladder: the shared LP rungs, then fluid and floor.
-    fn full(population: usize, seeds: Option<(ClosedNetwork, Vec<Basis>)>) -> Self {
+    fn full(population: usize) -> Self {
         Self {
             plan: robust::plan(population, &[Rung::Fluid, Rung::Floor]),
-            seeds,
             doomed: None,
         }
     }
@@ -369,7 +348,6 @@ impl Job {
     fn timed_out() -> Self {
         Self {
             plan: vec![(Rung::Direct, 1.0), (Rung::Fluid, 1.0), (Rung::Floor, 1.0)],
-            seeds: None,
             doomed: Some(CoreError::Injected {
                 site: FaultSite::RequestTimeout.name(),
             }),
@@ -380,7 +358,6 @@ impl Job {
     fn breaker_open() -> Self {
         Self {
             plan: vec![(Rung::Fluid, 1.0), (Rung::Floor, 1.0)],
-            seeds: None,
             doomed: None,
         }
     }
@@ -389,7 +366,6 @@ impl Job {
     fn panicked(message: String) -> Self {
         Self {
             plan: vec![(Rung::Direct, 1.0), (Rung::Floor, 1.0)],
-            seeds: None,
             doomed: Some(CoreError::Panicked(message)),
         }
     }
@@ -397,9 +373,9 @@ impl Job {
 
 /// How an admitted request gets its answer.
 enum Pending {
-    /// Answered at admission by a verified cache hit: the memoized bounds,
-    /// metrics and seeded flag.
-    Memo(NetworkBounds, NetworkMetrics, bool),
+    /// Answered at admission by a verified cache hit: the memoized bounds
+    /// and metrics.
+    Memo(Box<(NetworkBounds, NetworkMetrics)>),
     /// A solve job runs in phase 2.
     Solve(Job),
 }
@@ -408,9 +384,10 @@ enum Pending {
 struct SolveOutcome {
     bounds: NetworkBounds,
     metrics: NetworkMetrics,
-    bases: Vec<Basis>,
+    /// The slot-0 optimal basis of an LP answer (the cache witness);
+    /// `None` for the fluid and floor rungs.
+    witness: Option<Basis>,
     rung: Rung,
-    seeded: bool,
 }
 
 /// Phase-1 admission record for one request of a batch.
@@ -660,7 +637,7 @@ impl PlanningSession {
                 .unwrap_or(false);
                 if intact {
                     let memo =
-                        Pending::Memo(entry.bounds.clone(), entry.metrics.clone(), entry.seeded);
+                        Pending::Memo(Box::new((entry.bounds.clone(), entry.metrics.clone())));
                     self.stats.cache_hits += 1;
                     self.record_result(key, seq, false);
                     return Ok(Admission {
@@ -683,14 +660,10 @@ impl PlanningSession {
             }
         }
 
-        // The full ladder, neighbor-seeded from the nearest cached
-        // population of the same model when opted in (see the module docs).
         let job = if timed_out {
             Job::timed_out()
-        } else if self.options.neighbor_seeding {
-            Job::full(key.population, self.nearest_neighbor(&key))
         } else {
-            Job::full(key.population, None)
+            Job::full(key.population)
         };
 
         Ok(Admission {
@@ -704,35 +677,6 @@ impl PlanningSession {
         })
     }
 
-    /// The cached entry (donor model + bases) of the population nearest to
-    /// `key.population` for the same topology/service fingerprints.
-    fn nearest_neighbor(&self, key: &CacheKey) -> Option<(ClosedNetwork, Vec<Basis>)> {
-        let mut best: Option<(&CacheKey, &CacheEntry)> = None;
-        for (k, entry) in &self.cache {
-            if k.topology != key.topology
-                || k.service != key.service
-                || k.population == key.population
-                || entry.version != self.topology_version
-            {
-                continue;
-            }
-            let distance = k.population.abs_diff(key.population);
-            let better = match best {
-                None => true,
-                Some((bk, _)) => distance < bk.population.abs_diff(key.population),
-            };
-            if better {
-                best = Some((k, entry));
-            }
-        }
-        let (donor_key, entry) = best?;
-        let donor = self
-            .current
-            .with_population(donor_key.population)
-            .ok()?;
-        Some((donor, entry.bases.clone()))
-    }
-
     /// Serial assembly of one request's answer, applying cache and breaker
     /// updates.
     fn assemble(
@@ -741,7 +685,8 @@ impl PlanningSession {
         outcome: Option<std::result::Result<Result<SolveOutcome>, String>>,
     ) -> Result<PlanningAnswer> {
         // Verified cache hit: the memoized answer, verbatim.
-        if let Pending::Memo(bounds, metrics, seeded) = adm.pending {
+        if let Pending::Memo(memo) = adm.pending {
+            let (bounds, metrics) = *memo;
             self.stats.certified_answers += 1;
             return Ok(PlanningAnswer {
                 label: adm.label,
@@ -750,7 +695,6 @@ impl PlanningSession {
                 metrics,
                 bounds,
                 source: adm.source,
-                seeded,
                 elapsed: adm.started.elapsed(),
                 request: adm.seq,
             });
@@ -773,19 +717,19 @@ impl PlanningSession {
                 let certified = solved.bounds.quality != Quality::Asymptotic;
                 if certified {
                     self.stats.certified_answers += 1;
-                    // Memoize (bounds + witness bases) unless quarantined.
-                    if !self.quarantined.contains(&adm.key) && !solved.bases.is_empty() {
-                        self.cache.insert(
-                            adm.key,
-                            CacheEntry {
-                                bounds: solved.bounds.clone(),
-                                metrics: solved.metrics.clone(),
-                                witness: solved.bases[0].clone(),
-                                bases: solved.bases,
-                                version: self.topology_version,
-                                seeded: solved.seeded,
-                            },
-                        );
+                    // Memoize (bounds + witness basis) unless quarantined.
+                    if let Some(witness) = solved.witness {
+                        if !self.quarantined.contains(&adm.key) {
+                            self.cache.insert(
+                                adm.key,
+                                CacheEntry {
+                                    bounds: solved.bounds.clone(),
+                                    metrics: solved.metrics.clone(),
+                                    witness,
+                                    version: self.topology_version,
+                                },
+                            );
+                        }
                     }
                 } else {
                     self.stats.degraded_answers += 1;
@@ -802,7 +746,6 @@ impl PlanningSession {
                     bounds: solved.bounds,
                     rung: solved.rung,
                     source: adm.source,
-                    seeded: solved.seeded,
                     elapsed: adm.started.elapsed(),
                     request: adm.seq,
                 })
@@ -955,16 +898,15 @@ fn solve_request(
         start,
         network.population(),
         |rung, slice| {
-            let (bounds, bases, seeded) = match rung {
+            let (bounds, witness) = match rung {
                 Rung::Direct => match &job.doomed {
                     Some(cause) => return Err(cause.clone()),
-                    None => certified_attempt(
+                    None => robust::fresh_solve(
                         network,
                         BoundOptions {
                             budget: slice,
                             ..base
                         },
-                        job.seeds.as_ref(),
                     )?,
                 },
                 // Point metrics from the fluid engine, inside the floor's
@@ -974,61 +916,28 @@ fn solve_request(
                     return Ok(SolveOutcome {
                         bounds: robust::asymptotic_floor(network)?,
                         metrics: fluid.metrics,
-                        bases: Vec::new(),
+                        witness: None,
                         rung,
-                        seeded: false,
                     });
                 }
-                rung => {
-                    let (bounds, bases) = robust::fallback(network, base, rung, slice)?;
-                    (bounds, bases, false)
-                }
+                rung => robust::fallback(network, base, rung, slice)?,
             };
             Ok(SolveOutcome {
                 metrics: midpoint_metrics(network, &bounds),
                 bounds,
-                bases,
+                witness,
                 rung,
-                seeded,
             })
         },
     );
     let (rung, mut solved) = walk.answer?;
-    solved.bounds.quality = if solved.seeded {
-        Quality::SelfSeeded
-    } else {
-        rung.quality()
-    };
+    solved.bounds.quality = rung.quality();
     solved.bounds.diagnostics = SolveDiagnostics {
         attempts: walk.attempts,
         budget: options.budget,
         consumed: budget::now().duration_since(start),
     };
     Ok(solved)
-}
-
-/// One direct attempt: a fresh solver, optionally neighbor-seeded.
-/// Returns the bounds, the solved bases (the cache witness) and whether
-/// seeds were actually offered.
-fn certified_attempt(
-    network: &ClosedNetwork,
-    bound: BoundOptions,
-    seeds: Option<&(ClosedNetwork, Vec<Basis>)>,
-) -> Result<(NetworkBounds, Vec<Basis>, bool)> {
-    let mut solver = MarginalBoundSolver::with_options(network, bound)?;
-    let translated: Vec<Option<Basis>> = match seeds {
-        None => Vec::new(),
-        Some((donor_network, donor_bases)) => {
-            let donor = MarginalBoundSolver::with_options(donor_network, bound)?;
-            donor_bases
-                .iter()
-                .map(|b| Some(donor.translate_basis(b, &solver)))
-                .collect()
-        }
-    };
-    let seeded = !translated.is_empty();
-    let bounds = solver.bound_all_seeded(&translated)?;
-    Ok((bounds, solver.solved_bases(), seeded))
 }
 
 #[cfg(test)]
@@ -1238,26 +1147,6 @@ mod tests {
         let scv0 = station.service.scv().unwrap();
         let scv1 = scaled.scv().unwrap();
         assert!((scv0 - scv1).abs() < 1e-9, "{scv0} vs {scv1}");
-    }
-
-    #[test]
-    fn neighbor_seeding_produces_certified_flagged_answers() {
-        let _guard = mapqn_faults::exclusive();
-        let mut s = PlanningSession::with_options(
-            figure5_network(4, 4.0, 0.5).unwrap(),
-            SessionOptions {
-                neighbor_seeding: true,
-                ..SessionOptions::default()
-            },
-        );
-        let a4 = s.ask(&PlanningRequest::new("N=4", vec![])).unwrap();
-        assert!(!a4.seeded, "no donor yet");
-        let a5 = s
-            .ask(&PlanningRequest::new("N=5", vec![WhatIf::Population(5)]))
-            .unwrap();
-        assert!(a5.seeded);
-        assert_eq!(a5.bounds.quality, Quality::SelfSeeded);
-        assert!(a5.is_valid());
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Cache-correctness properties of the fault-tolerant planning session.
 //!
-//! The contract under test (with neighbor seeding off, the default):
-//! a request's answer is a pure function of the resolved model, so
+//! The contract under test: a request's answer is a pure function of the resolved model, so
 //!
 //! 1. a warm cache hit returns the memoized cold answer **bitwise**;
 //! 2. a poisoned entry quarantines its key and the transparent fallback

@@ -19,7 +19,7 @@
 
 use crate::basis::{complete_basis, BasisFactor, ColumnSource};
 use crate::problem::{ConstraintOp, LpProblem, Sense};
-use crate::simplex::{LpSolution, LpStatus, SimplexOptions};
+use crate::simplex::{LpSolution, LpStatus, SimplexOptions, STALL_THRESHOLD};
 use crate::{LpError, Result};
 use mapqn_linalg::CscMatrix;
 
@@ -1552,7 +1552,7 @@ impl RevisedSimplex {
                 .budget
                 .check(work.iterations as u64)
                 .map_err(LpError::BudgetExhausted)?;
-            if stall_counter >= options.stall_threshold {
+            if stall_counter >= STALL_THRESHOLD {
                 bland_mode = true;
             }
 

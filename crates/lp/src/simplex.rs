@@ -42,6 +42,12 @@ pub enum SimplexEngine {
     DenseTableau,
 }
 
+/// Number of non-improving pivots after which both engines switch the
+/// pricing rule from Dantzig (most negative reduced cost) to Bland
+/// (smallest index), which guarantees termination in the presence of
+/// degeneracy.
+pub(crate) const STALL_THRESHOLD: usize = 50;
+
 /// Options controlling the simplex iterations.
 #[derive(Debug, Clone, Copy)]
 pub struct SimplexOptions {
@@ -49,10 +55,6 @@ pub struct SimplexOptions {
     pub tolerance: f64,
     /// Maximum number of pivots across both phases.
     pub max_iterations: usize,
-    /// Number of non-improving pivots after which the pricing rule switches
-    /// from Dantzig (most negative reduced cost) to Bland (smallest index),
-    /// which guarantees termination in the presence of degeneracy.
-    pub stall_threshold: usize,
     /// Which engine solves the problem.
     pub engine: SimplexEngine,
     /// Base salt of the revised engine's deterministic anti-degeneracy
@@ -80,7 +82,6 @@ impl Default for SimplexOptions {
             // in any meaningful digit.
             tolerance: 1e-7,
             max_iterations: 500_000,
-            stall_threshold: 50,
             engine: SimplexEngine::default(),
             perturbation_salt: 0,
             budget: mapqn_linalg::EngineBudget::none(),
@@ -350,7 +351,7 @@ fn run_pivots(
             .check(*iterations as u64)
             .map_err(LpError::BudgetExhausted)?;
         let obj_row = sf.tableau.rows;
-        if stall_counter >= options.stall_threshold {
+        if stall_counter >= STALL_THRESHOLD {
             bland_mode = true;
         }
         let use_bland = bland_mode;

@@ -24,7 +24,7 @@
 //!   power iteration under *adaptive uniformization*, where each state is
 //!   uniformized at its own exit rate instead of the global maximum — and
 //!   plain globally-uniformized power iteration as progressively more
-//!   conservative fallbacks. The Gauss–Seidel/SOR rungs need concrete row
+//!   conservative fallbacks. The Gauss–Seidel rung needs concrete row
 //!   access to `Q^T` and run only when
 //!   [`mapqn_linalg::GeneratorOp::csr_transpose`] exposes it; on implicit
 //!   operators the ladder starts at the (fully matvec-based) Jacobi rung;
@@ -117,13 +117,6 @@ pub struct SparseSteadyOptions {
     /// back along [`SparsePreconditioner::GaussSeidel`] →
     /// [`SparsePreconditioner::Jacobi`] → [`SparsePreconditioner::Power`].
     pub preconditioner: SparsePreconditioner,
-    /// Successive over-relaxation factor for the Gauss–Seidel sweeps
-    /// (`1.0` = plain Gauss–Seidel, the robust default). Mild
-    /// over-relaxation (`~1.2`) speeds the bursty case-study chains by
-    /// another ~30%, but slows near-symmetric slow-mixing chains, and past
-    /// `~1.6` the sweeps oscillate; the engine automatically retreats to
-    /// plain sweeps when an over-relaxed iteration diverges or stalls.
-    pub sor_omega: f64,
     /// Cooperative solve budget checked once per sweep (the work unit is
     /// one state relaxation, so a sweep charges `n` units). The default
     /// ([`mapqn_linalg::EngineBudget::none`]) imposes nothing.
@@ -140,7 +133,6 @@ impl Default for SparseSteadyOptions {
             workers: 0,
             parallel_threshold: 8_192,
             preconditioner: SparsePreconditioner::GaussSeidel,
-            sor_omega: 1.0,
             budget: mapqn_linalg::EngineBudget::none(),
         }
     }
@@ -236,14 +228,12 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
         scratch.iter().fold(0.0_f64, |m, r| m.max(r.abs()))
     }
 
-    /// One block-hybrid Gauss–Seidel / SOR sweep on `πQ = 0`: inside a
-    /// block, row `i` uses the already-updated values of rows `start..i`;
-    /// across blocks it uses the previous sweep. With `omega = 1` all
-    /// coefficients are non-negative (inflow rates over the exit rate), so
-    /// a positive iterate stays positive; over-relaxed sweeps may overshoot
-    /// below zero transiently, which the residual monitoring catches if it
-    /// turns into divergence.
-    fn gauss_seidel_sweep(&self, omega: f64, x_old: &[f64], x_new: &mut [f64]) {
+    /// One block-hybrid Gauss–Seidel sweep on `πQ = 0`: inside a block,
+    /// row `i` uses the already-updated values of rows `start..i`; across
+    /// blocks it uses the previous sweep. All coefficients are non-negative
+    /// (inflow rates over the exit rate), so a positive iterate stays
+    /// positive.
+    fn gauss_seidel_sweep(&self, x_old: &[f64], x_new: &mut [f64]) {
         let qt = self
             .op
             .csr_transpose()
@@ -270,7 +260,7 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
                     };
                     s += vals[k] * xj;
                 }
-                chunk[bi] = (1.0 - omega) * x_old[i] + omega * s / exit[i];
+                chunk[bi] = s / exit[i];
             }
         });
     }
@@ -373,7 +363,7 @@ pub fn stationary_sparse(ctmc: &Ctmc, options: &SparseSteadyOptions) -> Result<S
 /// generator) run the full fallback ladder and are bit-for-bit identical to
 /// [`stationary_sparse`] on the same chain; implicit operators (e.g.
 /// [`mapqn_linalg::KronGenerator`] or the factored network generator in
-/// `mapqn-core`) skip the Gauss–Seidel/SOR rungs — which need concrete row
+/// `mapqn-core`) skip the Gauss–Seidel rung — which needs concrete row
 /// access — and start the ladder at the Jacobi rung.
 ///
 /// # Errors
@@ -440,37 +430,24 @@ fn solve_on<O: GeneratorOp + ?Sized>(
     // Gauss–Seidel and Jacobi divide by per-state exit rates; a state with
     // no outflow (reducible chain) restricts the menu to the power path.
     let rates_ok = kernel.exit.iter().all(|&e| e > 0.0);
-    // Gauss–Seidel/SOR sweeps walk concrete rows of `Q^T`; implicit
-    // operators cannot supply them, so those rungs are left off the ladder.
+    // Gauss–Seidel sweeps walk concrete rows of `Q^T`; implicit operators
+    // cannot supply them, so that rung is left off the ladder.
     let materialized = kernel.op.csr_transpose().is_some();
 
-    // Fallback ladder: the requested preconditioner first; an over-relaxed
-    // Gauss–Seidel that diverges retreats to the plain sweep before the
-    // ladder moves on to Jacobi and finally globally uniformized power.
-    let mut attempts: Vec<(SparsePreconditioner, f64)> = Vec::new();
-    match options.preconditioner {
-        SparsePreconditioner::GaussSeidel => {
-            if materialized {
-                attempts.push((SparsePreconditioner::GaussSeidel, options.sor_omega));
-                if (options.sor_omega - 1.0).abs() > 1e-12 {
-                    attempts.push((SparsePreconditioner::GaussSeidel, 1.0));
-                }
-            }
-            attempts.push((SparsePreconditioner::Jacobi, 1.0));
-            attempts.push((SparsePreconditioner::Power, 1.0));
-        }
-        SparsePreconditioner::Jacobi => {
-            attempts.push((SparsePreconditioner::Jacobi, 1.0));
-            attempts.push((SparsePreconditioner::Power, 1.0));
-        }
-        SparsePreconditioner::Power => attempts.push((SparsePreconditioner::Power, 1.0)),
-    }
+    // Fallback ladder: the requested preconditioner first, then Jacobi and
+    // finally globally uniformized power.
+    use SparsePreconditioner::{GaussSeidel, Jacobi, Power};
+    let attempts: &[SparsePreconditioner] = match (options.preconditioner, materialized) {
+        (GaussSeidel, true) => &[GaussSeidel, Jacobi, Power],
+        (GaussSeidel, false) | (Jacobi, _) => &[Jacobi, Power],
+        (Power, _) => &[Power],
+    };
 
     let mut total_sweeps = 0usize;
     let mut last_residual = f64::INFINITY;
     // Budget work counter: one unit per state relaxation, i.e. `n` per sweep.
     let mut sweep_work = 0u64;
-    for (attempt_idx, &(engine, omega)) in attempts.iter().enumerate() {
+    for (attempt_idx, &engine) in attempts.iter().enumerate() {
         if engine != SparsePreconditioner::Power && !rates_ok {
             continue;
         }
@@ -528,7 +505,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         for sweep in 1..=attempt_budget {
             match engine {
                 SparsePreconditioner::GaussSeidel => {
-                    kernel.gauss_seidel_sweep(omega, &x, &mut x_next);
+                    kernel.gauss_seidel_sweep(&x, &mut x_next);
                 }
                 SparsePreconditioner::Jacobi => {
                     kernel.jacobi_power_step(margin, &x, &mut scratch, &mut x_next);
@@ -557,7 +534,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 last_residual = residual;
                 if sparse_debug() {
                     eprintln!(
-                        "[sparse] rung {attempt_idx} {engine:?} omega {omega:.2} sweep {sweep}: residual {residual:.3e} best {best_residual:.3e}"
+                        "[sparse] rung {attempt_idx} {engine:?} sweep {sweep}: residual {residual:.3e} best {best_residual:.3e}"
                     );
                 }
                 if !residual.is_finite() {
