@@ -26,7 +26,11 @@
 //! every at-scale model the factor blocks must undercut the flat CSR by
 //! ≥ 5× in bytes, and an implicit-tier model whose estimated flat CSR
 //! exceeds the tier's materialized ceiling must solve successfully without
-//! the generator ever being built.
+//! the generator ever being built. Its implicit-vs-materialized leg records
+//! the rung, sweeps and wall-time ratio of both representations on
+//! tpcw_B80 and fig5_scv16_N60, and gates (on sweep counts, not time) that
+//! tpcw_B80 implicit is answered by the Gauss–Seidel rung within 1.1× the
+//! materialized sweeps.
 //!
 //! Run with `cargo run --release -p mapqn-bench --bin bench_exact`.
 //! `MAPQN_SCALE=full` enlarges the experiment.
@@ -90,29 +94,56 @@ struct OverlapResult {
     metric_diff: f64,
 }
 
+/// Median of a non-empty sample (the upper middle one for even lengths).
+fn median(mut sample: Vec<f64>) -> f64 {
+    sample.sort_by(f64::total_cmp);
+    sample[sample.len() / 2]
+}
+
+/// Milliseconds one call of `f` takes.
+fn time_ms(f: impl FnOnce()) -> f64 {
+    let start = Instant::now();
+    f();
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Interleaved timing pairs per comparison: enough for a median that one
+/// slow round on a shared runner cannot move.
+const TIMING_PAIRS: usize = 7;
+
+/// Runs `a` and `b` back to back `TIMING_PAIRS` times and returns the
+/// median time of each and the median of the per-pair ratios `a / b`.
+/// Adjacent runs share the runner's load, so the per-pair ratio cancels
+/// most of the drift that best-of-k timings leave in a ratio.
+fn interleaved_medians(mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64, f64) {
+    let (mut a_ms, mut b_ms, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..TIMING_PAIRS {
+        let ta = time_ms(&mut a);
+        let tb = time_ms(&mut b);
+        a_ms.push(ta);
+        b_ms.push(tb);
+        ratios.push(ta / tb);
+    }
+    (median(a_ms), median(b_ms), median(ratios))
+}
+
 /// Solves one overlap model (small enough for GTH) both ways and compares.
 fn run_overlap(name: &str, network: &ClosedNetwork) -> OverlapResult {
     let space = build_state_space(network, 10_000_000).expect("state space");
     let states = space.len();
 
-    // Interleave the dense/sparse timing rounds (best of 3 each) so load
-    // drift on a shared runner hits both engines symmetrically instead of
-    // landing entirely in the speedup ratio.
-    let mut dense_ms = f64::INFINITY;
-    let mut sparse_ms = f64::INFINITY;
-    let mut dense_pi = stationary_dense_gth(space.ctmc()).expect("dense GTH");
-    let mut sparse = stationary_sparse(space.ctmc(), &SparseSteadyOptions::default())
+    let dense_pi = stationary_dense_gth(space.ctmc()).expect("dense GTH");
+    let sparse = stationary_sparse(space.ctmc(), &SparseSteadyOptions::default())
         .expect("sparse engine");
-    for _ in 0..3 {
-        let start = Instant::now();
-        dense_pi = stationary_dense_gth(space.ctmc()).expect("dense GTH");
-        dense_ms = dense_ms.min(start.elapsed().as_secs_f64() * 1e3);
-
-        let start = Instant::now();
-        sparse = stationary_sparse(space.ctmc(), &SparseSteadyOptions::default())
-            .expect("sparse engine");
-        sparse_ms = sparse_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
+    let (dense_ms, sparse_ms, speedup) = interleaved_medians(
+        || {
+            stationary_dense_gth(space.ctmc()).expect("dense GTH");
+        },
+        || {
+            stationary_sparse(space.ctmc(), &SparseSteadyOptions::default())
+                .expect("sparse engine");
+        },
+    );
 
     let pi_diff = dense_pi.max_abs_diff(&sparse.pi).expect("same length");
     let dense_metrics = solve_exact_with(network, &dense_exact_options()).expect("dense metrics");
@@ -125,7 +156,7 @@ fn run_overlap(name: &str, network: &ClosedNetwork) -> OverlapResult {
         states,
         dense_ms,
         sparse_ms,
-        speedup: dense_ms / sparse_ms,
+        speedup,
         pi_diff,
         metric_diff,
     }
@@ -388,6 +419,54 @@ fn run_kron_implicit(name: &str, network: &ClosedNetwork, ceiling_bytes: usize) 
     }
 }
 
+struct ImplicitRatio {
+    name: String,
+    states: usize,
+    materialized_ms: f64,
+    materialized_sweeps: usize,
+    implicit_ms: f64,
+    implicit_sweeps: usize,
+    implicit_engine: String,
+    /// Median of the interleaved implicit ÷ materialized wall-time ratios.
+    time_ratio: f64,
+    pi_diff: f64,
+}
+
+/// Solves one model through both representations with default options
+/// (the materialized time includes the engine's transpose) and records
+/// each one's rung, sweeps and wall time.
+fn run_implicit_ratio(name: &str, network: &ClosedNetwork) -> ImplicitRatio {
+    let space = build_state_space(network, 10_000_000).expect("state space");
+    let op = FactoredGenerator::new(network, 10_000_000).expect("factored generator");
+    let options = SparseSteadyOptions::default();
+    let materialized = stationary_sparse(space.ctmc(), &options).expect("materialized solve");
+    let implicit = stationary_sparse_op(&op, &options).expect("implicit solve");
+    let (implicit_ms, materialized_ms, time_ratio) = interleaved_medians(
+        || {
+            stationary_sparse_op(&op, &options).expect("implicit solve");
+        },
+        || {
+            stationary_sparse(space.ctmc(), &options).expect("materialized solve");
+        },
+    );
+    let mut pi_diff = 0.0f64;
+    for (bfs, state) in space.states().iter().enumerate() {
+        let fac = op.index_of(state).expect("reachable state ranks");
+        pi_diff = pi_diff.max((materialized.pi[bfs] - implicit.pi[fac]).abs());
+    }
+    ImplicitRatio {
+        name: name.to_string(),
+        states: space.len(),
+        materialized_ms,
+        materialized_sweeps: materialized.sweeps,
+        implicit_ms,
+        implicit_sweeps: implicit.sweeps,
+        implicit_engine: format!("{:?}", implicit.used),
+        time_ratio,
+        pi_diff,
+    }
+}
+
 struct PoolOverhead {
     threads: usize,
     rounds: usize,
@@ -535,10 +614,9 @@ fn main() {
     }
     let kron_ceiling_bytes = kron_overlaps.iter().map(|k| k.flat_bytes).max().unwrap_or(0);
     let kron_implicit = {
-        // TPC-W rather than figure-5 for the implicit headline: its chain
-        // is far less stiff under Jacobi (the only rung an implicit
-        // operator can run), so the tier demonstrates the memory win
-        // without turning the bench into a convergence stress test.
+        // TPC-W rather than figure-5 for the implicit headline: it needs far
+        // fewer sweeps on every rung, so the tier demonstrates the memory
+        // win without turning the bench into a convergence stress test.
         let browsers = scale.pick(80, 160);
         let params = TpcwParameters {
             browsers,
@@ -547,6 +625,24 @@ fn main() {
         let net = tpcw_network(&params).expect("tpcw implicit");
         run_kron_implicit(&format!("tpcw_B{browsers}"), &net, kron_ceiling_bytes)
     };
+
+    // Implicit vs materialized on the same chains: the mid-scale tier's
+    // tpcw_B80 (the sweep-count gate) and fig5_scv16_N60 (the stiffer
+    // family).
+    let implicit_ratios = vec![
+        run_implicit_ratio(
+            "tpcw_B80",
+            &tpcw_network(&TpcwParameters {
+                browsers: 80,
+                ..TpcwParameters::default()
+            })
+            .expect("tpcw implicit ratio"),
+        ),
+        run_implicit_ratio(
+            "fig5_scv16_N60",
+            &figure5_network(60, 16.0, 0.5).expect("figure5 implicit ratio"),
+        ),
+    ];
 
     let overhead = pool_overhead(workers.max(2));
 
@@ -648,6 +744,33 @@ fn main() {
     );
 
     let mut table = Table::new(&[
+        "implicit vs materialized",
+        "states",
+        "mat ms",
+        "mat sweeps",
+        "implicit ms",
+        "implicit sweeps",
+        "implicit engine",
+        "time ratio",
+        "pi diff",
+    ]);
+    for r in &implicit_ratios {
+        table.add_row(vec![
+            r.name.clone(),
+            r.states.to_string(),
+            format!("{:.1}", r.materialized_ms),
+            r.materialized_sweeps.to_string(),
+            format!("{:.1}", r.implicit_ms),
+            r.implicit_sweeps.to_string(),
+            r.implicit_engine.clone(),
+            format!("{:.2}x", r.time_ratio),
+            format!("{:.2e}", r.pi_diff),
+        ]);
+    }
+    table.print();
+    println!();
+
+    let mut table = Table::new(&[
         "mid-scale model",
         "states",
         "transitions",
@@ -699,7 +822,16 @@ fn main() {
         .sum::<f64>()
         / mids.len() as f64)
         .exp();
-    let worst_kron_pi_diff = kron_overlaps.iter().map(|k| k.pi_diff).fold(0.0f64, f64::max);
+    let worst_kron_pi_diff = kron_overlaps
+        .iter()
+        .map(|k| k.pi_diff)
+        .chain(implicit_ratios.iter().map(|r| r.pi_diff))
+        .fold(0.0f64, f64::max);
+    // The one implicit gate, on sweep counts: tpcw_B80 runs the
+    // Gauss–Seidel rung in no more than 1.1x the materialized sweeps.
+    let tpcw_ratio = &implicit_ratios[0];
+    let implicit_gs_ok = tpcw_ratio.implicit_engine == "GaussSeidel"
+        && tpcw_ratio.implicit_sweeps as f64 <= 1.1 * tpcw_ratio.materialized_sweeps as f64;
     let min_kron_memory_ratio = kron_overlaps
         .iter()
         .map(|k| k.memory_ratio)
@@ -717,13 +849,22 @@ fn main() {
     println!(
         "worst dense-vs-sparse agreement: pi {worst_pi_diff:.2e}, metrics {worst_metric_diff:.2e} (gate 1e-8)"
     );
-    println!("sparse-vs-dense speedup at the ceiling: {ceiling_speedup:.1}x (gate >= 2x)");
+    println!(
+        "sparse-vs-dense speedup at the ceiling: {ceiling_speedup:.1}x (median of {TIMING_PAIRS} interleaved pairs, gate >= 2x)"
+    );
     println!("worker-count determinism (1 vs 4 workers, bitwise): {all_deterministic}");
     println!(
         "mid-scale persistent pool vs one worker: geomean {midscale_geomean:.2}x on {workers} workers (recorded, not gated)"
     );
     println!(
         "kron tier: worst materialized-vs-implicit pi diff {worst_kron_pi_diff:.2e} (gate 1e-8); smallest generator-memory reduction {min_kron_memory_ratio:.0}x (gate >= 5x)"
+    );
+    println!(
+        "implicit {}: {} rung, {} sweeps vs {} materialized (gate: GaussSeidel, <= 1.1x)",
+        tpcw_ratio.name,
+        tpcw_ratio.implicit_engine,
+        tpcw_ratio.implicit_sweeps,
+        tpcw_ratio.materialized_sweeps
     );
 
     // Emit BENCH_exact.json (hand-rolled JSON; no serde in the offline set).
@@ -796,6 +937,23 @@ fn main() {
         kron_implicit.exact_ms,
         kron_implicit.jobs_err,
     ));
+    json.push_str("  \"implicit_vs_materialized\": [\n");
+    for (i, r) in implicit_ratios.iter().enumerate() {
+        json.push_str(&format!(
+            "    {{\"name\": \"{}\", \"states\": {}, \"materialized_ms\": {:.3}, \"materialized_sweeps\": {}, \"implicit_ms\": {:.3}, \"implicit_sweeps\": {}, \"implicit_engine\": \"{}\", \"time_ratio\": {:.3}, \"pi_diff\": {:.3e}}}{}\n",
+            r.name,
+            r.states,
+            r.materialized_ms,
+            r.materialized_sweeps,
+            r.implicit_ms,
+            r.implicit_sweeps,
+            r.implicit_engine,
+            r.time_ratio,
+            r.pi_diff,
+            if i + 1 < implicit_ratios.len() { "," } else { "" }
+        ));
+    }
+    json.push_str("  ],\n");
     json.push_str("  \"midscale_models\": [\n");
     for (i, m) in mids.iter().enumerate() {
         json.push_str(&format!(
@@ -866,6 +1024,16 @@ fn main() {
     if min_kron_memory_ratio < 5.0 {
         eprintln!(
             "FAIL: generator-memory reduction only {min_kron_memory_ratio:.1}x (gate >= 5x)"
+        );
+        std::process::exit(1);
+    }
+    if !implicit_gs_ok {
+        eprintln!(
+            "FAIL: implicit {} answered by {} in {} sweeps vs {} materialized (gate: GaussSeidel, <= 1.1x)",
+            tpcw_ratio.name,
+            tpcw_ratio.implicit_engine,
+            tpcw_ratio.implicit_sweeps,
+            tpcw_ratio.materialized_sweeps
         );
         std::process::exit(1);
     }

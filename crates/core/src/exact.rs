@@ -25,8 +25,8 @@
 //! * **Factored** — the per-station Kronecker blocks of
 //!   [`crate::FactoredGenerator`]; rows of `Qᵀ` are synthesized on demand
 //!   and the sparse engine iterates without the generator ever existing.
-//!   Memory is `O(Σ station blocks)`; the Gauss–Seidel ladder rungs are
-//!   skipped (they need materialized rows) and the solve starts at Jacobi.
+//!   Memory is `O(Σ station blocks)`; the solve runs the same ladder,
+//!   Gauss–Seidel first, over the synthesized rows.
 //!
 //! The default, [`GeneratorRepresentation::Auto`], estimates the bytes a
 //! materialized solve would hold and goes implicit only above
@@ -49,7 +49,7 @@ pub enum GeneratorRepresentation {
     /// Always enumerate and materialize the flat CSR generator.
     Materialized,
     /// Always solve through the implicit [`FactoredGenerator`] — no
-    /// generator in memory, Jacobi/power ladder rungs only.
+    /// generator in memory.
     Factored,
 }
 
@@ -151,7 +151,8 @@ pub fn solve_exact_with(
 
 /// Implicit-operator exact solve: no state enumeration, no generator in
 /// memory. The sparse engine iterates through the factored operator; the
-/// metric pass unranks each state index back into queue lengths and phases.
+/// metric pass walks the state indexes in order with the operator's row
+/// cursor.
 fn solve_exact_factored(
     network: &ClosedNetwork,
     op: &FactoredGenerator,
@@ -170,23 +171,20 @@ fn solve_exact_factored(
     let pi = report.pi;
 
     let mut acc = MetricAccumulators::new(network);
-    let mut queues = vec![0u16; network.num_stations()];
-    let mut phases = vec![0u8; network.num_stations()];
-    for (idx, &p) in pi.as_slice().iter().enumerate() {
-        if p == 0.0 {
-            continue;
+    op.for_each_state(|idx, queues, phases| {
+        let p = pi[idx];
+        if p != 0.0 {
+            acc.accumulate(network, queues, phases, p);
         }
-        op.state_into(idx, &mut queues, &mut phases);
-        acc.accumulate(network, &queues, &phases, p);
-    }
+    });
     Ok(acc.finish(network))
 }
 
 /// Running per-station metric sums, fed one state at a time and finished
 /// into [`NetworkMetrics`]. Both generator representations drive the same
 /// accumulator — the materialized path from stored
-/// [`crate::statespace::NetworkState`]s, the factored path from an
-/// unranking scratch buffer — so the reductions cannot drift apart.
+/// [`crate::statespace::NetworkState`]s, the factored path from its row
+/// cursor — so the reductions cannot drift apart.
 struct MetricAccumulators {
     throughput: Vec<f64>,
     busy: Vec<f64>,

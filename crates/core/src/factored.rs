@@ -28,19 +28,30 @@
 //! a binomial table — the "hockey-stick" telescope makes ranking `O(M)`)
 //! and phases in mixed radix with station 0 most significant.
 //!
+//! ## Row synthesis
+//!
+//! Rows are synthesized in index order by a streaming cursor: one
+//! `comp_unrank` per row block, then the mixed-radix phase digits step
+//! forward and, when they wrap, the composition steps to its lexicographic
+//! successor. The cursor carries the first index of every job-move
+//! predecessor `q + e_a − e_b`; in the common successor step (one job from
+//! the last station to the one before) each predecessor steps to its own
+//! successor, so those indexes advance without a rank. The apply and the
+//! Gauss–Seidel relaxation share that one row gather.
+//!
 //! ## Relation to the BFS space
 //!
 //! The factored space is a *superset* of the BFS-reachable space whenever
 //! idle-station phase freezing makes some phase combinations unreachable.
 //! For the paper's template networks the two coincide (the existing
 //! state-space tests pin `space.len() == global_state_count()`), and in
-//! general the extra states are transient — every iterative rung the
-//! implicit path runs (Jacobi, uniformized power) drives their probability
-//! to zero, so the computed `π` matches the materialized solve on the
-//! reachable states. The factored path does assume the product-space chain
-//! has a **single recurrent class** (true for irreducible routing and
-//! irreducible MAPs); on a decomposable model the materialized BFS path
-//! remains the reference.
+//! general the extra states are transient — every rung of the sparse
+//! engine's ladder (Gauss–Seidel, Jacobi, uniformized power) drives their
+//! probability to zero, so the computed `π` matches the materialized solve
+//! on the reachable states. The factored path does assume the
+//! product-space chain has a **single recurrent class** (true for
+//! irreducible routing and irreducible MAPs); on a decomposable model the
+//! materialized BFS path remains the reference.
 
 use crate::network::{ClosedNetwork, StationKind};
 use crate::statespace::NetworkState;
@@ -48,32 +59,70 @@ use crate::{CoreError, Result};
 use mapqn_linalg::GeneratorOp;
 use mapqn_markov::MarkovError;
 
+/// Nonzero in-rates into one phase: `(source phase, rate)` in source order.
+type InRates = Vec<(usize, f64)>;
+
 /// Per-station rate blocks — the only model data the factored generator
-/// keeps (the same tables `build_state_space` pre-extracts before its BFS).
+/// keeps (the same tables `build_state_space` pre-extracts before its BFS),
+/// stored by target phase, the order a row of `Qᵀ` reads them in.
 struct StationBlock {
     kind: StationKind,
     phases: usize,
-    /// `hidden[h][h']` — phase change without completion.
-    hidden: Vec<Vec<f64>>,
-    /// `completion[h][h']` — completion moving the phase `h -> h'`.
-    completion: Vec<Vec<f64>>,
-    /// Row sums of `hidden` (total hidden out-rate per phase).
+    /// `phase_in[h']` — in-rates into phase `h'` from `h != h'` that keep the
+    /// queues: a hidden transition, or a completion routed back to this
+    /// station (`hidden[h][h'] + completion[h][h'] · p_ss`).
+    phase_in: Vec<InRates>,
+    /// `completion_in[h']` — completion rates moving the phase `h -> h'`.
+    completion_in: Vec<InRates>,
+    /// Row sums of the hidden block (total hidden out-rate per phase).
     hidden_out: Vec<f64>,
-    /// Row sums of `completion` (total completion rate per phase).
+    /// Row sums of the completion block (total completion rate per phase).
     completion_out: Vec<f64>,
+    /// `completion[h][h] · p_ss` — the self-loop the BFS builder drops.
+    self_loop: Vec<f64>,
+}
+
+/// A position in the factored index space, stepped forward in index order.
+struct RowCursor {
+    /// Rank of the phase digits inside the current composition's block.
+    prank: usize,
+    /// Queue lengths (the composition).
+    q: Vec<usize>,
+    /// Phase digits, station 0 most significant.
+    phs: Vec<usize>,
+    /// Per route `(a, b)`: the first index of the predecessor composition
+    /// `q + e_a − e_b`, i.e. `comp_rank(q + e_a − e_b) · Π phases`. Valid
+    /// while `q[b] > 0`.
+    preds: Vec<usize>,
+}
+
+impl RowCursor {
+    /// Writes the cursor's state in the [`NetworkState`] encoding.
+    fn decode_into(&self, queues: &mut [u16], phases: &mut [u8]) {
+        for (s, (n, h)) in queues.iter_mut().zip(phases.iter_mut()).enumerate() {
+            *n = self.q[s] as u16;
+            *h = self.phs[s] as u8;
+        }
+    }
 }
 
 /// The network generator `Q` stored as per-station factor blocks plus a
 /// combinatorial state ranking — never materialized. Implements
 /// [`GeneratorOp`], so it plugs straight into
-/// [`mapqn_markov::stationary_sparse_op`]; `csr_transpose()` returns `None`
-/// and the engine's ladder starts at the Jacobi rung.
+/// [`mapqn_markov::stationary_sparse_op`] and runs every rung of its ladder,
+/// Gauss–Seidel included, over rows synthesized in index order.
 pub struct FactoredGenerator {
     blocks: Vec<StationBlock>,
     /// `routing[j][k]` — routing probability station `j` → `k`.
     routing: Vec<Vec<f64>>,
     /// Row sums of `routing` (1 for a stochastic matrix; kept exact).
     routing_out: Vec<f64>,
+    /// The job-moving routes `(a, b, p_ab)`: `a != b`, `p_ab > 0`, in
+    /// `(a, b)` order.
+    routes: Vec<(usize, usize, f64)>,
+    /// Stations with more than one phase, the only ones with phase-only
+    /// in-transitions.
+    multi_phase: Vec<usize>,
     population: usize,
     m: usize,
     /// `Π_k phases_k` — size of the phase block per composition.
@@ -109,8 +158,21 @@ impl FactoredGenerator {
         let m = network.num_stations();
         let population = network.population();
 
+        let routing: Vec<Vec<f64>> = (0..m)
+            .map(|j| (0..m).map(|k| network.routing(j, k)).collect())
+            .collect();
+        let routing_out = routing.iter().map(|r| r.iter().sum()).collect();
+        let mut routes = Vec::new();
+        for (a, row) in routing.iter().enumerate() {
+            for (b, &p_ab) in row.iter().enumerate() {
+                if b != a && p_ab > 0.0 {
+                    routes.push((a, b, p_ab));
+                }
+            }
+        }
+
         let mut blocks = Vec::with_capacity(m);
-        for station in network.stations() {
+        for (s, station) in network.stations().iter().enumerate() {
             let phases = station.service.phases();
             let mut hidden = vec![vec![0.0; phases]; phases];
             let mut completion = vec![vec![0.0; phases]; phases];
@@ -120,21 +182,36 @@ impl FactoredGenerator {
                     completion[h][h2] = station.service.completion_rate_to(h, h2);
                 }
             }
-            let hidden_out = hidden.iter().map(|r| r.iter().sum()).collect();
-            let completion_out = completion.iter().map(|r| r.iter().sum()).collect();
+            let p_ss = routing[s][s];
+            let phase_in = (0..phases)
+                .map(|to| {
+                    (0..phases)
+                        .filter(|&h| h != to)
+                        .map(|h| (h, hidden[h][to] + completion[h][to] * p_ss))
+                        .filter(|&(_, rate)| rate > 0.0)
+                        .collect()
+                })
+                .collect();
+            let completion_in = (0..phases)
+                .map(|to| {
+                    (0..phases)
+                        .map(|h| (h, completion[h][to]))
+                        .filter(|&(_, rate)| rate > 0.0)
+                        .collect()
+                })
+                .collect();
             blocks.push(StationBlock {
                 kind: station.kind,
                 phases,
-                hidden,
-                completion,
-                hidden_out,
-                completion_out,
+                phase_in,
+                completion_in,
+                hidden_out: hidden.iter().map(|r| r.iter().sum()).collect(),
+                completion_out: completion.iter().map(|r| r.iter().sum()).collect(),
+                self_loop: (0..phases).map(|h| completion[h][h] * p_ss).collect(),
             });
         }
-        let routing: Vec<Vec<f64>> = (0..m)
-            .map(|j| (0..m).map(|k| network.routing(j, k)).collect())
-            .collect();
-        let routing_out = routing.iter().map(|r| r.iter().sum()).collect();
+
+        let multi_phase = (0..m).filter(|&s| blocks[s].phases > 1).collect();
 
         let mut phase_strides = vec![1usize; m];
         for s in (0..m.saturating_sub(1)).rev() {
@@ -165,6 +242,8 @@ impl FactoredGenerator {
             blocks,
             routing,
             routing_out,
+            routes,
+            multi_phase,
             population,
             m,
             phase_prod,
@@ -183,13 +262,15 @@ impl FactoredGenerator {
         self.binom[n + parts - 1][parts - 1]
     }
 
-    /// Lexicographic rank of a composition (`O(M)` via the hockey-stick
-    /// telescope: `Σ_{v < q} C(R - v + c - 1, c - 1) = C(R + c, c) -
-    /// C(R - q + c, c)`).
-    fn comp_rank(&self, q: &[usize]) -> usize {
+    /// Lexicographic rank of the composition `q + e_a − e_b` — of `q`
+    /// itself when `a == b`; otherwise `q[b] > 0` (`O(M)` via the
+    /// hockey-stick telescope: `Σ_{v < q} C(R - v + c - 1, c - 1) =
+    /// C(R + c, c) - C(R - q + c, c)`).
+    fn comp_rank(&self, q: &[usize], a: usize, b: usize) -> usize {
         let mut rank = 0usize;
         let mut remaining = self.population;
-        for (s, &q_s) in q.iter().take(self.m.saturating_sub(1)).enumerate() {
+        for (s, &q_s) in q.iter().take(self.m - 1).enumerate() {
+            let q_s = q_s + usize::from(s == a) - usize::from(s == b);
             let c = self.m - 1 - s;
             rank += self.binom[remaining + c][c] - self.binom[remaining - q_s + c][c];
             remaining -= q_s;
@@ -218,6 +299,145 @@ impl FactoredGenerator {
         q[self.m - 1] = remaining;
     }
 
+    /// Recomputes every valid predecessor base of `c` from scratch.
+    fn fill_preds(&self, c: &mut RowCursor) {
+        for (pred, &(a, b, _)) in c.preds.iter_mut().zip(&self.routes) {
+            if c.q[b] > 0 {
+                *pred = self.comp_rank(&c.q, a, b) * self.phase_prod;
+            }
+        }
+    }
+
+    /// A cursor positioned at `index` (one `comp_unrank`).
+    fn cursor_at(&self, index: usize) -> RowCursor {
+        let mut q = vec![0usize; self.m];
+        self.comp_unrank(index / self.phase_prod, &mut q);
+        let prank = index % self.phase_prod;
+        let phs = (0..self.m)
+            .map(|s| (prank / self.phase_strides[s]) % self.blocks[s].phases)
+            .collect();
+        let mut c = RowCursor {
+            prank,
+            q,
+            phs,
+            preds: vec![0; self.routes.len()],
+        };
+        self.fill_preds(&mut c);
+        c
+    }
+
+    /// Steps `c` to the next index. Stepping past the last index leaves the
+    /// composition as is.
+    fn step(&self, c: &mut RowCursor) {
+        c.prank += 1;
+        if c.prank < self.phase_prod {
+            for s in (0..self.m).rev() {
+                c.phs[s] += 1;
+                if c.phs[s] < self.blocks[s].phases {
+                    break;
+                }
+                c.phs[s] = 0;
+            }
+            return;
+        }
+        c.prank = 0;
+        c.phs.fill(0);
+        // Lexicographic successor: move one job from the last non-empty
+        // station `t >= 1` to `t - 1`, and the rest of `t`'s jobs to the
+        // last station.
+        let m = self.m;
+        let Some(t) = (1..m).rev().find(|&t| c.q[t] > 0) else {
+            return;
+        };
+        let rest = c.q[t] - 1;
+        c.q[t - 1] += 1;
+        c.q[t] = 0;
+        c.q[m - 1] = rest;
+        if t + 1 < m {
+            self.fill_preds(c);
+            return;
+        }
+        // The common step moves one job from station M-1 to M-2, and so
+        // does every predecessor that stays valid: each one also steps to
+        // its successor. Only a route into M-2 that just became valid
+        // needs a rank.
+        for (pred, &(a, b, _)) in c.preds.iter_mut().zip(&self.routes) {
+            if b == m - 2 && c.q[b] == 1 {
+                *pred = self.comp_rank(&c.q, a, b) * self.phase_prod;
+            } else {
+                *pred += self.phase_prod;
+            }
+        }
+    }
+
+    /// Walks the rows `start .. start + len` in index order, handing `row`
+    /// each index with its cursor.
+    fn for_each_row(&self, start: usize, len: usize, mut row: impl FnMut(usize, &RowCursor)) {
+        if len == 0 {
+            return;
+        }
+        let mut c = self.cursor_at(start);
+        for k in 0..len {
+            if k > 0 {
+                self.step(&mut c);
+            }
+            row(start + k, &c);
+        }
+    }
+
+    /// Off-diagonal part of row `j` of `Qᵀ` applied to `read`, added to
+    /// `acc` in a fixed order: phase-only in-transitions station by station,
+    /// then job moves route by route. The one row gather behind the apply
+    /// and the relaxation.
+    fn gather_inflow(&self, j: usize, c: &RowCursor, mut acc: f64, read: impl Fn(usize) -> f64) -> f64 {
+        // A hidden transition at busy station s, or a completion at s
+        // routed back to s: the predecessor differs in digit s only.
+        for &s in &self.multi_phase {
+            if c.q[s] == 0 {
+                continue;
+            }
+            let mult = self.multiplier(s, c.q[s]);
+            let h_j = c.phs[s];
+            let stride = self.phase_strides[s];
+            let base = j - h_j * stride;
+            for &(h, rate) in &self.blocks[s].phase_in[h_j] {
+                acc += read(base + h * stride) * (rate * mult);
+            }
+        }
+        // A completion at a routed to b != a: the predecessor holds one
+        // more job at a and one fewer at b, with an arbitrary
+        // pre-completion phase h at a (all other digits equal).
+        for (&(a, b, p_ab), &pred) in self.routes.iter().zip(&c.preds) {
+            if c.q[b] == 0 {
+                continue;
+            }
+            let mult = self.multiplier(a, c.q[a] + 1);
+            let h_a = c.phs[a];
+            let stride = self.phase_strides[a];
+            let base = pred + (c.prank - h_a * stride);
+            for &(h, cpl) in &self.blocks[a].completion_in[h_a] {
+                acc += read(base + h * stride) * (cpl * p_ab * mult);
+            }
+        }
+        acc
+    }
+
+    /// Visits every state in index order with its queue lengths and phases
+    /// — the sequential counterpart of [`FactoredGenerator::state_into`],
+    /// stepping one cursor instead of unranking each index.
+    pub(crate) fn for_each_state(&self, mut visit: impl FnMut(usize, &[u16], &[u8])) {
+        let mut queues = vec![0u16; self.m];
+        let mut phases = vec![0u8; self.m];
+        let mut c = self.cursor_at(0);
+        for index in 0..self.n_states {
+            if index > 0 {
+                self.step(&mut c);
+            }
+            c.decode_into(&mut queues, &mut phases);
+            visit(index, &queues, &phases);
+        }
+    }
+
     /// Decodes `index` into queue lengths and phases (slices of length `M`).
     ///
     /// # Panics
@@ -226,13 +446,7 @@ impl FactoredGenerator {
         assert!(index < self.n_states, "state index out of range");
         assert_eq!(queues.len(), self.m);
         assert_eq!(phases.len(), self.m);
-        let mut q = vec![0usize; self.m];
-        self.comp_unrank(index / self.phase_prod, &mut q);
-        let prank = index % self.phase_prod;
-        for s in 0..self.m {
-            queues[s] = q[s] as u16;
-            phases[s] = ((prank / self.phase_strides[s]) % self.blocks[s].phases) as u8;
-        }
+        self.cursor_at(index).decode_into(queues, phases);
     }
 
     /// The [`NetworkState`] at `index` (allocating convenience around
@@ -269,7 +483,7 @@ impl FactoredGenerator {
             prank += h * self.phase_strides[s];
         }
         let q: Vec<usize> = state.queue_lengths.iter().map(|&v| usize::from(v)).collect();
-        Some(self.comp_rank(&q) * self.phase_prod + prank)
+        Some(self.comp_rank(&q, 0, 0) * self.phase_prod + prank)
     }
 
     /// Occupancy-dependent service multiplier of station `s` holding `n_s`
@@ -295,10 +509,9 @@ impl FactoredGenerator {
             let block = &self.blocks[s];
             let h = phs[s];
             let mult = self.multiplier(s, q[s]);
-            let self_loop = block.completion[h][h] * self.routing[s][s];
             out_rate += (block.hidden_out[h]
                 + block.completion_out[h] * self.routing_out[s]
-                - self_loop)
+                - block.self_loop[h])
                 * mult;
         }
         -out_rate
@@ -319,86 +532,29 @@ impl GeneratorOp for FactoredGenerator {
             x.len() >= self.n_states,
             "FactoredGenerator: input vector shorter than the state space"
         );
-        let m = self.m;
-        // Per-chunk scratch: the composition of the current phase block
-        // (shared by `phase_prod` consecutive rows), its phase digits, and
-        // the predecessor composition of job-movement in-transitions.
-        let mut q = vec![0usize; m];
-        let mut phs = vec![0usize; m];
-        let mut q_pred = vec![0usize; m];
-        let mut cached_crank = usize::MAX;
-        for (row, o) in out.iter_mut().enumerate() {
-            let j = start + row;
-            let crank = j / self.phase_prod;
-            let prank = j % self.phase_prod;
-            if crank != cached_crank {
-                self.comp_unrank(crank, &mut q);
-                cached_crank = crank;
-            }
-            for (s, ph) in phs.iter_mut().enumerate() {
-                *ph = (prank / self.phase_strides[s]) % self.blocks[s].phases;
-            }
+        self.for_each_row(start, out.len(), |j, c| {
+            let own = x[j] * self.diagonal_of(&c.q, &c.phs);
+            out[j - start] = self.gather_inflow(j, c, own, |i| x[i]);
+        });
+    }
 
-            // Diagonal contribution of state j itself.
-            let mut acc = x[j] * self.diagonal_of(&q, &phs);
-
-            // In-transitions that change only a phase digit: a hidden
-            // transition at busy station s, or a completion at s routed
-            // back to s (the queues are unchanged, so the predecessor
-            // shares this composition rank).
-            for s in 0..m {
-                if q[s] == 0 {
-                    continue;
+    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
+        assert!(
+            start + out.len() <= self.n_states,
+            "FactoredGenerator: row block out of range"
+        );
+        // No in-transition of row i comes from i itself, so the gather is
+        // exactly the off-diagonal sum.
+        self.for_each_row(start, out.len(), |i, c| {
+            let s = self.gather_inflow(i, c, 0.0, |j| {
+                if j >= start && j < i {
+                    out[j - start]
+                } else {
+                    x_old[j]
                 }
-                let block = &self.blocks[s];
-                let h_j = phs[s];
-                let mult = self.multiplier(s, q[s]);
-                let p_ss = self.routing[s][s];
-                let stride = self.phase_strides[s];
-                let base = j - h_j * stride;
-                for h in 0..block.phases {
-                    if h == h_j {
-                        continue;
-                    }
-                    let rate = block.hidden[h][h_j] + block.completion[h][h_j] * p_ss;
-                    if rate > 0.0 {
-                        acc += x[base + h * stride] * (rate * mult);
-                    }
-                }
-            }
-
-            // In-transitions that move a job: a completion at station a
-            // routed to station b != a. The predecessor holds one more job
-            // at a and one fewer at b, with an arbitrary pre-completion
-            // phase h at a (all other digits equal).
-            for a in 0..m {
-                let block = &self.blocks[a];
-                let h_a = phs[a];
-                let stride = self.phase_strides[a];
-                for b in 0..m {
-                    if b == a || q[b] == 0 {
-                        continue;
-                    }
-                    let p_ab = self.routing[a][b];
-                    if p_ab <= 0.0 {
-                        continue;
-                    }
-                    q_pred.copy_from_slice(&q);
-                    q_pred[a] += 1;
-                    q_pred[b] -= 1;
-                    let base = self.comp_rank(&q_pred) * self.phase_prod + (prank - h_a * stride);
-                    let mult = self.multiplier(a, q[a] + 1);
-                    for h in 0..block.phases {
-                        let cpl = block.completion[h][h_a];
-                        if cpl > 0.0 {
-                            acc += x[base + h * stride] * (cpl * p_ab * mult);
-                        }
-                    }
-                }
-            }
-
-            *o = acc;
-        }
+            });
+            out[i - start] = s / exit[i];
+        });
     }
 
     fn diagonal_rows_into(&self, start: usize, out: &mut [f64]) {
@@ -406,23 +562,9 @@ impl GeneratorOp for FactoredGenerator {
             start + out.len() <= self.n_states,
             "FactoredGenerator: row block out of range"
         );
-        let m = self.m;
-        let mut q = vec![0usize; m];
-        let mut phs = vec![0usize; m];
-        let mut cached_crank = usize::MAX;
-        for (row, o) in out.iter_mut().enumerate() {
-            let j = start + row;
-            let crank = j / self.phase_prod;
-            let prank = j % self.phase_prod;
-            if crank != cached_crank {
-                self.comp_unrank(crank, &mut q);
-                cached_crank = crank;
-            }
-            for (s, ph) in phs.iter_mut().enumerate() {
-                *ph = (prank / self.phase_strides[s]) % self.blocks[s].phases;
-            }
-            *o = self.diagonal_of(&q, &phs);
-        }
+        self.for_each_row(start, out.len(), |j, c| {
+            out[j - start] = self.diagonal_of(&c.q, &c.phs);
+        });
     }
 
     fn nnz(&self) -> usize {
@@ -445,10 +587,12 @@ impl GeneratorOp for FactoredGenerator {
         let u = std::mem::size_of::<usize>();
         let mut bytes = self.phase_strides.len() * u;
         for block in &self.blocks {
-            bytes += 2 * block.phases * block.phases * f; // hidden + completion
-            bytes += 2 * block.phases * f; // row sums
+            let in_rates = block.phase_in.iter().chain(&block.completion_in);
+            bytes += in_rates.map(|r| r.len() * (u + f)).sum::<usize>();
+            bytes += 3 * block.phases * f; // row sums + self-loops
         }
         bytes += self.m * self.m * f + self.m * f; // routing + row sums
+        bytes += self.routes.len() * (2 * u + f);
         bytes += self.binom.iter().map(|r| r.len() * u).sum::<usize>();
         bytes
     }
@@ -547,6 +691,239 @@ mod tests {
         })
         .unwrap();
         assert_matches_materialized(&net);
+    }
+
+    /// The per-row synthesis the operator used before the row cursor —
+    /// one `comp_unrank` per composition change, one `comp_rank` per job
+    /// move per row, rates read from the dense per-station blocks — frozen
+    /// here as the bitwise reference for the apply.
+    fn frozen_left_apply(
+        net: &crate::ClosedNetwork,
+        op: &FactoredGenerator,
+        start: usize,
+        x: &[f64],
+        out: &mut [f64],
+    ) {
+        let m = op.m;
+        let block = |s: usize, rate: &dyn Fn(usize, usize) -> f64| -> Vec<Vec<f64>> {
+            let p = net.station(s).service.phases();
+            (0..p).map(|h| (0..p).map(|h2| rate(h, h2)).collect()).collect()
+        };
+        let hidden: Vec<_> = (0..m)
+            .map(|s| block(s, &|h, h2| net.station(s).service.hidden_rate(h, h2)))
+            .collect();
+        let completion: Vec<_> = (0..m)
+            .map(|s| block(s, &|h, h2| net.station(s).service.completion_rate_to(h, h2)))
+            .collect();
+        let routing: Vec<Vec<f64>> = (0..m)
+            .map(|a| (0..m).map(|b| net.routing(a, b)).collect())
+            .collect();
+        let mult = |s: usize, n_s: usize| match net.station(s).kind {
+            StationKind::Queue => 1.0,
+            StationKind::Delay => n_s as f64,
+        };
+        let mut q = vec![0usize; m];
+        let mut phs = vec![0usize; m];
+        let mut q_pred = vec![0usize; m];
+        let mut cached_crank = usize::MAX;
+        for (row, o) in out.iter_mut().enumerate() {
+            let j = start + row;
+            let crank = j / op.phase_prod;
+            let prank = j % op.phase_prod;
+            if crank != cached_crank {
+                op.comp_unrank(crank, &mut q);
+                cached_crank = crank;
+            }
+            for (s, ph) in phs.iter_mut().enumerate() {
+                *ph = (prank / op.phase_strides[s]) % hidden[s].len();
+            }
+            let mut out_rate = 0.0;
+            for s in 0..m {
+                if q[s] == 0 {
+                    continue;
+                }
+                let h = phs[s];
+                let hidden_out: f64 = hidden[s][h].iter().sum();
+                let completion_out: f64 = completion[s][h].iter().sum();
+                let routing_out: f64 = routing[s].iter().sum();
+                let self_loop = completion[s][h][h] * routing[s][s];
+                out_rate += (hidden_out + completion_out * routing_out - self_loop) * mult(s, q[s]);
+            }
+            let mut acc = x[j] * -out_rate;
+            for s in 0..m {
+                if q[s] == 0 {
+                    continue;
+                }
+                let h_j = phs[s];
+                let p_ss = routing[s][s];
+                let stride = op.phase_strides[s];
+                let base = j - h_j * stride;
+                for h in 0..hidden[s].len() {
+                    if h == h_j {
+                        continue;
+                    }
+                    let rate = hidden[s][h][h_j] + completion[s][h][h_j] * p_ss;
+                    if rate > 0.0 {
+                        acc += x[base + h * stride] * (rate * mult(s, q[s]));
+                    }
+                }
+            }
+            for a in 0..m {
+                let h_a = phs[a];
+                let stride = op.phase_strides[a];
+                for b in 0..m {
+                    if b == a || q[b] == 0 {
+                        continue;
+                    }
+                    let p_ab = routing[a][b];
+                    if p_ab <= 0.0 {
+                        continue;
+                    }
+                    q_pred.copy_from_slice(&q);
+                    q_pred[a] += 1;
+                    q_pred[b] -= 1;
+                    let base = op.comp_rank(&q_pred, 0, 0) * op.phase_prod + (prank - h_a * stride);
+                    for h in 0..hidden[a].len() {
+                        let cpl = completion[a][h][h_a];
+                        if cpl > 0.0 {
+                            acc += x[base + h * stride] * (cpl * p_ab * mult(a, q[a] + 1));
+                        }
+                    }
+                }
+            }
+            *o = acc;
+        }
+    }
+
+    /// Deterministic positive probe vector in `[0.25, 1.25)`.
+    fn probe(n: usize, seed: u64) -> Vec<f64> {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        (0..n)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                0.25 + (state >> 11) as f64 / (1u64 << 53) as f64
+            })
+            .collect()
+    }
+
+    /// The models of the cross-representation tests, plus a delay station
+    /// routing with fractional probabilities: its job-move rates
+    /// `(cpl · p_ab) · mult` round differently from `cpl · (p_ab · mult)`.
+    fn cross_models() -> Vec<crate::ClosedNetwork> {
+        use crate::network::Station;
+        use crate::service::Service;
+        use mapqn_linalg::DMatrix;
+        use mapqn_stochastic::{fit_map2, Map2FitSpec};
+        let map = fit_map2(&Map2FitSpec::new(0.7, 9.0, 0.4)).unwrap().map;
+        let split_delay = crate::ClosedNetwork::new(
+            vec![
+                Station::delay("think", 1.7).unwrap(),
+                Station::queue("front", Service::map(map)),
+                Station::queue("db", Service::exponential(2.3).unwrap()),
+            ],
+            DMatrix::from_row_slice(3, 3, &[0.0, 0.35, 0.65, 0.6, 0.0, 0.4, 0.9, 0.1, 0.0]),
+            7,
+        )
+        .unwrap();
+        vec![
+            figure5_network(5, 16.0, 0.5).unwrap(),
+            figure5_network(6, 16.0, 0.5).unwrap(),
+            tpcw_network(&TpcwParameters {
+                browsers: 6,
+                ..TpcwParameters::default()
+            })
+            .unwrap(),
+            split_delay,
+        ]
+    }
+
+    #[test]
+    fn cursor_apply_is_bitwise_the_frozen_per_row_synthesis() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for net in cross_models() {
+            let op = FactoredGenerator::new(&net, 100_000).unwrap();
+            let n = op.num_states();
+            let x = probe(n, n as u64);
+            // Odd block lengths start blocks mid-composition.
+            for block_len in [1usize, 3, 7, n] {
+                let mut frozen = vec![0.0; n];
+                let mut cursor = vec![0.0; n];
+                for (b, (f, c)) in frozen
+                    .chunks_mut(block_len)
+                    .zip(cursor.chunks_mut(block_len))
+                    .enumerate()
+                {
+                    frozen_left_apply(&net, &op, b * block_len, &x, f);
+                    op.left_apply_rows_into(b * block_len, &x, c);
+                }
+                assert_eq!(bits(&frozen), bits(&cursor), "n {n} block_len {block_len}");
+            }
+        }
+    }
+
+    #[test]
+    fn relaxation_matches_reference_gauss_seidel_over_synthesized_rows() {
+        for net in cross_models() {
+            let op = FactoredGenerator::new(&net, 100_000).unwrap();
+            let n = op.num_states();
+            // Rows of Qᵀ, assembled column by column from unit vectors.
+            let mut qt = vec![vec![0.0; n]; n];
+            let mut unit = vec![0.0; n];
+            let mut col = vec![0.0; n];
+            for k in 0..n {
+                unit[k] = 1.0;
+                op.left_apply_rows_into(0, &unit, &mut col);
+                unit[k] = 0.0;
+                for i in 0..n {
+                    qt[i][k] = col[i];
+                }
+            }
+            let mut exit = vec![0.0; n];
+            op.diagonal_rows_into(0, &mut exit);
+            exit.iter_mut().for_each(|e| *e = -*e);
+            let x_old = probe(n, 3 * n as u64);
+            // 5 and 11 cut compositions mid-block and do not divide n.
+            for block_len in [1usize, 5, 11, n] {
+                let mut expected = vec![0.0; n];
+                for start in (0..n).step_by(block_len) {
+                    for i in start..(start + block_len).min(n) {
+                        let mut s = 0.0;
+                        for (j, &v) in qt[i].iter().enumerate() {
+                            if j != i {
+                                s += v * if j >= start && j < i { expected[j] } else { x_old[j] };
+                            }
+                        }
+                        expected[i] = s / exit[i];
+                    }
+                }
+                let mut got = vec![0.0; n];
+                for (b, chunk) in got.chunks_mut(block_len).enumerate() {
+                    op.relax_rows_into(b * block_len, &x_old, &exit, chunk);
+                }
+                for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                    assert!(
+                        (g - e).abs() <= 1e-13 * e.abs(),
+                        "n {n} block_len {block_len} row {i}: {g} vs {e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn state_walk_matches_random_access_decoding() {
+        let net = figure5_network(5, 16.0, 0.5).unwrap();
+        let op = FactoredGenerator::new(&net, 1_000_000).unwrap();
+        let mut visited = 0;
+        op.for_each_state(|idx, queues, phases| {
+            let state = op.state_at(idx);
+            assert_eq!(state.queue_lengths, queues, "queues at {idx}");
+            assert_eq!(state.phases, phases, "phases at {idx}");
+            visited += 1;
+        });
+        assert_eq!(visited, op.num_states());
     }
 
     #[test]

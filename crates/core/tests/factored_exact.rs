@@ -19,9 +19,13 @@ fn pi_agrees_across_representations_on_every_common_rung() {
     let net = figure5_network(5, 16.0, 0.5).unwrap();
     let space = build_state_space(&net, 100_000).unwrap();
     let op = FactoredGenerator::new(&net, 100_000).unwrap();
-    // Jacobi and Power are the rungs both representations can run
-    // (Gauss–Seidel needs materialized rows and is gated out implicitly).
-    for pre in [SparsePreconditioner::Jacobi, SparsePreconditioner::Power] {
+    // Every rung is common: the implicit operator relaxes its synthesized
+    // rows on the Gauss–Seidel rung.
+    for pre in [
+        SparsePreconditioner::GaussSeidel,
+        SparsePreconditioner::Jacobi,
+        SparsePreconditioner::Power,
+    ] {
         let opts = SparseSteadyOptions {
             preconditioner: pre,
             ..SparseSteadyOptions::default()
@@ -34,6 +38,38 @@ fn pi_agrees_across_representations_on_every_common_rung() {
             let diff = (materialized.pi[bfs] - implicit.pi[fac]).abs();
             assert!(diff <= 1e-10, "{pre:?}: pi diff {diff} at state {bfs}");
         }
+    }
+}
+
+/// Factored Gauss–Seidel is bitwise worker-count invariant: block
+/// boundaries come from `block_len` alone (64 here, cutting compositions
+/// mid-block), never from the worker count.
+#[test]
+fn factored_gauss_seidel_is_bitwise_worker_count_invariant() {
+    let net = tpcw_network(&TpcwParameters {
+        browsers: 12,
+        ..TpcwParameters::default()
+    })
+    .unwrap();
+    let op = FactoredGenerator::new(&net, 100_000).unwrap();
+    let base = SparseSteadyOptions {
+        block_len: 64,
+        parallel_threshold: 0,
+        ..SparseSteadyOptions::default()
+    };
+    let serial = stationary_sparse_op(&op, &SparseSteadyOptions { workers: 1, ..base }).unwrap();
+    assert_eq!(serial.used, SparsePreconditioner::GaussSeidel);
+    for workers in [2, 4] {
+        let parallel =
+            stationary_sparse_op(&op, &SparseSteadyOptions { workers, ..base }).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(serial.pi.as_slice()),
+            bits(parallel.pi.as_slice()),
+            "workers = {workers} must reproduce the serial bits"
+        );
+        assert_eq!(serial.sweeps, parallel.sweeps);
+        assert_eq!(serial.used, parallel.used);
     }
 }
 

@@ -393,6 +393,36 @@ fn one_shot_session_breaker_is_contained_to_its_request() {
 /// The all-or-nothing `run` front door names the failing scenario: label
 /// and job index ride on the error, wrapped around the underlying cause.
 #[test]
+fn injected_gauss_seidel_divergence_drops_a_factored_solve_to_jacobi() {
+    use mapqn_core::statespace::build_state_space;
+    use mapqn_core::FactoredGenerator;
+    use mapqn_markov::{
+        stationary_sparse, stationary_sparse_op, SparsePreconditioner, SparseSteadyOptions,
+    };
+
+    let net = figure5_network(5, 16.0, 0.5).unwrap();
+    let space = build_state_space(&net, 100_000).unwrap();
+    let op = FactoredGenerator::new(&net, 100_000).unwrap();
+    let opts = SparseSteadyOptions::default();
+    let reference = {
+        let _guard = quiet();
+        stationary_sparse(space.ctmc(), &opts).unwrap()
+    };
+    // The first residual check fires: the Gauss–Seidel rung bails and the
+    // ladder answers on Jacobi.
+    let implicit = {
+        let _guard = mapqn_faults::arm(FaultSite::GsDivergence, 0, 1);
+        stationary_sparse_op(&op, &opts).unwrap()
+    };
+    assert_eq!(implicit.used, SparsePreconditioner::Jacobi);
+    for (bfs, state) in space.states().iter().enumerate() {
+        let fac = op.index_of(state).unwrap();
+        let diff = (reference.pi[bfs] - implicit.pi[fac]).abs();
+        assert!(diff <= 1e-10, "pi diff {diff} at state {bfs}");
+    }
+}
+
+#[test]
 fn batch_error_names_the_failing_scenario() {
     let _guard = mapqn_faults::arm(FaultSite::EnsembleScenario, 2, 1);
     let scenarios = small_scenarios();

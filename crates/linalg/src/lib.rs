@@ -13,8 +13,8 @@
 //! * Kronecker products and sums (used when composing independent MAP phase
 //!   processes), plus the implicit-operator abstraction over CTMC
 //!   generators ([`op::GeneratorOp`]) with a build-nothing Kronecker
-//!   representation ([`op::KronGenerator`]) whose matvec gathers straight
-//!   from the factor blocks,
+//!   representation ([`op::KronGenerator`]) whose matvec and Gauss–Seidel
+//!   relaxation gather straight from the factor blocks,
 //! * sparse CSR matrices with matrix-vector products for large
 //!   continuous-time Markov chain generators ([`sparse::CsrMatrix`]), a
 //!   streaming row-by-row assembler for building them without a coordinate

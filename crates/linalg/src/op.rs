@@ -1,31 +1,30 @@
 //! Implicit-operator abstraction over CTMC generators.
 //!
 //! The sparse stationary engine in `mapqn-markov` only ever touches the
-//! generator through four operations: row-block left products (`π ↦ πQ`
-//! computed as row scans of `Qᵀ`), diagonal extraction (per-state exit
-//! rates), and nnz/memory accounting for its worker-count and routing
-//! decisions. [`GeneratorOp`] captures exactly that contract, so the engine
-//! can run over *any* representation of `Q`:
+//! generator through five operations: row-block left products (`π ↦ πQ`
+//! computed as row scans of `Qᵀ`), row-block Gauss–Seidel relaxations,
+//! diagonal extraction (per-state exit rates), and nnz/memory accounting
+//! for its worker-count and routing decisions. [`GeneratorOp`] captures
+//! exactly that contract, so every rung of the engine's ladder runs over
+//! *any* representation of `Q`:
 //!
 //! * a materialized [`CsrMatrix`] (the stored matrix is `Qᵀ`, the access
 //!   pattern of every left operation) — bit-for-bit the pre-trait engine;
 //! * a [`KronGenerator`] — a sum of Kronecker-product terms over small
-//!   per-factor blocks that *never forms `Q`*: each output entry of the
-//!   matvec is gathered on the fly from the factor blocks by mixed-radix
-//!   digit decomposition (the "shuffle"-style algorithm of the
-//!   hierarchical/Kronecker CTMC literature, organized as a gather so that
-//!   every output element is written exactly once and row-block chunking
-//!   stays bitwise worker-count invariant).
+//!   per-factor blocks that *never forms `Q`*: each row of `Qᵀ` is gathered
+//!   on the fly from the factor blocks by mixed-radix digit decomposition
+//!   (the "shuffle"-style algorithm of the hierarchical/Kronecker CTMC
+//!   literature, organized as a gather so that every output element is
+//!   written exactly once and row-block chunking stays bitwise worker-count
+//!   invariant).
 //!
 //! Memory falls from `O(nnz(Q))` for the flat CSR to `O(Σ block sizes)` for
 //! the Kronecker form — the difference between the `10^5`-state regime and
 //! the `10^6`–`10^7`-state regime the exact engine is specified for.
 //!
-//! Gauss–Seidel/SOR sweeps are the one engine operation *not* expressible
-//! through this trait (they need in-place access to the concrete rows of
-//! `Qᵀ`); [`GeneratorOp::csr_transpose`] exposes the materialized rows when
-//! they exist, and the engine's fallback ladder skips the sweep rungs when
-//! it returns `None`.
+//! Gauss–Seidel needs nothing beyond rows of `Qᵀ` visited in index order
+//! (Ciardo & Miner, PNPM 1999), so an implicit representation implements
+//! [`GeneratorOp::relax_rows_into`] with the same row gather as its apply.
 
 use crate::dense::DMatrix;
 use crate::sparse::CsrMatrix;
@@ -66,15 +65,15 @@ pub trait GeneratorOp: Sync {
     /// against the flat-CSR footprint).
     fn memory_bytes(&self) -> usize;
 
-    /// The materialized rows of `Qᵀ`, when this representation stores them.
+    /// One block Gauss–Seidel relaxation of `πQ = 0` over the rows
+    /// `start .. start + out.len()`: row `i` reads `out`'s new values for
+    /// `start ≤ j < i` and `x_old[j]` otherwise, then writes
+    /// `out[i - start] = Σ_{j≠i} Qᵀ[i, j]·x̃_j / exit[i]`.
     ///
-    /// Gauss–Seidel/SOR sweeps require concrete row access and are only
-    /// scheduled by the engine's ladder when this returns `Some`; implicit
-    /// representations return `None` (the default) and the ladder starts at
-    /// the Jacobi rung.
-    fn csr_transpose(&self) -> Option<&CsrMatrix> {
-        None
-    }
+    /// `exit` holds every state's exit rate `-Q[i, i]`, indexed like
+    /// `x_old`. Each block reads only `x_old` and its own output, so
+    /// chunked evaluation is bitwise identical at any chunk assignment.
+    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]);
 }
 
 /// The materialized representation: a [`CsrMatrix`] used as a
@@ -108,8 +107,27 @@ impl GeneratorOp for CsrMatrix {
                 * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
     }
 
-    fn csr_transpose(&self) -> Option<&CsrMatrix> {
-        Some(self)
+    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
+        let rp = self.row_ptr();
+        let ci = self.col_indices();
+        let vals = self.values();
+        for bi in 0..out.len() {
+            let i = start + bi;
+            let mut s = 0.0;
+            for k in rp[i]..rp[i + 1] {
+                let j = ci[k];
+                if j == i {
+                    continue;
+                }
+                let xj = if j >= start && j < i {
+                    out[j - start]
+                } else {
+                    x_old[j]
+                };
+                s += vals[k] * xj;
+            }
+            out[bi] = s / exit[i];
+        }
     }
 }
 
@@ -260,14 +278,33 @@ impl KronGenerator {
         self.terms.len()
     }
 
-    /// Gathers the contribution of `term` to `(x Q)[j]`: the sum over the
+    /// Row `j` of `Qᵀ` dotted with the vector `read` — `(x Q)[j]` when
+    /// `read(i) = x[i]`. The one row gather behind both the apply and the
+    /// Gauss–Seidel relaxation.
+    fn gather_row(&self, j: usize, read: &impl Fn(usize) -> f64) -> f64 {
+        let mut acc = 0.0;
+        for term in &self.terms {
+            acc += term.coeff * self.gather(term, 0, j, j, 1.0, read);
+        }
+        acc
+    }
+
+    /// Gathers the contribution of `term` to row `j`: the sum over the
     /// rows of the non-identity factors from `slot` onward, with `base`
     /// the partial source index (digits of visited non-identity slots
     /// replaced by their row choice) and `weight` the product of the factor
     /// entries chosen so far.
-    fn gather(&self, term: &KronTerm, slot: usize, j: usize, base: usize, weight: f64, x: &[f64]) -> f64 {
+    fn gather(
+        &self,
+        term: &KronTerm,
+        slot: usize,
+        j: usize,
+        base: usize,
+        weight: f64,
+        read: &impl Fn(usize) -> f64,
+    ) -> f64 {
         let Some(&s) = term.non_identity.get(slot) else {
-            return weight * x[base];
+            return weight * read(base);
         };
         // INFALLIBLE: `non_identity` lists exactly the Some slots of `factors`.
         let m = term.factors[s]
@@ -283,7 +320,7 @@ impl KronGenerator {
             if w == 0.0 {
                 continue;
             }
-            acc += self.gather(term, slot + 1, j, col_base + r * stride, weight * w, x);
+            acc += self.gather(term, slot + 1, j, col_base + r * stride, weight * w, read);
         }
         acc
     }
@@ -304,12 +341,29 @@ impl GeneratorOp for KronGenerator {
             "KronGenerator: input vector shorter than the state space"
         );
         for (k, o) in out.iter_mut().enumerate() {
-            let j = start + k;
-            let mut acc = 0.0;
-            for term in &self.terms {
-                acc += term.coeff * self.gather(term, 0, j, j, 1.0, x);
-            }
-            *o = acc;
+            *o = self.gather_row(start + k, &|i| x[i]);
+        }
+    }
+
+    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
+        assert!(
+            start + out.len() <= self.n,
+            "KronGenerator: row block out of range"
+        );
+        for bi in 0..out.len() {
+            let i = start + bi;
+            // The diagonal is every term's product of factor diagonals; the
+            // gather reaches it exactly at source index `i`, read as zero.
+            let s = self.gather_row(i, &|j| {
+                if j == i {
+                    0.0
+                } else if j >= start && j < i {
+                    out[j - start]
+                } else {
+                    x_old[j]
+                }
+            });
+            out[bi] = s / exit[i];
         }
     }
 
@@ -551,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn csr_transpose_impl_matches_its_matvec_and_diagonal() {
+    fn csr_impl_matches_its_matvec_and_diagonal() {
         // A CsrMatrix used as a GeneratorOp is Qᵀ; its trait methods must
         // be exactly the row-block kernels the engine used before.
         let q = CsrMatrix::from_triplets(
@@ -570,7 +624,6 @@ mod tests {
         .unwrap();
         let qt = q.transpose();
         assert_eq!(GeneratorOp::num_states(&qt), 3);
-        assert!(qt.csr_transpose().is_some());
 
         let x = [0.2, 0.3, 0.5];
         let mut via_op = vec![0.0; 3];
@@ -587,6 +640,133 @@ mod tests {
         assert!(qt.memory_bytes() > 0);
     }
 
+    /// The block Gauss–Seidel sweep loop exactly as the sparse engine ran
+    /// it over the materialized transpose before relaxation moved behind
+    /// the operator trait — frozen here as the bitwise reference.
+    fn frozen_csr_sweep(qt: &CsrMatrix, start: usize, x_old: &[f64], exit: &[f64], chunk: &mut [f64]) {
+        let rp = qt.row_ptr();
+        let ci = qt.col_indices();
+        let vals = qt.values();
+        for bi in 0..chunk.len() {
+            let i = start + bi;
+            let mut s = 0.0;
+            for k in rp[i]..rp[i + 1] {
+                let j = ci[k];
+                if j == i {
+                    continue;
+                }
+                let xj = if j >= start && j < i {
+                    chunk[j - start]
+                } else {
+                    x_old[j]
+                };
+                s += vals[k] * xj;
+            }
+            chunk[bi] = s / exit[i];
+        }
+    }
+
+    /// Negated diagonal of an operator: the exit rates a relaxation divides by.
+    fn exit_rates(op: &impl GeneratorOp) -> Vec<f64> {
+        let mut exit = vec![0.0; op.num_states()];
+        op.diagonal_rows_into(0, &mut exit);
+        exit.iter().map(|d| -d).collect()
+    }
+
+    /// Reference block Gauss–Seidel over the rows of `Qᵀ`, assembled column
+    /// by column through `left_apply_rows_into` on unit vectors.
+    fn reference_relax(op: &impl GeneratorOp, block_len: usize, x_old: &[f64]) -> Vec<f64> {
+        let n = op.num_states();
+        let mut qt = vec![vec![0.0; n]; n];
+        let mut unit = vec![0.0; n];
+        let mut col = vec![0.0; n];
+        for k in 0..n {
+            unit[k] = 1.0;
+            op.left_apply_rows_into(0, &unit, &mut col);
+            unit[k] = 0.0;
+            for i in 0..n {
+                qt[i][k] = col[i];
+            }
+        }
+        let exit = exit_rates(op);
+        let mut x = vec![0.0; n];
+        for start in (0..n).step_by(block_len) {
+            for i in start..(start + block_len).min(n) {
+                let mut s = 0.0;
+                for (j, &q) in qt[i].iter().enumerate() {
+                    if j != i {
+                        s += q * if j >= start && j < i { x[j] } else { x_old[j] };
+                    }
+                }
+                x[i] = s / exit[i];
+            }
+        }
+        x
+    }
+
+    /// Runs `op`'s relaxation block by block, as the engine's chunked sweep does.
+    fn blocked_relax(op: &impl GeneratorOp, block_len: usize, x_old: &[f64]) -> Vec<f64> {
+        let exit = exit_rates(op);
+        let mut x = vec![0.0; op.num_states()];
+        for (b, chunk) in x.chunks_mut(block_len).enumerate() {
+            op.relax_rows_into(b * block_len, x_old, &exit, chunk);
+        }
+        x
+    }
+
+    #[test]
+    fn csr_relaxation_is_bitwise_the_frozen_sweep() {
+        let n = 23;
+        let mut triplets = Vec::new();
+        let w = probe_vector(3 * n, 5);
+        for i in 0..n {
+            triplets.push((i, (i + 1) % n, 1.0 + w[i]));
+            triplets.push((i, (i + 7) % n, 0.75 + w[n + i]));
+            triplets.push((i, (i * 5 + 3) % n, 0.6 + w[2 * n + i]));
+        }
+        let offdiag: Vec<_> = triplets.iter().copied().filter(|&(i, j, _)| i != j).collect();
+        let mut full = offdiag.clone();
+        for i in 0..n {
+            let out: f64 = offdiag.iter().filter(|t| t.0 == i).map(|t| t.2).sum();
+            full.push((i, i, -out));
+        }
+        let qt = CsrMatrix::from_triplets(n, n, &full).unwrap().transpose();
+        let exit = exit_rates(&qt);
+        let x_old: Vec<f64> = probe_vector(n, 17).iter().map(|v| v + 0.75).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for block_len in [1usize, 4, 6, n, 64] {
+            let mut frozen = vec![0.0; n];
+            for (c, chunk) in frozen.chunks_mut(block_len).enumerate() {
+                frozen_csr_sweep(&qt, c * block_len, &x_old, &exit, chunk);
+            }
+            let via_op = blocked_relax(&qt, block_len, &x_old);
+            assert_eq!(bits(&frozen), bits(&via_op), "block_len {block_len}");
+        }
+    }
+
+    #[test]
+    fn kron_relaxation_matches_reference_gauss_seidel() {
+        let blocks = [
+            generator_block(3, 7),
+            generator_block(2, 8),
+            generator_block(3, 9),
+        ];
+        let op = KronGenerator::kron_sum(&blocks).unwrap();
+        let n = op.num_states();
+        let x_old: Vec<f64> = probe_vector(n, 31).iter().map(|v| v + 0.75).collect();
+        // 5 and 4 cut the 18 states mid-digit; 5 does not divide n.
+        for block_len in [1usize, 4, 5, n] {
+            let expected = reference_relax(&op, block_len, &x_old);
+            let got = blocked_relax(&op, block_len, &x_old);
+            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
+                assert!(
+                    (g - e).abs() <= 1e-13 * e.abs(),
+                    "block_len {block_len} row {i}: {g} vs {e}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn kron_generator_accounting_is_factor_sized() {
         let blocks = [generator_block(4, 1), generator_block(4, 2), generator_block(4, 3)];
@@ -597,7 +777,6 @@ mod tests {
         // Three 4×4 blocks: the factor payload is 3·16 doubles, far below
         // any materialization of the 64×64 operator.
         assert!(op.memory_bytes() < 64 * 64 * 8);
-        assert!(op.csr_transpose().is_none());
         assert!(GeneratorOp::nnz(&op) > 0);
     }
 

@@ -10,8 +10,9 @@
 //!
 //! * the engine sees the generator only through the
 //!   [`mapqn_linalg::GeneratorOp`] operator trait — row-block left products
-//!   (every left operation `π ↦ πQ` is a row scan of `Q^T`), diagonal
-//!   extraction and nnz accounting. Two representations drive it:
+//!   (every left operation `π ↦ πQ` is a row scan of `Q^T`), row-block
+//!   Gauss–Seidel relaxations, diagonal extraction and nnz accounting. Two
+//!   representations drive it:
 //!   a **materialized** transposed CSR (assembled row-by-row by
 //!   [`crate::statespace::StateSpaceBuilder`], transposed once on entry —
 //!   the classic path, via [`stationary_sparse`]) and the **implicit**
@@ -24,10 +25,11 @@
 //!   power iteration under *adaptive uniformization*, where each state is
 //!   uniformized at its own exit rate instead of the global maximum — and
 //!   plain globally-uniformized power iteration as progressively more
-//!   conservative fallbacks. The Gauss–Seidel rung needs concrete row
-//!   access to `Q^T` and run only when
-//!   [`mapqn_linalg::GeneratorOp::csr_transpose`] exposes it; on implicit
-//!   operators the ladder starts at the (fully matvec-based) Jacobi rung;
+//!   conservative fallbacks. Every rung runs on every representation: a
+//!   Gauss–Seidel sweep is one
+//!   [`mapqn_linalg::GeneratorOp::relax_rows_into`] call per row block,
+//!   which an implicit operator answers by synthesizing its rows of `Q^T`
+//!   in index order, exactly as its matvec does;
 //! * convergence is decided by the **residual** `‖πQ‖_∞ <= tol * q_max`
 //!   (with `q_max` the largest exit rate, so the tolerance is
 //!   dimensionless), not by the change between iterates — a stalled
@@ -43,10 +45,11 @@
 //!   once, so results are bitwise identical at any worker count (the same
 //!   determinism contract as the ensemble layer in `mapqn-core`).
 //!
-//! The memory footprint is two copies of the generator (CSR plus its
+//! The materialized footprint is two copies of the generator (CSR plus its
 //! transpose) and a handful of state-length vectors — about 20 bytes per
 //! transition plus 32 bytes per state, which holds `10^7`-state chains in a
-//! few GB where the dense path would need petabytes.
+//! few GB where the dense path would need petabytes. An implicit operator
+//! drops the generator copies and keeps only the state-length vectors.
 
 use crate::ctmc::Ctmc;
 use crate::{MarkovError, Result};
@@ -230,38 +233,14 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
 
     /// One block-hybrid Gauss–Seidel sweep on `πQ = 0`: inside a block,
     /// row `i` uses the already-updated values of rows `start..i`; across
-    /// blocks it uses the previous sweep. All coefficients are non-negative
+    /// blocks it uses the previous sweep (see
+    /// [`GeneratorOp::relax_rows_into`]). All coefficients are non-negative
     /// (inflow rates over the exit rate), so a positive iterate stays
     /// positive.
     fn gauss_seidel_sweep(&self, x_old: &[f64], x_new: &mut [f64]) {
-        let qt = self
-            .op
-            .csr_transpose()
-            // INFALLIBLE: the fallback ladder schedules Gauss-Seidel rungs
-            // only when `csr_transpose()` returned Some (materialized).
-            .expect("gauss_seidel_sweep requires a materialized operator");
-        let rp = qt.row_ptr();
-        let ci = qt.col_indices();
-        let vals = qt.values();
         let exit = &self.exit;
         self.pool.for_each_chunk(x_new, self.block_len, |start, chunk| {
-            for bi in 0..chunk.len() {
-                let i = start + bi;
-                let mut s = 0.0;
-                for k in rp[i]..rp[i + 1] {
-                    let j = ci[k];
-                    if j == i {
-                        continue;
-                    }
-                    let xj = if j >= start && j < i {
-                        chunk[j - start]
-                    } else {
-                        x_old[j]
-                    };
-                    s += vals[k] * xj;
-                }
-                chunk[bi] = s / exit[i];
-            }
+            self.op.relax_rows_into(start, x_old, exit, chunk);
         });
     }
 
@@ -359,12 +338,12 @@ pub fn stationary_sparse(ctmc: &Ctmc, options: &SparseSteadyOptions) -> Result<S
 
 /// Computes the stationary distribution of a CTMC presented as a
 /// [`GeneratorOp`] — the representation-agnostic entry behind
-/// [`stationary_sparse`]. Materialized operators (a transposed-CSR
-/// generator) run the full fallback ladder and are bit-for-bit identical to
-/// [`stationary_sparse`] on the same chain; implicit operators (e.g.
-/// [`mapqn_linalg::KronGenerator`] or the factored network generator in
-/// `mapqn-core`) skip the Gauss–Seidel rung — which needs concrete row
-/// access — and start the ladder at the Jacobi rung.
+/// [`stationary_sparse`]. Every representation runs the same fallback
+/// ladder: a materialized operator (a transposed-CSR generator) is
+/// bit-for-bit identical to [`stationary_sparse`] on the same chain, and an
+/// implicit operator (e.g. [`mapqn_linalg::KronGenerator`] or the factored
+/// network generator in `mapqn-core`) relaxes and applies its synthesized
+/// rows on the same rungs.
 ///
 /// # Errors
 /// Returns [`MarkovError::NoConvergence`] when no preconditioner reaches the
@@ -430,17 +409,14 @@ fn solve_on<O: GeneratorOp + ?Sized>(
     // Gauss–Seidel and Jacobi divide by per-state exit rates; a state with
     // no outflow (reducible chain) restricts the menu to the power path.
     let rates_ok = kernel.exit.iter().all(|&e| e > 0.0);
-    // Gauss–Seidel sweeps walk concrete rows of `Q^T`; implicit operators
-    // cannot supply them, so that rung is left off the ladder.
-    let materialized = kernel.op.csr_transpose().is_some();
 
     // Fallback ladder: the requested preconditioner first, then Jacobi and
     // finally globally uniformized power.
     use SparsePreconditioner::{GaussSeidel, Jacobi, Power};
-    let attempts: &[SparsePreconditioner] = match (options.preconditioner, materialized) {
-        (GaussSeidel, true) => &[GaussSeidel, Jacobi, Power],
-        (GaussSeidel, false) | (Jacobi, _) => &[Jacobi, Power],
-        (Power, _) => &[Power],
+    let attempts: &[SparsePreconditioner] = match options.preconditioner {
+        GaussSeidel => &[GaussSeidel, Jacobi, Power],
+        Jacobi => &[Jacobi, Power],
+        Power => &[Power],
     };
 
     let mut total_sweeps = 0usize;
@@ -895,13 +871,13 @@ mod tests {
     }
 
     #[test]
-    fn implicit_kron_operator_solves_and_skips_the_gs_rungs() {
+    fn implicit_kron_operator_solves_on_the_gauss_seidel_rung() {
         // Two independent birth-death processes: the joint generator is the
         // Kronecker sum of the factors. Solve it twice — materialized (the
         // dense kron_sum, assembled into a CTMC) and implicit (the
         // KronGenerator, which never forms Q) — and check the implicit
-        // ladder skipped Gauss–Seidel (it needs concrete rows) yet landed
-        // on the same distribution.
+        // ladder answered on the Gauss–Seidel rung with the same
+        // distribution.
         use mapqn_linalg::kron::kron_sum;
         use mapqn_linalg::{DMatrix, KronGenerator};
 
@@ -941,11 +917,7 @@ mod tests {
         let op = KronGenerator::kron_sum(&[a, b]).unwrap();
         let opts = SparseSteadyOptions::default();
         let report = stationary_sparse_op(&op, &opts).unwrap();
-        assert_ne!(
-            report.used,
-            SparsePreconditioner::GaussSeidel,
-            "implicit operators must not run the Gauss-Seidel rung"
-        );
+        assert_eq!(report.used, SparsePreconditioner::GaussSeidel);
         assert!(
             report.residual <= opts.tolerance * ctmc.max_exit_rate() * 1.01,
             "residual {}",
@@ -955,7 +927,7 @@ mod tests {
             assert!((p - r).abs() < 1e-10, "pi entry {p} vs GTH {r}");
         }
 
-        // The chunked implicit matvec path is bitwise worker-invariant
+        // The chunked implicit relaxation is bitwise worker-invariant
         // through the whole solve.
         let base = SparseSteadyOptions {
             block_len: 4,
