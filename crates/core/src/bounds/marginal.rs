@@ -346,6 +346,9 @@ pub struct SolverTimings {
     /// factorization of the standard form).
     pub setup_ns: u64,
     /// Cold phase-1 runs (`find_feasible_basis`) of the revised engine.
+    /// Phase-1 restarts inside a warm solve (a basis infeasible at the
+    /// true right-hand side, a recovery restart) are billed to
+    /// `primal_ns`.
     pub phase1_ns: u64,
     /// Dual-simplex re-solves from cross-population seeds.
     pub dual_ns: u64,

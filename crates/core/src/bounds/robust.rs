@@ -81,9 +81,9 @@ const LP_RUNGS: [(Rung, f64); 3] = [
 /// skipped.
 const BOOTSTRAP_MIN: usize = 8;
 
-/// Salt offset of the salted re-solve (the 64-bit golden ratio, the same
-/// constant the engine's own dead-end re-draws step by — any odd constant
-/// works, this one keeps the streams well spread).
+/// Salt offset of the salted re-solve. The engine's own re-draws step the
+/// salt by 1, so any offset far from the base keeps the salted stream clear
+/// of the direct rung's draws; the 64-bit golden ratio spreads it well.
 const SALTED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// Salt offset of the bootstrap rung, distinct from both the original

@@ -386,32 +386,14 @@ impl RevisedSimplex {
             dual_pivots += 1;
         }
 
-        // Primal feasible (to FEAS_TOL) and dual feasible: hand the state to
-        // the shared phase-2 machinery, which installs the anti-degeneracy
-        // perturbation, polishes any tolerance-scale residue, certifies
-        // optimality from a fresh factorization and extracts the solution.
-        for v in &mut work.xb {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        if !self.apply_perturbation(&mut work) {
-            // The perturbed recompute can come back infeasible on an
-            // ill-conditioned basis (B^{-1} delta amplifies the 1e-8 draw
-            // well past the feasibility tolerance). The dual repair itself
-            // succeeded, so keep the true-rhs state instead of discarding
-            // the work — exactly what `phase1_into_option` does when the
-            // same recompute fails after phase 1.
-            work.rhs = self.b.clone();
-            let mut xb = work.rhs.clone();
-            work.factor.ftran(&mut xb);
-            for v in &mut xb {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-            work.xb = xb;
-        }
+        // Primal feasible (to FEAS_TOL) and dual feasible: install the
+        // anti-degeneracy perturbation — or keep the clamped true-rhs state
+        // when the perturbed recompute comes back infeasible, since the
+        // repair itself succeeded — and hand the state to the shared
+        // phase-2 machinery, which polishes any tolerance-scale residue,
+        // certifies optimality from a fresh factorization and extracts the
+        // solution.
+        self.perturb_or_clamp(&mut work);
         let t_dual = t_start.elapsed().as_secs_f64() * 1e3 - t_seed;
         let etas = work.factor.eta_count();
         let t_fin = mapqn_linalg::budget::now();

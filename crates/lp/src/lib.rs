@@ -59,8 +59,8 @@
 //! phase 1 entirely. Feeding a stale or foreign basis (for instance one
 //! mapped from a related problem, as the population sweeps in `mapqn-bench`
 //! do) is safe: the engine repairs it into a nonsingular basis, checks
-//! primal feasibility, and silently falls back to a cold phase 1 when the
-//! check fails.
+//! primal feasibility at the true right-hand side, and silently falls back
+//! to a cold phase 1 when the check fails.
 //!
 //! When the basis comes from a *related* problem whose right-hand side (not
 //! objective) differs — the same network at a neighbouring population — use

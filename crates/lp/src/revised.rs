@@ -46,34 +46,23 @@ pub(crate) const FEAS_TOL: f64 = 1e-7;
 /// basis towards singularity.
 pub(crate) const SUSPECT_PIVOT: f64 = 1e-5;
 
-/// Hard floor on the pivot magnitude: a column whose best ratio-test pivot
-/// is below this is *banned* from entering for the current pricing round
-/// instead of being pivoted on — the resulting step `x_B / d` would be so
-/// large that rows excluded from the ratio test (entries treated as zero)
-/// pick up macroscopic infeasibility.
+/// Hard floor on the pivot magnitude. A primal pivot below it, confirmed
+/// from a fresh factorization, is a numerical failure of the solve
+/// ([`LpError::Numerical`]): the step `x_B / d` would be so large that rows
+/// excluded from the ratio test (entries treated as zero) pick up
+/// macroscopic infeasibility. The engine's own recovery (a local repair,
+/// then a cold restart under a new perturbation salt) and the caller's
+/// degradation ladder take it from there.
 pub(crate) const MIN_PIVOT: f64 = 1e-7;
 
-/// How many times one `run_pivots` call may re-draw the anti-degeneracy
-/// perturbation to escape a degenerate dead end. At such a vertex every
-/// improving column's best ratio-test pivot is tiny — not because the LP is
-/// optimal, but because the *current* perturbed basic values make only
-/// near-zero rows ratio-binding. The pivot entries `B^{-1} a_q` do not
-/// depend on the right-hand side, so a fresh generic draw moves the binding
-/// rows and can expose a usable pivot where banning columns would
-/// dead-end the solve ("optimality blocked" on the ill-conditioned
-/// mean-queue-length LPs of the SCV=16 case study, from N ~ 11).
-const MAX_REPERTURBATIONS: usize = 3;
-
-/// Largest step length accepted for a pivot below [`MIN_PIVOT`]. A tiny
-/// pivot is only *macroscopically* dangerous through its step — rows whose
-/// entries the ratio test treated as zero (`<= PIVOT_TOL`) drift by
-/// `theta * PIVOT_TOL` — and through its eta, whose application divides by
-/// the pivot. Bounded-step tiny pivots are therefore taken with an
-/// immediate refactorization (never leaving the near-singular eta in the
-/// file) instead of banned: at some vertices of the ill-conditioned
-/// mean-queue-length LPs *every* improving column carries a tiny pivot, and
-/// banning them all dead-ends a genuinely suboptimal vertex.
-const MAX_TINY_PIVOT_STEP: f64 = 1.0;
+/// Longest step the solid-pivot pass of the ratio test may take. That pass
+/// considers only rows whose pivot entry exceeds [`MIN_PIVOT`]; the rows it
+/// ignores carry entries of at most `MIN_PIVOT`, so a step of at most this
+/// length moves their basic values by at most `MIN_PIVOT` — inside the
+/// feasibility tolerance. A longer step could push an ignored row
+/// macroscopically negative, so it is re-chosen by the strict pass over
+/// every row above [`PIVOT_TOL`].
+const MAX_SOLID_PASS_STEP: f64 = 1.0;
 
 /// Eta-file length up to which an apparent-optimality verdict is trusted
 /// without a confirming refactorization. The product form drifts with the
@@ -108,10 +97,11 @@ const RATIO_DELTA: f64 = 1e-10;
 const REFRESH_FEAS_TOL: f64 = 1e-6;
 
 /// In-place feasibility repairs allowed per solve before the engine takes
-/// the error path (caller-level recovery, then the dense oracle). One
-/// repair fixes a transient drift; a solve that needs one after every
-/// refactorization is walking an ill-conditioned region it will not leave,
-/// and repairing forever just burns the iteration budget.
+/// the error path (the local repair and salted cold restart of
+/// `finish_phase2`, then the caller's degradation ladder). One repair fixes
+/// a transient drift; a solve that needs one after every refactorization
+/// is walking an ill-conditioned region it will not leave, and repairing
+/// forever just burns the iteration budget.
 const MAX_IN_PLACE_REPAIRS: usize = 3;
 
 /// A simplex basis: the column basic in each of the `m` row positions.
@@ -210,9 +200,10 @@ pub struct RevisedSimplex {
     /// Initial basic column of each row for a cold phase-1 start: the slack
     /// column for `<=` rows, the artificial otherwise.
     phase1_basis: Vec<usize>,
-    /// Salt of the anti-degeneracy perturbation draw; bumped by
-    /// `run_pivots` to escape degenerate dead ends (see
-    /// [`MAX_REPERTURBATIONS`]).
+    /// Salt of the anti-degeneracy perturbation draw. Set per solve from
+    /// [`SimplexOptions::perturbation_salt`] and stepped by 1 for each
+    /// re-draw: a phase-1 gray-zone retry and a cold restart after a
+    /// numerical failure (see `finish_phase2`).
     pert_salt: std::cell::Cell<u64>,
     /// Cached state of the last successful solve (keyed by its basis).
     pub(crate) cache: Option<Work>,
@@ -338,10 +329,11 @@ impl RevisedSimplex {
     }
 
     /// Sets the base salt of the anti-degeneracy RHS-perturbation draw (see
-    /// [`SimplexOptions::perturbation_salt`]). The engine still bumps the
-    /// salt deterministically to escape degenerate dead ends; this only
-    /// moves the whole sequence, so two engines with the same salt walk
-    /// identical pivot paths on identical inputs.
+    /// [`SimplexOptions::perturbation_salt`]). The engine steps the salt by
+    /// 1 for each re-draw it makes (phase-1 gray-zone retries, cold
+    /// restarts after a numerical failure); the base only moves the whole
+    /// sequence, so two engines with the same salt walk identical pivot
+    /// paths on identical inputs.
     pub fn set_perturbation_salt(&self, salt: u64) {
         self.pert_salt.set(salt);
     }
@@ -397,9 +389,9 @@ impl RevisedSimplex {
     }
 
     /// The deterministically perturbed right-hand side of this solve (see
-    /// [`PERT_SCALE`]). The draw is keyed by the current salt, so a solve
-    /// stuck at a degenerate dead end can move to a *different* generic
-    /// perturbation without losing determinism.
+    /// [`PERT_SCALE`]). The draw is keyed by the current salt, so a
+    /// restarted solve can move to a *different* generic perturbation
+    /// without losing determinism.
     fn perturbed_rhs(&self) -> Vec<f64> {
         let salt = self.pert_salt.get();
         self.b
@@ -415,16 +407,25 @@ impl RevisedSimplex {
             .collect()
     }
 
-    /// Installs a fresh perturbation into `work` and recomputes the basic
-    /// values against it. Returns `false` when the basis is not feasible for
-    /// the perturbed right-hand side (the caller should fall back to a cold
-    /// start).
-    pub(crate) fn apply_perturbation(&self, work: &mut Work) -> bool {
+    /// Installs the anti-degeneracy perturbation: the basic values become
+    /// `B^{-1}(b + delta)`. When that recompute dips below `-FEAS_TOL` —
+    /// an ill-conditioned basis amplifies the 1e-8 draw well past the
+    /// tolerance — the clamped true-rhs values `max(B^{-1} b, 0)` are
+    /// installed instead and the solve runs unperturbed from this basis.
+    ///
+    /// Returns whether `B^{-1} b` is within `-FEAS_TOL` when the fallback
+    /// ran (always `true` otherwise): `false` means the basis is infeasible
+    /// for the true right-hand side, not just for the draw.
+    pub(crate) fn perturb_or_clamp(&self, work: &mut Work) -> bool {
         work.rhs = self.perturbed_rhs();
         let mut xb = work.rhs.clone();
         work.factor.ftran(&mut xb);
-        if xb.iter().any(|&v| v < -FEAS_TOL) {
-            return false;
+        let mut feasible = xb.iter().all(|&v| v >= -FEAS_TOL);
+        if !feasible {
+            work.rhs.copy_from_slice(&self.b);
+            xb.copy_from_slice(&self.b);
+            work.factor.ftran(&mut xb);
+            feasible = xb.iter().all(|&v| v >= -FEAS_TOL);
         }
         for v in &mut xb {
             if *v < 0.0 {
@@ -432,7 +433,7 @@ impl RevisedSimplex {
             }
         }
         work.xb = xb;
-        true
+        feasible
     }
 
     /// Tries to remove the perturbation from an optimal basis by recomputing
@@ -667,9 +668,11 @@ impl RevisedSimplex {
     ///
     /// The basis is repaired (completed with artificials) when it does not
     /// form a nonsingular matrix, and the engine transparently falls back to
-    /// a fresh phase 1 when the basis is not primal feasible for the current
+    /// a fresh phase 1 when the basis is not primal feasible for the true
     /// right-hand side — so a stale or approximate basis degrades to a cold
-    /// solve instead of failing.
+    /// solve instead of failing. A basis feasible at the true right-hand
+    /// side enters phase 2 directly, even when the anti-degeneracy
+    /// perturbation would push its basic values negative.
     ///
     /// # Errors
     /// Returns [`LpError::IterationLimit`] or [`LpError::Numerical`] from
@@ -763,15 +766,7 @@ impl RevisedSimplex {
                                     work.factor = factor;
                                 }
                             }
-                            if !self.apply_perturbation(&mut work) {
-                                work.rhs.copy_from_slice(&self.b);
-                                let mut xb = self.b.clone();
-                                work.factor.ftran(&mut xb);
-                                for v in &mut xb {
-                                    *v = v.max(0.0);
-                                }
-                                work.xb = xb;
-                            }
+                            self.perturb_or_clamp(&mut work);
                         }
                     }
                 }
@@ -911,82 +906,70 @@ impl RevisedSimplex {
 
     /// Turns a caller-supplied basis into ready-to-pivot state: reuse the
     /// cached factorization when the basis matches, otherwise repair /
-    /// refactorize, and fall back to phase 1 when primal infeasible.
-    /// Returns `None` when the constraint set itself is infeasible.
+    /// refactorize. Phase 1 runs only when the basis is infeasible for the
+    /// **true** right-hand side; a basis that is merely infeasible for the
+    /// perturbed one (see [`RevisedSimplex::perturb_or_clamp`]) enters
+    /// phase 2 on the clamped true-rhs values. Returns `None` when the
+    /// constraint set itself is infeasible.
     fn prepare_work(&mut self, basis: &Basis, options: &SimplexOptions) -> Result<Option<Work>> {
-        if let Some(cached) = self.cache.take() {
-            if cached.basis == basis.columns {
-                let mut work = cached;
-                work.iterations = 0;
-                if self.apply_perturbation(&mut work) {
-                    return Ok(Some(work));
-                }
-                // Perturbed infeasibility on a previously optimal basis
-                // signals numerical trouble; start cold below.
+        let mut work = match self.cache.take().filter(|c| c.basis == basis.columns) {
+            Some(mut cached) => {
+                cached.iterations = 0;
+                cached
             }
-        }
-
-        let total_cols = self.total_real + self.m;
-        let mut columns: Vec<usize> = basis
-            .columns
-            .iter()
-            .copied()
-            .filter(|&c| c < total_cols)
-            .collect();
-        columns.sort_unstable();
-        columns.dedup();
-        let mut factor = if columns.len() == self.m {
-            BasisFactor::factorize(self, &columns)
+            None => {
+                let total_cols = self.total_real + self.m;
+                let mut columns: Vec<usize> = basis
+                    .columns
+                    .iter()
+                    .copied()
+                    .filter(|&c| c < total_cols)
+                    .collect();
+                columns.sort_unstable();
+                columns.dedup();
+                let mut factor = if columns.len() == self.m {
+                    BasisFactor::factorize(self, &columns)
+                } else {
+                    None
+                };
+                if factor.is_none() {
+                    columns = complete_basis(self, &basis.columns, self.total_real);
+                    factor = BasisFactor::factorize(self, &columns);
+                }
+                let Some(factor) = factor else {
+                    // Even the completed basis failed to factorize; start cold.
+                    return self.phase1_into_option(options);
+                };
+                let mut in_basis = vec![false; total_cols];
+                for &c in &columns {
+                    in_basis[c] = true;
+                }
+                Work {
+                    basis: columns,
+                    in_basis,
+                    xb: Vec::new(),
+                    rhs: Vec::new(),
+                    factor,
+                    iterations: 0,
+                    repairs: 0,
+                }
+            }
+        };
+        if self.perturb_or_clamp(&mut work) {
+            Ok(Some(work))
         } else {
-            None
-        };
-        if factor.is_none() {
-            columns = complete_basis(self, &basis.columns, self.total_real);
-            factor = BasisFactor::factorize(self, &columns);
+            self.phase1_into_option(options)
         }
-        let Some(factor) = factor else {
-            // Even the completed basis failed to factorize; start cold.
-            return self.phase1_into_option(options);
-        };
-
-        let mut in_basis = vec![false; total_cols];
-        for &c in &columns {
-            in_basis[c] = true;
-        }
-        let mut work = Work {
-            basis: columns,
-            in_basis,
-            xb: Vec::new(),
-            rhs: Vec::new(),
-            factor,
-            iterations: 0,
-            repairs: 0,
-        };
-        if !self.apply_perturbation(&mut work) {
-            // The basis is not primal feasible for this right-hand side.
-            return self.phase1_into_option(options);
-        }
-        Ok(Some(work))
     }
 
     /// Cold phase 1 prepared for phase-2 pivoting: the anti-degeneracy
-    /// perturbation is (re)installed on the feasible work state. Should the
-    /// perturbed recompute come back infeasible (a numerical fluke on a
-    /// basis phase 1 just certified), the true-rhs state phase 1 ended in
-    /// is kept instead.
+    /// perturbation is (re)installed on the feasible work state, or the
+    /// clamped true-rhs state kept (see [`RevisedSimplex::perturb_or_clamp`]).
     pub(crate) fn phase1_into_option(&mut self, options: &SimplexOptions) -> Result<Option<Work>> {
         match self.phase1(options)? {
             Phase1Outcome::Feasible(work) => {
                 let mut work = *work;
-                if !self.apply_perturbation(&mut work) {
-                    work.rhs = self.b.clone();
-                    let mut xb = work.rhs.clone();
-                    work.factor.ftran(&mut xb);
-                    for v in &mut xb {
-                        *v = v.max(0.0);
-                    }
-                    work.xb = xb;
-                }
+                self.perturb_or_clamp(&mut work);
                 Ok(Some(work))
             }
             Phase1Outcome::Infeasible => Ok(None),
@@ -1033,9 +1016,9 @@ impl RevisedSimplex {
             if !optimal {
                 // Phase 1 is bounded below by zero, so an "unbounded"
                 // verdict can only be numerical (a drift-priced column with
-                // no real pivot); route it to the retry / oracle-fallback
-                // machinery instead of classifying feasibility from a
-                // non-converged basis.
+                // no real pivot); report it as such (the callers' recovery
+                // and the degradation ladder retry) instead of classifying
+                // feasibility from a non-converged basis.
                 return Err(LpError::Numerical(
                     "phase 1 failed to converge (no usable pivot for an improving column)"
                         .into(),
@@ -1123,15 +1106,7 @@ impl RevisedSimplex {
             }
             self.pert_salt.set(self.pert_salt.get().wrapping_add(1));
             self.refresh_factor(&mut work, true)?;
-            if !self.apply_perturbation(&mut work) {
-                work.rhs = self.b.clone();
-                let mut xb = work.rhs.clone();
-                work.factor.ftran(&mut xb);
-                for v in &mut xb {
-                    *v = v.max(0.0);
-                }
-                work.xb = xb;
-            }
+            self.perturb_or_clamp(&mut work);
         }
         self.drive_out_artificials(&mut work, options)?;
         Ok(Phase1Outcome::Feasible(Box::new(work)))
@@ -1219,9 +1194,11 @@ impl RevisedSimplex {
     /// recomputes the basic values. When numerical drift has let a dependent
     /// column into the basis the basis is *repaired*: dependent columns are
     /// replaced with artificials via [`complete_basis`]. In phase 2 a repair
-    /// (or recompute) that breaks primal feasibility aborts the solve with a
-    /// numerical error instead of silently continuing from an infeasible
-    /// point — the caller is expected to fall back to the dense oracle.
+    /// (or recompute) that breaks primal feasibility is repaired in place
+    /// when a column can fix it and clamped when none can (orphaned drift);
+    /// a fixable violation the in-place repair cannot clear aborts the
+    /// solve with a numerical error instead of silently continuing from an
+    /// infeasible point.
     pub(crate) fn refresh_factor(&self, work: &mut Work, phase1: bool) -> Result<()> {
         if mapqn_faults::fire(mapqn_faults::FaultSite::LpFactorization) {
             return Err(LpError::Numerical(
@@ -1269,9 +1246,8 @@ impl RevisedSimplex {
                 // few 1e-5 below zero while no non-basic column has a
                 // usable entry in that row — no pivoting (primal, dual, or
                 // a restart, which deterministically rebuilds the same
-                // vertex) can repair it. Erroring out used to send such
-                // solves to the dense oracle; instead, clamp the orphaned
-                // rows and continue: the reported *objective* is certified
+                // vertex) can repair it, so clamp the orphaned rows and
+                // continue: the reported *objective* is certified
                 // through the dual vector (`certified_objective`), which
                 // never depended on primal exactness, and the residual in
                 // the solution vector is bounded by the clamped amount.
@@ -1308,12 +1284,9 @@ impl RevisedSimplex {
                     // exchanges from the current vertex, and the primal
                     // loop resumes from there (it only needs primal
                     // feasibility — the reduced costs are re-priced every
-                    // iteration anyway). Erroring out here used to restart
-                    // the solve cold, which on drift-prone instances just
-                    // walked the same path into the same breakdown and then
-                    // fell back to the dense oracle — which *cycles* on the
-                    // larger bound LPs, turning a transient drift into a
-                    // hard failure.
+                    // iteration anyway). A cold restart would, on
+                    // drift-prone instances, walk the same path into the
+                    // same breakdown.
                     if work.repairs < MAX_IN_PLACE_REPAIRS
                         && self.repair_rows_in_place(work)?
                     {
@@ -1533,12 +1506,8 @@ impl RevisedSimplex {
         let mut stall_counter = 0usize;
         let mut best_objective = f64::INFINITY;
         let mut bland_mode = false;
-        let mut reperturbations = 0usize;
         let mut y = vec![0.0; self.m];
         let mut d = vec![0.0; self.m];
-        // Columns whose best available pivot was numerically unusable, banned
-        // from entering until the basis changes.
-        let mut banned = vec![false; self.total_real];
 
         loop {
             if work.iterations >= options.max_iterations
@@ -1564,11 +1533,11 @@ impl RevisedSimplex {
 
             let mut entering: Option<usize> = None;
             let mut most_negative = -tol;
-            for j in 0..self.total_real {
-                if work.in_basis[j] || banned[j] {
+            for (j, &cost) in costs.iter().enumerate().take(self.total_real) {
+                if work.in_basis[j] {
                     continue;
                 }
-                let rc = costs[j] - self.cols.col_dot(j, &y);
+                let rc = cost - self.cols.col_dot(j, &y);
                 if rc < -tol {
                     if bland_mode {
                         entering = Some(j);
@@ -1593,52 +1562,7 @@ impl RevisedSimplex {
                 // costs more than the solve.
                 if work.factor.eta_count() > TRUSTED_ETA_COUNT {
                     self.refresh_factor(work, phase1)?;
-                    banned.fill(false);
                     continue;
-                }
-                // A banned column that still prices in means this vertex is
-                // *not* certified optimal — it merely offers no numerically
-                // usable pivot. Report a numerical failure so the caller
-                // retries cold or falls back to the oracle, rather than
-                // returning a possibly invalid bound as Optimal.
-                //
-                // The verdict is scale-aware: reduced costs are computed as
-                // `c_j - y^T a_j`, so on ill-conditioned LPs with dual
-                // prices of order 1e5 (the mean-queue-length bounds) they
-                // carry cancellation noise of order `||y||_inf * eps_mach`
-                // amplified by the pricing dot products. A column whose
-                // reduced cost is negative only *within that noise floor*
-                // is not evidence of suboptimality — treating it as such
-                // made `bound_all()` error out (and fall back to the dense
-                // oracle, which then cycles) on the SCV=16 case study from
-                // N ~ 20. Columns with a genuinely negative reduced cost
-                // relative to the dual scale still fail the solve.
-                let dual_scale = 1.0 + y.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
-                let blocked = banned.iter().enumerate().any(|(j, &is_banned)| {
-                    is_banned
-                        && !work.in_basis[j]
-                        && costs[j] - self.cols.col_dot(j, &y) < -tol * dual_scale
-                });
-                if blocked {
-                    // The vertex is genuinely suboptimal but every
-                    // improving column's pivot is unusable under the
-                    // *current* perturbed basic values. The pivot entries do
-                    // not depend on the right-hand side: re-draw the
-                    // perturbation (new salt) so different rows become
-                    // ratio-binding, and resume. Only when repeated
-                    // re-draws cannot unlock a pivot is the solve declared
-                    // numerically lost.
-                    if reperturbations < MAX_REPERTURBATIONS {
-                        self.pert_salt.set(self.pert_salt.get().wrapping_add(1));
-                        if self.apply_perturbation(work) {
-                            reperturbations += 1;
-                            banned.fill(false);
-                            continue;
-                        }
-                    }
-                    return Err(LpError::Numerical(
-                        "optimality blocked by improving columns without usable pivots".into(),
-                    ));
                 }
                 return Ok(true);
             };
@@ -1648,37 +1572,21 @@ impl RevisedSimplex {
             self.scatter_column(q, &mut d);
             work.factor.ftran(&mut d);
 
-            // Harris two-pass ratio test. Pass 1 computes the step bound
-            // *relaxed by the feasibility tolerance in the numerator* —
-            // `(x_B + delta) / d` — over every row that bounds the step.
-            // The slack is what makes the test numerically sound: if the
-            // strictly binding row has a near-zero pivot, a row with a solid
-            // pivot and an only-delta-worse ratio can leave instead, at the
-            // cost of a transient infeasibility of at most delta (clamped
-            // away by the update). Rows holding a basic artificial that the
-            // step would increase (d < 0) bound the step in phase 2 through
-            // the same slack, since artificials must stay at ~zero once
-            // feasibility is reached.
-            // In Bland mode the relaxation is dropped (delta = 0): Harris's
-            // slack re-admits the degenerate pivots Bland's rule exists to
-            // order, and the combination can cycle. The exact strict-ratio
-            // test restores the anti-cycling guarantee at the price of
-            // occasionally smaller pivots, which the suspect-pivot guard
-            // below absorbs.
+            // Harris ratio test (see `ratio_test`), without the slack in
+            // Bland mode: Harris's slack re-admits the degenerate pivots
+            // Bland's rule exists to order, and the combination can cycle.
             let delta = if bland_mode { 0.0 } else { RATIO_DELTA };
             // The test runs twice when needed. The first attempt considers
             // only rows with a *solid* pivot entry (`> MIN_PIVOT`): on the
             // ill-conditioned bound LPs, rows with noise-level entries
             // (1e-9..1e-7, mostly drift over true zeros) and ~zero basic
             // values otherwise capture the minimum ratio and force the
-            // engine onto near-singular pivots. Ignoring them is sound as
-            // long as the step stays bounded — their values drift by at
-            // most `theta * MIN_PIVOT`, inside the feasibility tolerance —
-            // so a long-step choice falls back to the strict test over
+            // engine onto near-singular pivots. A step longer than
+            // MAX_SOLID_PASS_STEP is re-chosen by the strict test over
             // every row.
             let mut choice = self.ratio_test(work, &d, delta, MIN_PIVOT, phase1, bland_mode);
             match choice {
-                Some((_, theta, _)) if theta <= MAX_TINY_PIVOT_STEP => {}
+                Some((_, theta, _)) if theta <= MAX_SOLID_PASS_STEP => {}
                 _ => choice = self.ratio_test(work, &d, delta, PIVOT_TOL, phase1, bland_mode),
             }
             let Some((position, theta, best_pivot)) = choice else {
@@ -1688,7 +1596,6 @@ impl RevisedSimplex {
                 // zeros. Trusted only from a fresh factorization.
                 if work.factor.eta_count() > 0 {
                     self.refresh_factor(work, phase1)?;
-                    banned.fill(false);
                     continue;
                 }
                 if lp_debug() {
@@ -1703,36 +1610,25 @@ impl RevisedSimplex {
 
             // A tiny pivot under a stale factorization is suspect: the true
             // entry may be zero and the computed value pure eta drift.
-            // Refactorize and re-price instead of poisoning the basis.
+            // Refactorize and re-price instead of poisoning the basis. One
+            // still below MIN_PIVOT from a fresh factorization fails the
+            // solve.
             if best_pivot.abs() < SUSPECT_PIVOT && work.factor.eta_count() > 0 {
                 self.refresh_factor(work, phase1)?;
                 continue;
             }
-            // Even with a fresh factorization the best pivot can be
-            // genuinely tiny. A long step on it would smear macroscopic
-            // infeasibility over the rows the ratio test ignored, so those
-            // columns are banned for the pricing round (available again
-            // after the next basis change); a *bounded* step is taken, with
-            // the near-singular eta purged by an immediate refactorization
-            // (see MAX_TINY_PIVOT_STEP).
-            let tiny_pivot = best_pivot.abs() < MIN_PIVOT;
-            if tiny_pivot && theta > MAX_TINY_PIVOT_STEP {
-                banned[q] = true;
-                work.iterations += 1;
-                continue;
-            }
-
-            if tiny_pivot && lp_debug() {
-                eprintln!(
-                    "tiny-pivot-step: col {q} pivot {best_pivot:.3e} theta {theta:.3e} at iteration {}",
-                    work.iterations
-                );
+            if best_pivot.abs() < MIN_PIVOT {
+                if lp_debug() {
+                    eprintln!(
+                        "tiny-pivot: col {q} pivot {best_pivot:.3e} theta {theta:.3e} at iteration {}",
+                        work.iterations
+                    );
+                }
+                return Err(LpError::Numerical(format!(
+                    "no usable pivot for improving column {q} (best {best_pivot:.3e})"
+                )));
             }
             self.apply_pivot(work, position, q, theta, &d, phase1)?;
-            if tiny_pivot {
-                self.refresh_factor(work, phase1)?;
-            }
-            banned.fill(false);
 
             let current_objective: f64 = work
                 .basis
@@ -1746,7 +1642,6 @@ impl RevisedSimplex {
             } else {
                 stall_counter += 1;
             }
-
         }
     }
 }
@@ -1923,6 +1818,41 @@ mod tests {
             .unwrap();
         assert_eq!(solution.status, LpStatus::Optimal);
         assert_close(solution.objective, 10.0);
+    }
+
+    /// `max x2 s.t. x1 + c x2 <= 1`: the only improving column pivots on
+    /// `c` from a fresh factorization, so `c` below [`MIN_PIVOT`] must fail
+    /// the solve as numerical, never report an optimum, and `c` above it
+    /// must pivot to the dense tableau's optimum `1 / c`.
+    #[test]
+    fn tiny_pivot_from_a_fresh_factor_is_a_numerical_failure() {
+        let problem = |c: f64| {
+            let mut lp = LpProblem::new(2, Sense::Maximize);
+            lp.set_objective(&[(1, 1.0)]);
+            lp.add_le(&[(0, 1.0), (1, c)], 1.0);
+            lp
+        };
+        for c in [1e-8, 5e-8] {
+            let lp = problem(c);
+            let mut engine = RevisedSimplex::new(&lp).unwrap();
+            let result = engine.solve(&lp, &SimplexOptions::default());
+            assert!(
+                matches!(result, Err(LpError::Numerical(_))),
+                "c = {c}: {result:?}"
+            );
+        }
+        let lp = problem(2e-7);
+        let s = revised_solve(&lp);
+        assert_eq!(s.status, LpStatus::Optimal);
+        assert!((s.objective - 5e6).abs() <= 1e-9 * 5e6, "{}", s.objective);
+        let dense = lp
+            .solve_with(&SimplexOptions {
+                engine: crate::simplex::SimplexEngine::DenseTableau,
+                ..SimplexOptions::default()
+            })
+            .unwrap();
+        assert_eq!(dense.status, LpStatus::Optimal);
+        assert!((s.objective - dense.objective).abs() <= 1e-9 * 5e6);
     }
 
     #[test]

@@ -59,8 +59,9 @@ pub struct SimplexOptions {
     pub engine: SimplexEngine,
     /// Base salt of the revised engine's deterministic anti-degeneracy
     /// RHS-perturbation draw. Every solve under a fixed salt is exactly
-    /// reproducible (the engine re-draws by bumping the salt at degenerate
-    /// dead ends, deterministically). Ensemble drivers that want distinct
+    /// reproducible (the engine's own re-draws — phase-1 gray-zone retries
+    /// and cold restarts after a numerical failure — step the salt by 1,
+    /// deterministically). Ensemble drivers that want distinct
     /// perturbation streams per scenario must derive this from the **job
     /// index**, never from a worker id or thread id — a schedule-dependent
     /// salt would make results depend on the worker count.

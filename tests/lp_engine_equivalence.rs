@@ -29,9 +29,13 @@
 //! The end-to-end interval test also asserts the revised answer came from
 //! the degradation ladder's direct rung: a revised-engine failure rescued
 //! by a later rung would otherwise pass as a slower certified answer.
+//!
+//! A last test pins the warm-start contract the bound solver relies on:
+//! a basis the revised engine returned as optimal re-enters phase 2 and
+//! certifies without a pivot, so phase 1 runs once per constraint set.
 
 use mapqn::core::random_models::{random_model, RandomModelSpec};
-use mapqn::core::templates::figure5_network;
+use mapqn::core::templates::{figure5_network, tpcw_server_tier, TpcwParameters};
 use mapqn::core::{ClosedNetwork, MarginalBoundSolver, PerformanceIndex};
 use mapqn::lp::{
     ConstraintOp, LpProblem, LpStatus, RevisedSimplex, Sense, SimplexEngine, SimplexOptions,
@@ -211,4 +215,70 @@ fn bound_intervals_match_between_engines() {
             assert_close(a.upper, b.upper, 1e-6, &format!("station {k} upper"));
         }
     }
+}
+
+/// Runs phase 1 once, then chains every objective of a `bound_all` — all
+/// minimizations, then all maximizations, each family grouped — through
+/// `solve_from_basis` at default options, and re-solves each objective
+/// from the basis its solve just returned. A returned optimal basis must
+/// re-enter phase 2 and certify in zero pivots with the same objective:
+/// an optimal basis whose basic values come back infeasible only under the
+/// anti-degeneracy perturbation is still feasible for the true right-hand
+/// side, and restarting phase 1 from it throws the warm start away.
+fn assert_optimal_bases_reenter_without_pivots(network: &ClosedNetwork, context: &str) {
+    let solver = MarginalBoundSolver::new(network).unwrap();
+    let base = solver.lp_problem();
+    let options = SimplexOptions::default();
+    let mut engine = RevisedSimplex::new(base).unwrap();
+    let mut basis = engine
+        .find_feasible_basis(&options)
+        .unwrap()
+        .expect("bound LPs are feasible");
+
+    let m = network.num_stations();
+    let mut indices: Vec<PerformanceIndex> = (0..m).map(PerformanceIndex::Throughput).collect();
+    indices.push(PerformanceIndex::SystemThroughput);
+    indices.extend((0..m).map(PerformanceIndex::Utilization));
+    indices.extend((0..m).map(PerformanceIndex::MeanQueueLength));
+
+    for sense in [Sense::Minimize, Sense::Maximize] {
+        for &index in &indices {
+            let ctx = format!("{context}, {index:?} {sense:?}");
+            let mut objective = vec![0.0; base.num_vars()];
+            for (idx, c) in solver.objective_for(index) {
+                objective[idx] += c;
+            }
+            let (first, optimal) = engine
+                .solve_from_basis(&objective, sense, &basis, &options)
+                .unwrap();
+            assert_eq!(first.status, LpStatus::Optimal, "{ctx}");
+            let (again, again_basis) = engine
+                .solve_from_basis(&objective, sense, &optimal, &options)
+                .unwrap();
+            assert_eq!(again.status, LpStatus::Optimal, "{ctx}");
+            assert_eq!(
+                again.iterations, 0,
+                "{ctx}: re-solving from the returned optimal basis pivoted"
+            );
+            let diff = (again.objective - first.objective).abs();
+            assert!(
+                diff <= 1e-9 * first.objective.abs(),
+                "{ctx}: re-solve moved the objective {} -> {} (diff {diff:.3e})",
+                first.objective,
+                again.objective
+            );
+            basis = again_basis;
+        }
+    }
+}
+
+#[test]
+fn returned_optimal_bases_reenter_phase_two_without_pivots() {
+    let tier = tpcw_server_tier(&TpcwParameters::default()).unwrap();
+    for n in [10usize, 30] {
+        let network = tier.with_population(n).unwrap();
+        assert_optimal_bases_reenter_without_pivots(&network, &format!("TPC-W tier N={n}"));
+    }
+    let network = figure5_network(20, 16.0, 0.5).unwrap();
+    assert_optimal_bases_reenter_without_pivots(&network, "figure5 SCV=16 N=20");
 }
