@@ -31,6 +31,13 @@
 //! The default, [`GeneratorRepresentation::Auto`], estimates the bytes a
 //! materialized solve would hold and goes implicit only above
 //! [`ExactOptions::materialize_bytes_ceiling`].
+//!
+//! Both representations hand the sparse engine the same aggregation level
+//! per state — bottleneck queue length times the joint phase count, plus
+//! the joint phase code — so its Gauss–Seidel rung runs the coarse
+//! aggregation/disaggregation step either way. That step is what keeps the
+//! bursty-MAP chains (figure 5 at SCV = 4 and beyond) on Gauss–Seidel
+//! instead of stalling into the slower fallback rungs.
 
 use crate::factored::FactoredGenerator;
 use crate::metrics::NetworkMetrics;

@@ -36,8 +36,19 @@
 //! successor. The cursor carries the first index of every job-move
 //! predecessor `q + e_a − e_b`; in the common successor step (one job from
 //! the last station to the one before) each predecessor steps to its own
-//! successor, so those indexes advance without a rank. The apply and the
-//! Gauss–Seidel relaxation share that one row gather.
+//! successor, so those indexes advance without a rank. The apply, the
+//! Gauss–Seidel relaxation and the coarse scan share that one row gather.
+//!
+//! ## Aggregation levels
+//!
+//! The cursor also gives every index its aggregation level, `q[b] · Π
+//! phases + phase rank` with `b` the bottleneck queue of
+//! [`crate::statespace::build_state_space`] — the same level the
+//! materialized chain gives the same state. Each gathered in-transition
+//! knows its predecessor's level from the digits and the job move, so
+//! [`GeneratorOp::aggregate_rows_into`] accumulates the level flows in the
+//! one row walk and the sparse engine's Gauss–Seidel rung runs its coarse
+//! step on the factored path too.
 //!
 //! ## Relation to the BFS space
 //!
@@ -54,9 +65,9 @@
 //! materialized BFS path remains the reference.
 
 use crate::network::{ClosedNetwork, StationKind};
-use crate::statespace::NetworkState;
+use crate::statespace::{level_station, NetworkState};
 use crate::{CoreError, Result};
-use mapqn_linalg::GeneratorOp;
+use mapqn_linalg::{GeneratorOp, LevelFlows};
 use mapqn_markov::MarkovError;
 
 /// Nonzero in-rates into one phase: `(source phase, rate)` in source order.
@@ -132,6 +143,10 @@ pub struct FactoredGenerator {
     /// Pascal table `binom[n][k]` for `n <= N + M`, `k <= M`.
     binom: Vec<Vec<usize>>,
     n_states: usize,
+    /// The station whose queue length sets the aggregation levels
+    /// (`level = q[b] · Π phases + phase rank`, as in
+    /// [`crate::statespace::build_state_space`]), if the network has levels.
+    level_station: Option<usize>,
 }
 
 impl FactoredGenerator {
@@ -250,6 +265,7 @@ impl FactoredGenerator {
             phase_strides,
             binom,
             n_states,
+            level_station: level_station(network),
         })
     }
 
@@ -385,11 +401,18 @@ impl FactoredGenerator {
         }
     }
 
-    /// Off-diagonal part of row `j` of `Qᵀ` applied to `read`, added to
-    /// `acc` in a fixed order: phase-only in-transitions station by station,
-    /// then job moves route by route. The one row gather behind the apply
-    /// and the relaxation.
-    fn gather_inflow(&self, j: usize, c: &RowCursor, mut acc: f64, read: impl Fn(usize) -> f64) -> f64 {
+    /// Aggregation level of the cursor's state: `q[b] · Π phases + phase
+    /// rank` (the phase rank alone when the network has no levels).
+    fn level_of(&self, c: &RowCursor) -> usize {
+        c.prank + self.level_station.map_or(0, |b| c.q[b] * self.phase_prod)
+    }
+
+    /// Visits the off-diagonal part of row `j` of `Qᵀ` in a fixed order —
+    /// phase-only in-transitions station by station, then job moves route
+    /// by route — as `visit(i, Q[i, j], level of i)`. The one row gather
+    /// behind the apply, the relaxation and the coarse scan.
+    fn for_each_inflow(&self, j: usize, c: &RowCursor, mut visit: impl FnMut(usize, f64, usize)) {
+        let level = self.level_of(c);
         // A hidden transition at busy station s, or a completion at s
         // routed back to s: the predecessor differs in digit s only.
         for &s in &self.multi_phase {
@@ -400,13 +423,15 @@ impl FactoredGenerator {
             let h_j = c.phs[s];
             let stride = self.phase_strides[s];
             let base = j - h_j * stride;
+            let base_level = level - h_j * stride;
             for &(h, rate) in &self.blocks[s].phase_in[h_j] {
-                acc += read(base + h * stride) * (rate * mult);
+                visit(base + h * stride, rate * mult, base_level + h * stride);
             }
         }
         // A completion at a routed to b != a: the predecessor holds one
         // more job at a and one fewer at b, with an arbitrary
         // pre-completion phase h at a (all other digits equal).
+        let bottleneck = self.level_station.unwrap_or(usize::MAX);
         for (&(a, b, p_ab), &pred) in self.routes.iter().zip(&c.preds) {
             if c.q[b] == 0 {
                 continue;
@@ -415,10 +440,29 @@ impl FactoredGenerator {
             let h_a = c.phs[a];
             let stride = self.phase_strides[a];
             let base = pred + (c.prank - h_a * stride);
+            let base_level = (level + usize::from(a == bottleneck) * self.phase_prod)
+                - usize::from(b == bottleneck) * self.phase_prod
+                - h_a * stride;
             for &(h, cpl) in &self.blocks[a].completion_in[h_a] {
-                acc += read(base + h * stride) * (cpl * p_ab * mult);
+                visit(
+                    base + h * stride,
+                    cpl * p_ab * mult,
+                    base_level + h * stride,
+                );
             }
         }
+    }
+
+    /// Off-diagonal part of row `j` of `Qᵀ` applied to `read`, added to
+    /// `acc` in [`FactoredGenerator::for_each_inflow`] order.
+    fn gather_inflow(
+        &self,
+        j: usize,
+        c: &RowCursor,
+        mut acc: f64,
+        read: impl Fn(usize) -> f64,
+    ) -> f64 {
+        self.for_each_inflow(j, c, |i, rate, _| acc += read(i) * rate);
         acc
     }
 
@@ -565,6 +609,37 @@ impl GeneratorOp for FactoredGenerator {
         self.for_each_row(start, out.len(), |j, c| {
             out[j - start] = self.diagonal_of(&c.q, &c.phs);
         });
+    }
+
+    fn aggregate_rows_into(
+        &self,
+        start: usize,
+        x: &[f64],
+        levels: &mut [u32],
+        flows: &mut LevelFlows,
+    ) -> bool {
+        if self.level_station.is_none() {
+            return false;
+        }
+        assert!(
+            start + levels.len() <= self.n_states,
+            "FactoredGenerator: row block out of range"
+        );
+        flows.reset(
+            (self.population + 1) * self.phase_prod,
+            2 * self.phase_prod - 1,
+        );
+        self.for_each_row(start, levels.len(), |j, c| {
+            let to = self.level_of(c);
+            // Fits: `level_station` checked `(N + 1) · Π phases` against `u32`.
+            levels[j - start] = to as u32;
+            self.for_each_inflow(j, c, |i, rate, from| {
+                if from != to {
+                    flows.add(from, to, x[i] * rate);
+                }
+            });
+        });
+        true
     }
 
     fn nnz(&self) -> usize {
@@ -910,6 +985,74 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The factored level of every state equals its materialized level,
+    /// and both coarse scans give the same level flows under the index
+    /// mapping.
+    fn assert_levels_match_materialized(network: &crate::ClosedNetwork) {
+        use mapqn_linalg::LeveledCsr;
+        let space = build_state_space(network, 1_000_000).unwrap();
+        let op = FactoredGenerator::new(network, 1_000_000).unwrap();
+        let levels = space.ctmc().levels().expect("the network has levels");
+        let to_factored: Vec<usize> = space
+            .states()
+            .iter()
+            .map(|s| op.index_of(s).expect("reachable state must rank"))
+            .collect();
+
+        let x_bfs = probe(space.len(), 5);
+        let mut x_fac = vec![0.0; op.num_states()];
+        for (&fac, &x) in to_factored.iter().zip(&x_bfs) {
+            x_fac[fac] = x;
+        }
+        let mut fac_levels = vec![0u32; op.num_states()];
+        let mut fac_flows = LevelFlows::default();
+        assert!(op.aggregate_rows_into(0, &x_fac, &mut fac_levels, &mut fac_flows));
+        for (bfs, &fac) in to_factored.iter().enumerate() {
+            assert_eq!(fac_levels[fac], levels[bfs], "level of state {bfs}");
+        }
+
+        let qt = space.ctmc().generator().transpose();
+        let materialized = LeveledCsr::new(&qt, levels).unwrap();
+        let mut mat_levels = vec![0u32; space.len()];
+        let mut mat_flows = LevelFlows::default();
+        assert!(materialized.aggregate_rows_into(0, &x_bfs, &mut mat_levels, &mut mat_flows));
+        assert_eq!(mat_levels, levels);
+        assert_eq!(mat_flows.count(), fac_flows.count());
+        assert!(mat_flows.half_band() <= fac_flows.half_band());
+        let w = fac_flows.half_band();
+        for from in 0..fac_flows.count() {
+            for to in from.saturating_sub(w)..(from + w + 1).min(fac_flows.count()) {
+                let (m, f) = (mat_flows.get(from, to), fac_flows.get(from, to));
+                assert!(
+                    (m - f).abs() <= 1e-12 * m.abs().max(f.abs()),
+                    "flow {from} -> {to}: materialized {m} vs factored {f}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn levels_match_materialized_levels() {
+        use crate::random_models::{random_model, RandomModelSpec};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        assert_levels_match_materialized(&figure5_network(6, 16.0, 0.5).unwrap());
+        assert_levels_match_materialized(
+            &tpcw_network(&TpcwParameters {
+                browsers: 7,
+                ..TpcwParameters::default()
+            })
+            .unwrap(),
+        );
+        let three_maps = random_model(&RandomModelSpec::default(), &mut StdRng::seed_from_u64(1))
+            .unwrap()
+            .network
+            .with_population(5)
+            .unwrap();
+        assert_eq!(three_maps.joint_phase_count(), 8);
+        assert_levels_match_materialized(&three_maps);
     }
 
     #[test]

@@ -36,8 +36,30 @@ impl NetworkState {
     }
 }
 
+/// The station whose queue length sets the aggregation levels of the
+/// network's CTMC: the queue station with the largest service demand (ties
+/// go to the lower index). A state's level is `n_b · P + c`, with `n_b` that
+/// station's queue length, `P` the joint phase count and `c` the joint phase
+/// code (mixed radix, station 0 most significant). A transition moves at
+/// most one job, so it spans fewer than `2P` levels.
+///
+/// `None` — no levels — when the network has no queue station, its demands
+/// are undefined, or the `(N + 1) · P` levels overflow the `u32` encoding.
+pub(crate) fn level_station(network: &ClosedNetwork) -> Option<usize> {
+    let demands = network.service_demands().ok()?;
+    let count = (network.population() + 1).checked_mul(network.joint_phase_count())?;
+    u32::try_from(count).ok()?;
+    (0..network.num_stations())
+        .filter(|&k| network.station(k).kind == StationKind::Queue)
+        .fold(None, |best: Option<usize>, k| match best {
+            Some(b) if demands[b] >= demands[k] => Some(b),
+            _ => Some(k),
+        })
+}
+
 /// Enumerates the reachable state space of the network and assembles its
-/// CTMC generator.
+/// CTMC generator. The CTMC carries the aggregation levels of
+/// [`level_station`] when the network has them.
 ///
 /// # Errors
 /// * [`CoreError::InvalidNetwork`] when the population does not fit in the
@@ -87,6 +109,13 @@ pub fn build_state_space(
         .map(|j| (0..m).map(|k| network.routing(j, k)).collect())
         .collect();
 
+    let mut phase_strides = vec![1usize; m];
+    for s in (0..m.saturating_sub(1)).rev() {
+        phase_strides[s] = phase_strides[s + 1] * tables[s + 1].phases;
+    }
+    let phase_prod = phase_strides[0] * tables[0].phases;
+    let leveled = level_station(network);
+
     let builder = StateSpaceBuilder::new().with_max_states(max_states);
     let space = builder.build(NetworkState::initial(network), move |state| {
         let mut transitions: Vec<(NetworkState, f64)> = Vec::new();
@@ -133,7 +162,19 @@ pub fn build_state_space(
         }
         transitions
     })?;
-    Ok(space)
+    let Some(b) = leveled else {
+        return Ok(space);
+    };
+    Ok(space.with_levels(|state| {
+        let code: usize = state
+            .phases
+            .iter()
+            .zip(&phase_strides)
+            .map(|(&h, &stride)| usize::from(h) * stride)
+            .sum();
+        // Fits: `level_station` checked `(N + 1) · P` against `u32`.
+        (usize::from(state.queue_lengths[b]) * phase_prod + code) as u32
+    }))
 }
 
 #[cfg(test)]

@@ -43,15 +43,22 @@ fn pi_agrees_across_representations_on_every_common_rung() {
 
 /// Factored Gauss–Seidel is bitwise worker-count invariant: block
 /// boundaries come from `block_len` alone (64 here, cutting compositions
-/// mid-block), never from the worker count.
+/// mid-block), never from the worker count. The TPC-W generator carries
+/// aggregation levels, so this covers the coarse step too: its level flows
+/// are summed over the same fixed blocks in block order.
 #[test]
 fn factored_gauss_seidel_is_bitwise_worker_count_invariant() {
+    use mapqn_linalg::{GeneratorOp, LevelFlows};
     let net = tpcw_network(&TpcwParameters {
         browsers: 12,
         ..TpcwParameters::default()
     })
     .unwrap();
     let op = FactoredGenerator::new(&net, 100_000).unwrap();
+    assert!(
+        op.aggregate_rows_into(0, &[], &mut [], &mut LevelFlows::default()),
+        "the TPC-W generator must carry levels"
+    );
     let base = SparseSteadyOptions {
         block_len: 64,
         parallel_threshold: 0,

@@ -50,7 +50,7 @@ pub use csc::CscMatrix;
 pub use dense::DMatrix;
 pub use kron::{kron, kron_sum};
 pub use lu::Lu;
-pub use op::{GeneratorOp, KronGenerator};
+pub use op::{GeneratorOp, KronGenerator, LevelFlows, LeveledCsr};
 pub use sparse::{CsrAssembler, CsrMatrix};
 pub use vector::DVector;
 

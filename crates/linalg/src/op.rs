@@ -1,10 +1,10 @@
 //! Implicit-operator abstraction over CTMC generators.
 //!
 //! The sparse stationary engine in `mapqn-markov` only ever touches the
-//! generator through five operations: row-block left products (`π ↦ πQ`
+//! generator through these operations: row-block left products (`π ↦ πQ`
 //! computed as row scans of `Qᵀ`), row-block Gauss–Seidel relaxations,
-//! diagonal extraction (per-state exit rates), and nnz/memory accounting
-//! for its worker-count and routing decisions. [`GeneratorOp`] captures
+//! row-block level aggregation, diagonal extraction (per-state exit rates),
+//! and nnz/memory accounting for its worker-count and routing decisions. [`GeneratorOp`] captures
 //! exactly that contract, so every rung of the engine's ladder runs over
 //! *any* representation of `Q`:
 //!
@@ -25,6 +25,14 @@
 //! Gauss–Seidel needs nothing beyond rows of `Qᵀ` visited in index order
 //! (Ciardo & Miner, PNPM 1999), so an implicit representation implements
 //! [`GeneratorOp::relax_rows_into`] with the same row gather as its apply.
+//!
+//! A representation may also partition its states into *aggregation
+//! levels* for the engine's coarse aggregation/disaggregation step:
+//! [`GeneratorOp::aggregate_rows_into`] scans a row block once and reports
+//! each row's level plus the [`LevelFlows`] between levels. The default
+//! means "no levels"; [`LeveledCsr`] pairs a materialized `Qᵀ` with a level
+//! array, and the factored network generator in `mapqn-core` reads levels
+//! off its row cursor. [`KronGenerator`] carries none.
 
 use crate::dense::DMatrix;
 use crate::sparse::CsrMatrix;
@@ -74,6 +82,106 @@ pub trait GeneratorOp: Sync {
     /// `x_old`. Each block reads only `x_old` and its own output, so
     /// chunked evaluation is bitwise identical at any chunk assignment.
     fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]);
+
+    /// Aggregation levels for the engine's coarse step, over the rows
+    /// `start .. start + levels.len()`: writes each row's level into
+    /// `levels` and overwrites `flows` with the level-to-level flows
+    /// `x_i · Q[i, j]` of every transition `i → j` into those rows whose
+    /// end points lie on different levels. Returns `false` — the default —
+    /// when the generator carries no levels; `levels` and `flows` are then
+    /// left untouched.
+    ///
+    /// Each block reads only `x` and its own rows and adds its flows in row
+    /// order, so a fixed block partition gives the same sums at any worker
+    /// count.
+    fn aggregate_rows_into(
+        &self,
+        _start: usize,
+        _x: &[f64],
+        _levels: &mut [u32],
+        _flows: &mut LevelFlows,
+    ) -> bool {
+        false
+    }
+}
+
+/// Level-to-level flows `F[L][L']` of a generator whose states are
+/// partitioned into `count` levels, with no transition spanning more than
+/// `half_band` levels: a banded `count × count` matrix stored row by row,
+/// `2·half_band + 1` entries per row. The diagonal is unused (flows inside
+/// a level do not move mass between levels).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct LevelFlows {
+    count: usize,
+    half_band: usize,
+    band: Vec<f64>,
+}
+
+impl LevelFlows {
+    /// Resizes to `count` levels of half-bandwidth `half_band` and zeroes
+    /// every flow, reusing the allocation.
+    pub fn reset(&mut self, count: usize, half_band: usize) {
+        self.count = count;
+        self.half_band = half_band;
+        self.band.clear();
+        self.band.resize(count * (2 * half_band + 1), 0.0);
+    }
+
+    /// Number of levels.
+    #[must_use]
+    pub fn count(&self) -> usize {
+        self.count
+    }
+
+    /// Largest level distance a stored flow may span.
+    #[must_use]
+    pub fn half_band(&self) -> usize {
+        self.half_band
+    }
+
+    /// Position of `F[from][to]` in the band; `|from − to| ≤ half_band`.
+    #[inline]
+    fn slot(&self, from: usize, to: usize) -> usize {
+        debug_assert!(from.abs_diff(to) <= self.half_band && from.max(to) < self.count);
+        from * (2 * self.half_band + 1) + self.half_band + to - from
+    }
+
+    /// Adds `flow` to `F[from][to]`.
+    #[inline]
+    pub fn add(&mut self, from: usize, to: usize, flow: f64) {
+        let k = self.slot(from, to);
+        self.band[k] += flow;
+    }
+
+    /// `F[from][to]`, zero outside the band.
+    #[must_use]
+    pub fn get(&self, from: usize, to: usize) -> f64 {
+        if from.abs_diff(to) > self.half_band || from.max(to) >= self.count {
+            0.0
+        } else {
+            self.band[self.slot(from, to)]
+        }
+    }
+
+    /// Sets `F[from][to]`; `|from − to| ≤ half_band`.
+    pub fn set(&mut self, from: usize, to: usize, flow: f64) {
+        let k = self.slot(from, to);
+        self.band[k] = flow;
+    }
+
+    /// Adds `other`'s flows entry by entry; both must have the same shape.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn add_assign(&mut self, other: &LevelFlows) {
+        assert!(
+            self.count == other.count && self.half_band == other.half_band,
+            "LevelFlows: shape mismatch"
+        );
+        for (a, b) in self.band.iter_mut().zip(&other.band) {
+            *a += b;
+        }
+    }
 }
 
 /// The materialized representation: a [`CsrMatrix`] used as a
@@ -128,6 +236,103 @@ impl GeneratorOp for CsrMatrix {
             }
             out[bi] = s / exit[i];
         }
+    }
+}
+
+/// A materialized generator — `Qᵀ` as a [`CsrMatrix`], exactly as above —
+/// whose states carry aggregation levels. Every operation but
+/// [`GeneratorOp::aggregate_rows_into`] is the plain CSR's, bit for bit;
+/// that one scans the stored rows and reads both end points' levels from
+/// the level array.
+#[derive(Debug, Clone, Copy)]
+pub struct LeveledCsr<'a> {
+    qt: &'a CsrMatrix,
+    levels: &'a [u32],
+    count: usize,
+    half_band: usize,
+}
+
+impl<'a> LeveledCsr<'a> {
+    /// Pairs the transposed generator `qt` with one level per state; the
+    /// level count and the widest level distance any transition spans are
+    /// read off the stored entries.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::InvalidArgument`] when `levels` does not hold
+    /// one entry per state.
+    pub fn new(qt: &'a CsrMatrix, levels: &'a [u32]) -> Result<Self> {
+        if levels.len() != qt.nrows() {
+            return Err(LinalgError::InvalidArgument(
+                "LeveledCsr: one level per state is required",
+            ));
+        }
+        let count = levels.iter().max().map_or(0, |&l| l as usize + 1);
+        let rp = qt.row_ptr();
+        let ci = qt.col_indices();
+        let mut half_band = 0usize;
+        for (j, &to) in levels.iter().enumerate() {
+            for &i in &ci[rp[j]..rp[j + 1]] {
+                half_band = half_band.max(levels[i].abs_diff(to) as usize);
+            }
+        }
+        Ok(Self {
+            qt,
+            levels,
+            count,
+            half_band,
+        })
+    }
+}
+
+impl GeneratorOp for LeveledCsr<'_> {
+    fn num_states(&self) -> usize {
+        self.qt.nrows()
+    }
+
+    fn left_apply_rows_into(&self, start: usize, x: &[f64], out: &mut [f64]) {
+        self.qt.left_apply_rows_into(start, x, out);
+    }
+
+    fn diagonal_rows_into(&self, start: usize, out: &mut [f64]) {
+        self.qt.diagonal_rows_into(start, out);
+    }
+
+    fn nnz(&self) -> usize {
+        GeneratorOp::nnz(self.qt)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.qt.memory_bytes() + std::mem::size_of_val(self.levels)
+    }
+
+    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
+        self.qt.relax_rows_into(start, x_old, exit, out);
+    }
+
+    fn aggregate_rows_into(
+        &self,
+        start: usize,
+        x: &[f64],
+        levels: &mut [u32],
+        flows: &mut LevelFlows,
+    ) -> bool {
+        flows.reset(self.count, self.half_band);
+        let rp = self.qt.row_ptr();
+        let ci = self.qt.col_indices();
+        let vals = self.qt.values();
+        for (bi, level) in levels.iter_mut().enumerate() {
+            let j = start + bi;
+            *level = self.levels[j];
+            let to = self.levels[j] as usize;
+            for k in rp[j]..rp[j + 1] {
+                let i = ci[k];
+                let from = self.levels[i] as usize;
+                if from != to {
+                    flows.add(from, to, vals[k] * x[i]);
+                }
+            }
+        }
+        true
     }
 }
 
@@ -765,6 +970,83 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn leveled_csr_scans_level_flows_and_delegates_the_rest() {
+        // A 6-state chain with three levels of two states each.
+        let n = 6;
+        let w = probe_vector(2 * n, 3);
+        let mut full = Vec::new();
+        for i in 0..n {
+            let out = [(i + 1) % n, (i + 2) % n];
+            for (k, &j) in out.iter().enumerate() {
+                full.push((i, j, 1.0 + w[2 * i + k]));
+            }
+            full.push((i, i, -(2.0 + w[2 * i] + w[2 * i + 1])));
+        }
+        let qt = CsrMatrix::from_triplets(n, n, &full).unwrap().transpose();
+        let levels = [0u32, 0, 1, 1, 2, 2];
+        let op = LeveledCsr::new(&qt, &levels).unwrap();
+        assert!(LeveledCsr::new(&qt, &levels[1..]).is_err());
+
+        let x: Vec<f64> = probe_vector(n, 8).iter().map(|v| v + 1.0).collect();
+        let mut got_levels = [9u32; 4];
+        let mut flows = LevelFlows::default();
+        assert!(op.aggregate_rows_into(2, &x, &mut got_levels, &mut flows));
+        assert_eq!(got_levels, [1, 1, 2, 2]);
+        // Level 2 → 0 wraps around the ring: the band spans every level.
+        assert_eq!((flows.count(), flows.half_band()), (3, 2));
+        let mut expected = [[0.0; 3]; 3];
+        for &(i, j, q) in &full {
+            let (from, to) = (levels[i] as usize, levels[j] as usize);
+            if (2..6).contains(&j) && from != to {
+                expected[from][to] += x[i] * q;
+            }
+        }
+        for (from, row) in expected.iter().enumerate() {
+            for (to, &e) in row.iter().enumerate() {
+                assert!((flows.get(from, to) - e).abs() <= 1e-14, "{from} -> {to}");
+            }
+        }
+
+        // Every other operation is the plain CSR's, bit for bit.
+        let mut a = vec![0.0; n];
+        let mut b = vec![0.0; n];
+        op.left_apply_rows_into(0, &x, &mut a);
+        qt.left_apply_rows_into(0, &x, &mut b);
+        assert_eq!(a, b);
+        let exit = exit_rates(&qt);
+        op.relax_rows_into(0, &x, &exit, &mut a);
+        qt.relax_rows_into(0, &x, &exit, &mut b);
+        assert_eq!(a, b);
+        assert_eq!(GeneratorOp::nnz(&op), qt.nnz());
+
+        // Representations without levels say so and leave the output alone.
+        let mut untouched = LevelFlows::default();
+        assert!(!qt.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
+        let kron = KronGenerator::kron_sum(&[generator_block(2, 1)]).unwrap();
+        assert!(!kron.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
+        assert_eq!(untouched, LevelFlows::default());
+        assert_eq!(got_levels, [1, 1, 2, 2]);
+    }
+
+    #[test]
+    fn level_flows_band_storage() {
+        let mut f = LevelFlows::default();
+        f.reset(5, 1);
+        f.add(0, 1, 2.0);
+        f.add(4, 3, 0.5);
+        f.add(4, 3, 0.25);
+        f.set(2, 2, 7.0);
+        assert_eq!((f.get(0, 1), f.get(4, 3), f.get(2, 2)), (2.0, 0.75, 7.0));
+        // Outside the band or the level range reads as zero.
+        assert_eq!((f.get(0, 2), f.get(4, 5), f.get(5, 4)), (0.0, 0.0, 0.0));
+        let mut g = f.clone();
+        g.add_assign(&f);
+        assert_eq!(g.get(4, 3), 1.5);
+        f.reset(5, 1);
+        assert_eq!(f.get(0, 1), 0.0);
     }
 
     #[test]

@@ -8,9 +8,14 @@ use mapqn_linalg::{CsrMatrix, DVector};
 ///
 /// Validity requirements: square, non-negative off-diagonal rates, row sums
 /// equal to zero (within a small tolerance).
+///
+/// A chain may also carry one *aggregation level* per state (see
+/// [`Ctmc::with_levels`]); the sparse engine's Gauss–Seidel rung then runs
+/// a coarse aggregation/disaggregation step over those levels.
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     generator: CsrMatrix,
+    levels: Option<Vec<u32>>,
 }
 
 impl Ctmc {
@@ -58,7 +63,37 @@ impl Ctmc {
                 )));
             }
         }
-        Ok(Self { generator })
+        Ok(Self {
+            generator,
+            levels: None,
+        })
+    }
+
+    /// Attaches one aggregation level per state. Any partition is valid —
+    /// levels change how fast the sparse engine converges, never what it
+    /// converges to — but it pays when few transitions cross levels and
+    /// those that do join nearby levels (the coarse solve is banded in the
+    /// widest level distance a transition spans).
+    ///
+    /// # Errors
+    /// Returns [`MarkovError::InvalidChain`] when `levels` does not hold one
+    /// entry per state.
+    pub fn with_levels(mut self, levels: Vec<u32>) -> Result<Self> {
+        if levels.len() != self.num_states() {
+            return Err(MarkovError::InvalidChain(format!(
+                "{} levels for {} states",
+                levels.len(),
+                self.num_states()
+            )));
+        }
+        self.levels = Some(levels);
+        Ok(self)
+    }
+
+    /// The aggregation level of every state, if the chain carries levels.
+    #[must_use]
+    pub fn levels(&self) -> Option<&[u32]> {
+        self.levels.as_deref()
     }
 
     /// Builds a CTMC from `(from, to, rate)` transition triplets over

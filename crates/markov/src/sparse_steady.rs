@@ -30,6 +30,21 @@
 //!   [`mapqn_linalg::GeneratorOp::relax_rows_into`] call per row block,
 //!   which an implicit operator answers by synthesizing its rows of `Q^T`
 //!   in index order, exactly as its matvec does;
+//! * on an operator whose states carry **aggregation levels**
+//!   ([`mapqn_linalg::GeneratorOp::aggregate_rows_into`]: a
+//!   [`Ctmc::with_levels`] chain, or the factored network generator in
+//!   `mapqn-core`), every unconverged residual check of the Gauss–Seidel
+//!   rung runs one two-level aggregation/disaggregation step (Koury,
+//!   McAllister & Stewart 1984): one scan accumulates the level-to-level
+//!   flows of the current iterate, a GTH elimination inside the band
+//!   solves the coarse chain, and each level is rescaled to its coarse
+//!   probability. Network levels are `n_b · P + c` (bottleneck queue
+//!   length, joint phase code), so the coarse chain is banded with
+//!   half-bandwidth below `2P` and costs `O(K · P²)` for `K` levels. This
+//!   restores the probability the bursty MAP phases trap between nearly
+//!   decoupled levels, which plain sweeps move only slowly — or, on the
+//!   figure-5 SCV = 4 family, not at all. Aitken extrapolation remains the
+//!   accelerator of level-less operators;
 //! * convergence is decided by the **residual** `‖πQ‖_∞ <= tol * q_max`
 //!   (with `q_max` the largest exit rate, so the tolerance is
 //!   dimensionless), not by the change between iterates — a stalled
@@ -53,7 +68,7 @@
 
 use crate::ctmc::Ctmc;
 use crate::{MarkovError, Result};
-use mapqn_linalg::{DVector, GeneratorOp};
+use mapqn_linalg::{DVector, GeneratorOp, LevelFlows, LeveledCsr};
 use mapqn_par::{ScopedPool, WorkPool};
 
 /// Whether `MAPQN_SPARSE_DEBUG` residual tracing is on — read once per
@@ -71,7 +86,9 @@ pub enum SparsePreconditioner {
     /// Block-hybrid Gauss–Seidel: exact Gauss–Seidel ordering inside each
     /// fixed row block, Jacobi (previous-sweep values) across blocks. The
     /// fastest option on the network CTMCs; with one block it is exact
-    /// Gauss–Seidel.
+    /// Gauss–Seidel. On an operator with aggregation levels every
+    /// unconverged residual check adds the coarse aggregation/disaggregation
+    /// step (see the module docs).
     GaussSeidel,
     /// Jacobi-preconditioned power iteration with adaptive uniformization:
     /// power iteration on `P = I + D^{-1} Q` where `D` holds each state's
@@ -96,7 +113,8 @@ pub struct SparseSteadyOptions {
     /// Maximum number of sweeps per preconditioner attempt.
     pub max_sweeps: usize,
     /// How many sweeps between residual evaluations (each check costs one
-    /// extra sparse matvec).
+    /// extra sparse matvec, plus one coarse scan and banded solve on the
+    /// Gauss–Seidel rung of an operator with aggregation levels).
     pub check_every: usize,
     /// Row-block length for the parallel sweeps. Fixed independently of the
     /// worker count so results are worker-count invariant.
@@ -288,6 +306,183 @@ impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
     }
 }
 
+/// Most row blocks a coarse scan is cut into: each block keeps its own
+/// level-flow band until the blocks are summed in order, so the cap bounds
+/// that scratch on very large chains.
+const MAX_COARSE_BLOCKS: usize = 64;
+
+/// Checks in a row without a new best residual, once the best has dropped
+/// below the first check's residual, after which an attempt stops
+/// aggregating (the coarse correction has stopped paying for itself).
+const COARSE_STALL_CHECKS: usize = 8;
+
+/// The same stop while the residual has never dropped below the first
+/// check's: the longest start-up hump on the network corpus ran 10 checks,
+/// while a partition that does not separate the weakly coupled states can
+/// lock the coarse step and the smoother into a cycle that never improves
+/// on the first check at all.
+const COARSE_CYCLE_CHECKS: usize = 4 * COARSE_STALL_CHECKS;
+
+/// One row block of a coarse scan: its rows' levels and its level flows.
+struct CoarseBlock {
+    levels: Vec<u32>,
+    flows: LevelFlows,
+}
+
+/// The two-level aggregation/disaggregation step of the Gauss–Seidel rung
+/// (Koury, McAllister & Stewart 1984): aggregate the iterate over the
+/// operator's levels into a banded coarse generator, solve it exactly, and
+/// rescale every level to the coarse solution. Gauss–Seidel smooths the
+/// error inside levels fast; what it cannot move is probability *between*
+/// nearly decoupled levels — the bursty MAP phases of a network chain — and
+/// that is exactly what one coarse solve restores.
+struct Coarse {
+    /// Rows per coarse block, fixed by the chain size and the sweep block
+    /// length — never by the worker count.
+    block_len: usize,
+    blocks: Vec<CoarseBlock>,
+    /// The blocks' flows summed in block order.
+    total: LevelFlows,
+    /// Per-level rescaling factors `ξ_L / π(L)` of the last step.
+    factors: Vec<f64>,
+}
+
+impl Coarse {
+    /// The coarse step for `op`, or `None` when the operator has no levels.
+    fn new<O: GeneratorOp + ?Sized>(op: &O, options: &SparseSteadyOptions) -> Option<Self> {
+        let n = op.num_states();
+        let mut total = LevelFlows::default();
+        if !op.aggregate_rows_into(0, &[], &mut [], &mut total) {
+            return None;
+        }
+        let block_len = options.block_len.max(1).max(n.div_ceil(MAX_COARSE_BLOCKS));
+        let blocks = (0..n)
+            .step_by(block_len)
+            .map(|start| CoarseBlock {
+                levels: vec![0; block_len.min(n - start)],
+                flows: LevelFlows::default(),
+            })
+            .collect();
+        Some(Self {
+            block_len,
+            blocks,
+            total,
+            factors: Vec::new(),
+        })
+    }
+
+    /// Aggregates `x`, solves the coarse chain and rescales `x` level by
+    /// level, then renormalizes it. Leaves `x` as it is when the coarse
+    /// chain has no usable solution (a live level that cannot reach the
+    /// rest).
+    fn step<O: GeneratorOp + ?Sized>(&mut self, kernel: &Kernel<'_, O>, x: &mut [f64]) {
+        let block_len = self.block_len;
+        {
+            let x: &[f64] = x;
+            kernel.pool.for_each_chunk(&mut self.blocks, 1, |b, block| {
+                let block = &mut block[0];
+                kernel.op.aggregate_rows_into(
+                    b * block_len,
+                    x,
+                    &mut block.levels,
+                    &mut block.flows,
+                );
+            });
+        }
+        // Summed serially in block order: the same bits at any worker count.
+        self.total.clone_from(&self.blocks[0].flows);
+        for block in &self.blocks[1..] {
+            self.total.add_assign(&block.flows);
+        }
+        if !banded_gth(&mut self.total, &mut self.factors) {
+            return;
+        }
+        let blocks = &self.blocks;
+        let factors = &self.factors;
+        kernel.pool.for_each_chunk(x, block_len, |start, chunk| {
+            for (v, &level) in chunk.iter_mut().zip(&blocks[start / block_len].levels) {
+                *v *= factors[level as usize];
+            }
+        });
+        normalize(x);
+    }
+}
+
+/// Solves the coarse chain whose off-diagonal rates are the level flows
+/// `F[L][L'] = Σ x_i Q[i, j]` by GTH elimination inside the band, writing
+/// `z` with `z F̃ = 0` (`F̃` = `F` with the diagonal set to minus the row
+/// sums). Since `F = diag(x(L)) · C` for the coarse generator `C`, `z_L` is
+/// `ξ_L / x(L)` up to one constant: the factor that rescales level `L`.
+/// Elimination only ever fills inside the band, so the cost is
+/// `O(K · half_band²)`.
+///
+/// A level with no flow out holds no probability (or only underflow): it is
+/// *dead*, its factor is 0 and every flow into it is dropped; the lowest
+/// live level anchors the elimination. Returns `false` when a live level
+/// cannot reach a lower one (the live coarse chain is reducible) or a flow
+/// is not finite. `flows` is overwritten.
+fn banded_gth(flows: &mut LevelFlows, z: &mut Vec<f64>) -> bool {
+    let k_count = flows.count();
+    let w = flows.half_band();
+    z.clear();
+    z.resize(k_count, 0.0);
+    let band = |l: usize| l.saturating_sub(w)..(l + w + 1).min(k_count);
+    let mut live = vec![false; k_count];
+    for (l, alive) in live.iter_mut().enumerate() {
+        let out: f64 = band(l).filter(|&j| j != l).map(|j| flows.get(l, j)).sum();
+        if !out.is_finite() {
+            return false;
+        }
+        *alive = out > 0.0;
+    }
+    let Some(anchor) = live.iter().position(|&alive| alive) else {
+        return false;
+    };
+    for (l, _) in live.iter().enumerate().filter(|(_, &alive)| !alive) {
+        for i in band(l) {
+            flows.set(i, l, 0.0);
+        }
+    }
+    // Elimination from the top level down to the anchor: `pivots[k]` is the
+    // censored outflow of level k towards the levels below it.
+    let mut pivots = vec![0.0_f64; k_count];
+    for k in (anchor + 1..k_count).rev() {
+        if !live[k] {
+            continue;
+        }
+        let lower = k.saturating_sub(w)..k;
+        let s: f64 = lower.clone().map(|j| flows.get(k, j)).sum();
+        if s <= 0.0 {
+            return false;
+        }
+        pivots[k] = s;
+        for j in lower.clone() {
+            let v = flows.get(k, j) / s;
+            flows.set(k, j, v);
+        }
+        for i in lower.clone() {
+            let fik = flows.get(i, k);
+            if fik == 0.0 {
+                continue;
+            }
+            for j in lower.clone().filter(|&j| j != i) {
+                let v = flows.get(i, j) + fik * flows.get(k, j);
+                flows.set(i, j, v);
+            }
+        }
+    }
+    z[anchor] = 1.0;
+    for k in anchor + 1..k_count {
+        if live[k] {
+            let s: f64 = (k.saturating_sub(w).max(anchor)..k)
+                .map(|i| z[i] * flows.get(i, k))
+                .sum();
+            z[k] = s / pivots[k];
+        }
+    }
+    z.iter().all(|v| v.is_finite())
+}
+
 /// Normalizes a non-negative vector to unit sum in place (serial: the sum
 /// must be accumulated in a fixed order for bitwise reproducibility).
 fn normalize(x: &mut [f64]) {
@@ -305,7 +500,9 @@ fn normalize(x: &mut [f64]) {
 /// stopping rule. See the module docs for the algorithm; in short the
 /// requested preconditioner runs until `‖πQ‖_∞ <= tolerance * q_max`, and
 /// on divergence or stall the engine falls back Gauss–Seidel → Jacobi →
-/// uniformized power before giving up.
+/// uniformized power before giving up. When the chain carries aggregation
+/// levels ([`Ctmc::levels`]) the Gauss–Seidel rung runs its coarse step
+/// over them.
 ///
 /// # Errors
 /// Returns [`MarkovError::NoConvergence`] when no preconditioner reaches the
@@ -333,7 +530,10 @@ pub fn stationary_sparse(ctmc: &Ctmc, options: &SparseSteadyOptions) -> Result<S
     // Materialize the transpose once: every left operation is a row scan of
     // `Q^T`, and a `CsrMatrix` used as a `GeneratorOp` *is* `Q^T`.
     let qt = ctmc.generator().transpose();
-    stationary_sparse_op(&qt, options)
+    match ctmc.levels() {
+        Some(levels) => stationary_sparse_op(&LeveledCsr::new(&qt, levels)?, options),
+        None => stationary_sparse_op(&qt, options),
+    }
 }
 
 /// Computes the stationary distribution of a CTMC presented as a
@@ -419,6 +619,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         Power => &[Power],
     };
 
+    let mut coarse = Coarse::new(kernel.op, options);
     let mut total_sweeps = 0usize;
     let mut last_residual = f64::INFINITY;
     // Budget work counter: one unit per state relaxation, i.e. `n` per sweep.
@@ -449,17 +650,29 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         let q_uniform = kernel.q_max * 1.01;
         let mut best_residual = f64::INFINITY;
         let mut prev_residual = f64::INFINITY;
+        // The Gauss–Seidel rung accelerates one of two ways. On an operator
+        // with levels every unconverged check runs the coarse
+        // aggregation/disaggregation step; otherwise Aitken extrapolation.
+        // The two are exclusive: a coarse step rescales the iterate at every
+        // check, so no run of consistent decay ratios — Aitken's trigger —
+        // survives it. The Jacobi and power rungs are the conservative
+        // fallbacks and stay pure.
+        //
         // Aitken gating: the decay ratio is only trustworthy once several
-        // consecutive checks have decreased with a *consistent* ratio, and
-        // only the Gauss–Seidel workhorse extrapolates at all — the Jacobi
-        // and power rungs are the conservative fallbacks and stay pure. If
+        // consecutive checks have decreased with a *consistent* ratio. If
         // an adopted jump is followed by a residual regression (transient
         // growth off the extrapolated vector), Aitken is switched off for
         // the rest of the attempt rather than allowed to cycle.
+        let gauss_seidel = engine == SparsePreconditioner::GaussSeidel;
+        let mut aggregate = gauss_seidel && coarse.is_some();
         let mut rho_prev = f64::NAN;
         let mut decreasing_streak = 0usize;
-        let mut aitken_enabled = engine == SparsePreconditioner::GaussSeidel;
+        let mut aitken_enabled = gauss_seidel && coarse.is_none();
         let mut adopted_residual = f64::NAN;
+        // Coarse stall stop: the first check's residual, and the checks
+        // since the attempt's best residual last improved.
+        let mut first_residual = f64::NAN;
+        let mut checks_since_best = 0usize;
         // Divergence-predictor state: the length of the current run of
         // consecutive residual-*growth* checks and the residual at the
         // start of that run (see the bail commentary below).
@@ -607,8 +820,9 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 // factor sits an order of magnitude above the largest
                 // benign hump observed on the validation models (~300x its
                 // preceding best, TPC-W) while catching the genuinely
-                // divergent sweeps (e.g. plain Gauss–Seidel on the SCV=4
-                // case-study family) long before they waste the budget.
+                // divergent sweeps (e.g. plain Gauss–Seidel on the
+                // level-less SCV=4 case-study family) long before they
+                // waste the budget.
                 if residual > 1e3 * best_residual {
                     break;
                 }
@@ -616,21 +830,24 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 // when the residual has grown for many consecutive checks
                 // AND the cumulative growth of that one monotone run is far
                 // beyond what any benign transient can produce. Calibration
-                // (MAPQN_SPARSE_DEBUG traces on the validation models): the
-                // largest *monotone* growth run of any converging rung is
-                // 31 checks x 13.3x total (the TPC-W hump — the documented
+                // (MAPQN_SPARSE_DEBUG traces on the validation models,
+                // solved level-less — no coarse step): the largest
+                // *monotone* growth run of any converging rung is 31 checks
+                // x 13.3x total (the TPC-W hump — the documented
                 // ~300x-above-best excursions accumulate through interrupted
                 // runs, which reset the streak, never through one monotone
-                // climb); genuinely divergent Gauss-Seidel on the figure-5
-                // SCV=4 family (N >= ~80) rides a single accelerating run
-                // through 1,700x-27,000x. Requiring a sustained run (>= 8
-                // checks) at >= 32x its own start — 2.4x above the benign
-                // ceiling — and >= 32x the attempt's best is therefore
-                // already *on* the 1e3x-bail trajectory, just earlier on
-                // it; this is a trajectory test, not the windowed stall
-                // detector the module history warns about (slow progress,
-                // plateaus and bounded oscillation all reset or cap the
-                // streak and are still left to the sweep budget).
+                // climb); genuinely divergent Gauss-Seidel on the level-less
+                // figure-5 SCV=4 family (N >= ~80) rides a single
+                // accelerating run through 1,700x-27,000x (with levels the
+                // coarse step keeps that family converging). Requiring a
+                // sustained run (>= 8 checks) at >= 32x its own start —
+                // 2.4x above the benign ceiling — and >= 32x the attempt's
+                // best is therefore already *on* the 1e3x-bail trajectory,
+                // just earlier on it; this is a trajectory test, not the
+                // windowed stall detector the module history warns about
+                // (slow progress, plateaus and bounded oscillation all
+                // reset or cap the streak and are still left to the sweep
+                // budget).
                 if residual > prev_residual {
                     if growth_streak == 0 {
                         streak_start = prev_residual;
@@ -658,9 +875,38 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 {
                     margin *= 2.0; // oscillation/stall: damp harder
                 }
+                if residual < best_residual {
+                    checks_since_best = 0;
+                } else {
+                    checks_since_best += 1;
+                }
                 best_residual = best_residual.min(residual);
                 prev_residual = residual;
-                x_prev.copy_from_slice(&x);
+                if first_residual.is_nan() {
+                    first_residual = residual;
+                }
+                if aitken_enabled {
+                    x_prev.copy_from_slice(&x);
+                }
+                // Stall stop: a best residual that no longer improves means
+                // the coarse correction is fighting the smoother; plain
+                // Gauss–Seidel finishes the attempt. Before the residual
+                // first drops below the first check's, a longer window
+                // leaves room for the start-up hump.
+                let stall_window = if best_residual < first_residual {
+                    COARSE_STALL_CHECKS
+                } else {
+                    COARSE_CYCLE_CHECKS
+                };
+                if aggregate && checks_since_best >= stall_window {
+                    aggregate = false;
+                    if sparse_debug() {
+                        eprintln!("[sparse] rung {attempt_idx} {engine:?}: coarse step stalled at sweep {sweep}, stopped");
+                    }
+                }
+                if let (true, Some(coarse)) = (aggregate, coarse.as_mut()) {
+                    coarse.step(&kernel, &mut x);
+                }
             }
         }
     }
@@ -968,6 +1214,212 @@ mod tests {
             stationary_sparse(&ctmc, &opts),
             Err(MarkovError::NoConvergence { .. })
         ));
+    }
+
+    /// Deterministic xorshift stream of uniforms in `[0, 1)`.
+    fn uniforms(seed: u64) -> impl FnMut() -> f64 {
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        }
+    }
+
+    /// A random generator whose transitions span at most `w` states: a
+    /// line of neighbour edges (`i ↔ i + 1`) keeps it irreducible, and
+    /// random edges inside the band give it generic structure.
+    fn random_banded(n: usize, w: usize, seed: u64) -> Ctmc {
+        let mut u = uniforms(seed);
+        let mut transitions = Vec::new();
+        for i in 0..n - 1 {
+            transitions.push((i, i + 1, 0.5 + 5.0 * u()));
+            transitions.push((i + 1, i, 0.5 + 5.0 * u()));
+        }
+        for i in 0..n {
+            for _ in 0..2 {
+                let j = (i + 1 + (u() * w as f64) as usize).min(n - 1);
+                if j != i && u() < 0.5 {
+                    transitions.push((j, i, 0.5 + 5.0 * u()));
+                } else if j != i {
+                    transitions.push((i, j, 0.5 + 5.0 * u()));
+                }
+            }
+        }
+        Ctmc::from_transitions(n, &transitions).unwrap()
+    }
+
+    /// The flows `x_i · Q[i, j]` of `ctmc` with one level per state.
+    fn state_flows(ctmc: &Ctmc, x: &[f64], w: usize) -> LevelFlows {
+        let n = ctmc.num_states();
+        let mut flows = LevelFlows::default();
+        flows.reset(n, w);
+        for (i, &xi) in x.iter().enumerate() {
+            for (j, q) in ctmc.generator().row_iter(i) {
+                if j != i {
+                    flows.add(i, j, xi * q);
+                }
+            }
+        }
+        flows
+    }
+
+    #[test]
+    fn banded_gth_matches_dense_gth() {
+        for (seed, w) in [(1u64, 1usize), (2, 3), (3, 7)] {
+            let ctmc = random_banded(CHAIN, w, seed);
+            let dense = stationary_dense_gth(&ctmc).unwrap();
+            // A non-uniform weighting: the factors are π / x.
+            let mut u = uniforms(seed ^ 0xabc);
+            let x: Vec<f64> = (0..CHAIN).map(|_| 0.5 + u()).collect();
+            let mut flows = state_flows(&ctmc, &x, w);
+            let mut z = Vec::new();
+            assert!(banded_gth(&mut flows, &mut z), "half band {w}");
+            let mut pi: Vec<f64> = z.iter().zip(&x).map(|(z, x)| z * x).collect();
+            normalize(&mut pi);
+            for (k, (a, b)) in pi.iter().zip(dense.as_slice()).enumerate() {
+                assert!(
+                    (a - b).abs() <= 1e-13,
+                    "half band {w}, level {k}: {a} vs GTH {b}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn banded_gth_drops_dead_levels() {
+        // The end levels carry no probability, so no flow leaves them: they
+        // get factor 0, the lowest live level anchors the elimination, and
+        // the live levels solve the chain without the dead ones.
+        let w = 3;
+        let ctmc = random_banded(CHAIN, w, 9);
+        let mut x = vec![1.0; CHAIN];
+        x[0] = 0.0;
+        x[CHAIN - 1] = 0.0;
+        let mut flows = state_flows(&ctmc, &x, w);
+        let mut z = Vec::new();
+        assert!(banded_gth(&mut flows, &mut z));
+        assert_eq!((z[0], z[CHAIN - 1]), (0.0, 0.0));
+
+        let live: Vec<(usize, usize, f64)> = (1..CHAIN - 1)
+            .flat_map(|i| {
+                ctmc.generator()
+                    .row_iter(i)
+                    .filter(|&(j, _)| j != i && j > 0 && j < CHAIN - 1)
+                    .map(move |(j, q)| (i - 1, j - 1, q))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        let reference =
+            stationary_dense_gth(&Ctmc::from_transitions(CHAIN - 2, &live).unwrap()).unwrap();
+        let mut pi = z[1..CHAIN - 1].to_vec();
+        normalize(&mut pi);
+        for (a, b) in pi.iter().zip(reference.as_slice()) {
+            assert!((a - b).abs() <= 1e-13, "{a} vs GTH {b}");
+        }
+
+        // No live level at all: nothing to solve.
+        let mut none = state_flows(&ctmc, &vec![0.0; CHAIN], w);
+        assert!(!banded_gth(&mut none, &mut z));
+    }
+
+    #[test]
+    fn garbage_partitions_change_the_speed_never_the_answer() {
+        // A fast-mixing random chain: a directed cycle keeps it
+        // irreducible, random edges anywhere give the partitions below
+        // wide bands.
+        let mut u = uniforms(21);
+        let mut transitions: Vec<(usize, usize, f64)> = (0..CHAIN)
+            .map(|i| ((i + 1) % CHAIN, i, 0.5 + 5.0 * u()))
+            .collect();
+        for _ in 0..2 * CHAIN {
+            let (i, j) = ((u() * CHAIN as f64) as usize, (u() * CHAIN as f64) as usize);
+            if i != j {
+                transitions.push((i, j, 0.5 + 5.0 * u()));
+            }
+        }
+        let ctmc = Ctmc::from_transitions(CHAIN, &transitions).unwrap();
+        let dense = stationary_dense_gth(&ctmc).unwrap();
+        let partitions: [Vec<u32>; 4] = [
+            vec![0; CHAIN],
+            (0..CHAIN).map(|_| (u() * 7.0) as u32).collect(),
+            (0..CHAIN).map(|_| (u() * CHAIN as f64) as u32).collect(),
+            (0..CHAIN as u32).rev().collect(),
+        ];
+        for levels in partitions {
+            let leveled = ctmc.clone().with_levels(levels).unwrap();
+            let report = stationary_sparse(&leveled, &SparseSteadyOptions::default()).unwrap();
+            let diff = report.pi.max_abs_diff(&dense).unwrap();
+            assert!(diff <= 1e-10, "{:?}: diff {diff:.2e}", report.used);
+        }
+    }
+
+    /// A bursty single queue: queue length `0..=cap` times a two-phase
+    /// arrival process that switches phase slowly, state `2n + p`, with
+    /// the aggregation level `level(n, p)`.
+    fn bursty_queue(cap: usize, level: impl Fn(usize, usize) -> u32) -> Ctmc {
+        let index = |n: usize, p: usize| 2 * n + p;
+        let mut transitions = Vec::new();
+        let mut levels = Vec::new();
+        for n in 0..=cap {
+            levels.extend([level(n, 0), level(n, 1)]);
+            transitions.push((index(n, 0), index(n, 1), 0.01));
+            transitions.push((index(n, 1), index(n, 0), 0.02));
+            if n < cap {
+                transitions.push((index(n, 0), index(n + 1, 0), 1.8));
+                transitions.push((index(n, 1), index(n + 1, 1), 0.3));
+            }
+            if n > 0 {
+                transitions.push((index(n, 0), index(n - 1, 0), 1.0));
+                transitions.push((index(n, 1), index(n - 1, 1), 1.0));
+            }
+        }
+        Ctmc::from_transitions(2 * (cap + 1), &transitions)
+            .unwrap()
+            .with_levels(levels)
+            .unwrap()
+    }
+
+    #[test]
+    fn leveled_solves_are_bitwise_worker_count_invariant() {
+        // Levels by phase: the coarse step runs at every check and never
+        // stalls. Small blocks so the coarse scan runs several blocks, and
+        // a zero threshold so the threaded path really runs.
+        let ctmc = bursty_queue(CHAIN / 2, |_, p| p as u32);
+        let base = SparseSteadyOptions {
+            block_len: 16,
+            parallel_threshold: 0,
+            ..SparseSteadyOptions::default()
+        };
+        let serial = stationary_sparse(&ctmc, &SparseSteadyOptions { workers: 1, ..base }).unwrap();
+        assert_eq!(serial.used, SparsePreconditioner::GaussSeidel);
+        let dense = stationary_dense_gth(&ctmc).unwrap();
+        assert!(serial.pi.max_abs_diff(&dense).unwrap() <= 1e-10);
+        for workers in [2, 4] {
+            let parallel =
+                stationary_sparse(&ctmc, &SparseSteadyOptions { workers, ..base }).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(serial.pi.as_slice()),
+                bits(parallel.pi.as_slice()),
+                "workers = {workers} must reproduce the serial bits"
+            );
+            assert_eq!(serial.sweeps, parallel.sweeps);
+        }
+    }
+
+    #[test]
+    fn a_cycling_coarse_step_stops_and_gauss_seidel_finishes() {
+        // Levels by queue length split the strongly coupled states: the
+        // coarse step and the smoother lock into a cycle that never beats
+        // the first check's residual. The stall stop ends the coarse step
+        // and plain Gauss–Seidel still answers.
+        let ctmc = bursty_queue(CHAIN / 2, |n, _| n as u32);
+        let report = stationary_sparse(&ctmc, &SparseSteadyOptions::default()).unwrap();
+        assert_eq!(report.used, SparsePreconditioner::GaussSeidel);
+        let dense = stationary_dense_gth(&ctmc).unwrap();
+        assert!(report.pi.max_abs_diff(&dense).unwrap() <= 1e-10);
     }
 
     #[test]

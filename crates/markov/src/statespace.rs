@@ -66,6 +66,17 @@ impl<S: Clone + Eq + Hash> StateSpace<S> {
         &self.ctmc
     }
 
+    /// Gives the CTMC one aggregation level per state, `level(state)` in
+    /// index order (see [`Ctmc::with_levels`]).
+    #[must_use]
+    pub fn with_levels(mut self, level: impl Fn(&S) -> u32) -> Self {
+        let levels = self.states.iter().map(level).collect();
+        // INFALLIBLE: one level per enumerated state, and the CTMC has
+        // exactly one row per enumerated state.
+        self.ctmc = self.ctmc.with_levels(levels).expect("one level per state");
+        self
+    }
+
     /// Bytes held by the materialized flat-CSR generator (row pointers plus
     /// column/value pairs). This is what the implicit Kronecker
     /// representation avoids; benchmarks record the ratio between the two.

@@ -119,20 +119,28 @@ proptest! {
     }
 }
 
-/// Fallback-ladder regression on the figure-5 SCV=4 family, the documented
-/// plain-Gauss–Seidel divergence case (ROADMAP): from N ≈ 80 the GS rung
-/// diverges, and the divergence *predictor* (sustained consecutive-growth
-/// checks far beyond any benign transient hump) must abandon it within a
-/// bounded number of sweeps instead of creeping through the rung's
-/// quarter-budget slice. Under this budget the Jacobi rung exhausts its
-/// slice too, so the test pins the whole ladder walk: the solve lands on
-/// the uniformized-power rung, within a total sweep bound.
+/// Fallback-ladder regression on the figure-5 SCV=4 family at N = 80, in
+/// two halves.
 ///
-/// Measured behaviour (release, this configuration): GS bails at ~3.1k
-/// sweeps (predicted divergence at 555× the attempt's best), Jacobi burns
-/// its 15k slice, power converges — 48,104 sweeps total. A regressed GS
-/// bail that creeps to its full 15k slice would push the total past 60k,
-/// well beyond the asserted bound.
+/// Level-less (the bare generator through `Ctmc::new`, so the engine has
+/// no coarse step): the documented plain-Gauss–Seidel divergence case
+/// (ROADMAP). The GS rung diverges, and the divergence *predictor*
+/// (sustained consecutive-growth checks far beyond any benign transient
+/// hump) must abandon it within a bounded number of sweeps instead of
+/// creeping through the rung's quarter-budget slice. Under this budget the
+/// Jacobi rung exhausts its slice too, so the test pins the whole ladder
+/// walk: the solve lands on the uniformized-power rung, within a total
+/// sweep bound. Measured (release): GS bails at ~3.1k sweeps (predicted
+/// divergence at 555× the attempt's best), Jacobi burns its 15k slice,
+/// power converges — 48,104 sweeps total. A regressed GS bail that creeps
+/// to its full 15k slice would push the total past 60k, well beyond the
+/// asserted bound.
+///
+/// Leveled (the chain as `build_state_space` returns it, one aggregation
+/// level per bottleneck queue length and joint phase): the coarse
+/// aggregation/disaggregation step at every residual check restores the
+/// probability the bursty MAP phases trap, and Gauss–Seidel answers in a
+/// few hundred sweeps (608 measured).
 #[test]
 fn scv4_ladder_reaches_power_rung_in_bounded_sweeps() {
     use mapqn::core::statespace::build_state_space;
@@ -144,11 +152,15 @@ fn scv4_ladder_reaches_power_rung_in_bounded_sweeps() {
         max_sweeps: 60_000,
         ..SparseSteadyOptions::default()
     };
-    let report = stationary_sparse(space.ctmc(), &options).unwrap();
+    let target = options.tolerance * space.ctmc().max_exit_rate();
+
+    let level_less = Ctmc::new(space.ctmc().generator().clone()).unwrap();
+    assert!(level_less.levels().is_none());
+    let report = stationary_sparse(&level_less, &options).unwrap();
     assert_eq!(
         report.used,
         SparsePreconditioner::Power,
-        "expected the ladder to retreat to the power rung, got {:?}",
+        "expected the level-less ladder to retreat to the power rung, got {:?}",
         report.used
     );
     assert!(
@@ -156,7 +168,26 @@ fn scv4_ladder_reaches_power_rung_in_bounded_sweeps() {
         "ladder took {} sweeps (bound 52,000): the GS divergence bail has regressed",
         report.sweeps
     );
-    assert!(report.residual <= options.tolerance * space.ctmc().max_exit_rate());
+    assert!(report.residual <= target);
+
+    assert!(space.ctmc().levels().is_some());
+    let leveled = stationary_sparse(space.ctmc(), &options).unwrap();
+    assert_eq!(
+        leveled.used,
+        SparsePreconditioner::GaussSeidel,
+        "the leveled chain must be answered by Gauss–Seidel"
+    );
+    assert!(
+        leveled.sweeps <= 1_000,
+        "leveled Gauss–Seidel took {} sweeps (bound 1,000): the coarse step has regressed",
+        leveled.sweeps
+    );
+    assert!(leveled.residual <= target);
+    let diff = leveled.pi.max_abs_diff(&report.pi).unwrap();
+    assert!(
+        diff <= 1e-10,
+        "leveled and level-less answers differ by {diff:.2e}"
+    );
 }
 
 /// The sparse engine's stationary vector satisfies the residual bound it
