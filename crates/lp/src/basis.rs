@@ -14,10 +14,19 @@
 //!
 //! The bases of the marginal-balance LPs are mostly unit slack columns plus
 //! structural columns with a handful of non-zeros, and their LU factors are
-//! ~90% zeros. So a refactorization eliminates with the skip-zero
-//! [`mapqn_linalg::Lu`] and then keeps only the non-zeros of `L` and `U`:
-//! each triangle by rows (what FTRAN reads) and by columns (what BTRAN
-//! reads), and no dense `m × m` array stays resident. FTRAN and BTRAN cost
+//! ~90% zeros. A refactorization therefore never builds the basis matrix.
+//! It eliminates left-looking, one column at a time, in the manner of
+//! Gilbert & Peierls (SIAM J. Sci. Stat. Comput. 1988). Each basis column is
+//! scattered into a work column and updated by the multiplier columns of the
+//! positions it touches, in ascending position order, before it picks its
+//! pivot. The column order, the update order, the skipped zero products and
+//! the pivot rule (largest magnitude among unpivoted rows, ties to the
+//! lowest current position, singular below `1e-13`) are those of the dense
+//! right-looking [`mapqn_linalg::Lu`], so every factor entry is bitwise the
+//! dense one at a cost proportional to the flops and the fill.
+//!
+//! The factors keep only their non-zeros: each triangle by rows (what FTRAN
+//! reads) and by columns (what BTRAN reads). FTRAN and BTRAN cost
 //! `O(nnz(L) + nnz(U) + m)` for the triangular solves plus the stored
 //! non-zeros of each eta. Each solve subtracts the same products in the same
 //! order as the dense triangular solves of `Lu::solve_in_place` and
@@ -31,10 +40,8 @@
 //!
 //! The module also provides `complete_basis`, a "crash" routine that turns
 //! an arbitrary candidate column set (for instance a basis carried over from
-//! a related problem) into a nonsingular basis by Gaussian elimination,
-//! filling uncovered pivot rows with artificial columns.
-
-use mapqn_linalg::{DMatrix, Lu};
+//! a related problem) into a nonsingular basis by the same kind of sparse
+//! elimination, filling uncovered pivot rows with artificial columns.
 
 /// Abstract access to the columns of the standard-form constraint matrix
 /// (structural + slack columns stored sparse, artificial columns implicit).
@@ -42,9 +49,14 @@ pub(crate) trait ColumnSource {
     /// Number of constraint rows.
     fn num_rows(&self) -> usize;
 
+    /// Calls `visit(row, value)` for each stored entry of column `j`.
+    fn for_each_entry(&self, j: usize, visit: &mut dyn FnMut(usize, f64));
+
     /// Adds column `j` into the dense buffer `out` (callers pass a zeroed
     /// buffer of length `num_rows()`).
-    fn scatter_column(&self, j: usize, out: &mut [f64]);
+    fn scatter_column(&self, j: usize, out: &mut [f64]) {
+        self.for_each_entry(j, &mut |r, v| out[r] += v);
+    }
 }
 
 /// One product-form update: the entering column's FTRAN image `d` and the
@@ -63,16 +75,22 @@ struct Eta {
 /// Minimum number of etas accumulated before the basis is refactorized; the
 /// effective interval is `max(REFACTOR_INTERVAL, m)`. Each eta adds its
 /// non-zeros to every later FTRAN and BTRAN and lets the product form
-/// drift; a refactorization clears both at the price of one `m × m`
-/// elimination. The interval was tuned when the factors were dense (then
-/// refactorizing every 64 pivots made the elimination dominate the solve
-/// for `m` in the hundreds). It is left unchanged because the eta count at
-/// which a refactorization happens decides the pivot path.
+/// drift; a refactorization clears both at the price of one sparse
+/// elimination, whose cost follows the fill of the factors. The interval was
+/// tuned when the factors were dense (then refactorizing every 64 pivots
+/// made the elimination dominate the solve for `m` in the hundreds). It is
+/// left unchanged because the eta count at which a refactorization happens
+/// decides the pivot path.
 pub(crate) const REFACTOR_INTERVAL: usize = 64;
+
+/// Pivot magnitude below which the basis is reported singular (the dense
+/// `Lu`'s threshold).
+const SINGULARITY_TOL: f64 = 1e-13;
 
 /// A triangular factor stored as compressed lists: list `i` holds the
 /// off-diagonal non-zeros of row (or column) `i` with indices ascending, the
-/// order in which the dense solves visit them.
+/// order in which the dense solves visit them. The eliminations also build
+/// their multiplier columns and crash images in this layout, unsorted.
 struct SparseTriangle {
     /// List `i` occupies `index[start[i]..start[i + 1]]`.
     start: Vec<usize>,
@@ -81,31 +99,44 @@ struct SparseTriangle {
 }
 
 impl SparseTriangle {
-    /// Collects the non-zeros `packed[(i, j)]` with `keep(i, j)`, list by
-    /// row.
-    fn rows_of(packed: &DMatrix, keep: impl Fn(usize, usize) -> bool) -> Self {
-        let m = packed.nrows();
-        let mut start = Vec::with_capacity(m + 1);
-        let (mut index, mut value) = (Vec::new(), Vec::new());
-        start.push(0);
-        for i in 0..m {
-            for (j, &v) in packed.row(i).iter().enumerate() {
-                if v != 0.0 && keep(i, j) {
-                    index.push(j as u32);
-                    value.push(v);
-                }
-            }
-            start.push(index.len());
-        }
+    fn new() -> Self {
         Self {
-            start,
-            index,
-            value,
+            start: vec![0],
+            index: Vec::new(),
+            value: Vec::new(),
         }
     }
 
-    /// The same entries listed by column. Rows are visited in ascending
-    /// order, so every column list comes out ascending too.
+    /// Closes the list being filled; the next `push` starts a new one.
+    fn end_list(&mut self) {
+        self.start.push(self.index.len());
+    }
+
+    fn push(&mut self, index: usize, value: f64) {
+        self.push_if(index, value, true);
+    }
+
+    /// Appends the entry when `keep`; writing it either way and then
+    /// keeping or dropping it spares a data-dependent branch.
+    #[inline]
+    fn push_if(&mut self, index: usize, value: f64, keep: bool) {
+        let len = self.index.len() + usize::from(keep);
+        self.index.push(index as u32);
+        self.value.push(value);
+        self.index.truncate(len);
+        self.value.truncate(len);
+    }
+
+    fn list(&self, i: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let range = self.start[i]..self.start[i + 1];
+        self.index[range.clone()]
+            .iter()
+            .zip(&self.value[range])
+            .map(|(&j, &v)| (j as usize, v))
+    }
+
+    /// The same entries listed by their index. Lists are visited in
+    /// ascending order, so every transposed list comes out ascending too.
     fn transpose(&self) -> Self {
         let m = self.start.len() - 1;
         let mut start = vec![0usize; m + 1];
@@ -144,20 +175,103 @@ impl SparseTriangle {
     }
 }
 
-/// The basis matrix whose columns are `basis` (in position order), dense.
-fn basis_matrix(src: &dyn ColumnSource, basis: &[usize]) -> DMatrix {
-    let m = src.num_rows();
-    debug_assert_eq!(basis.len(), m);
-    let mut dense = DMatrix::zeros(m, m);
-    let mut buf = vec![0.0; m];
-    for (position, &col) in basis.iter().enumerate() {
-        buf.fill(0.0);
-        src.scatter_column(col, &mut buf);
-        for (i, &v) in buf.iter().enumerate() {
-            dense[(i, position)] = v;
+/// A dense work column that remembers which rows it touched, so reading its
+/// non-zeros and clearing it cost `O(touched)` rather than `O(m)`.
+struct WorkColumn {
+    x: Vec<f64>,
+    touched: Vec<bool>,
+    /// The touched rows are `pattern[..len]`; the slot past them takes a
+    /// speculative write, which keeps `touch` free of branches.
+    pattern: Vec<usize>,
+    len: usize,
+}
+
+impl WorkColumn {
+    fn new(m: usize) -> Self {
+        Self {
+            x: vec![0.0; m],
+            touched: vec![false; m],
+            pattern: vec![0; m + 1],
+            len: 0,
         }
     }
-    dense
+
+    fn touched_rows(&self) -> &[usize] {
+        &self.pattern[..self.len]
+    }
+
+    #[inline]
+    fn touch(&mut self, r: usize) {
+        self.pattern[self.len] = r;
+        self.len += usize::from(!self.touched[r]);
+        self.touched[r] = true;
+    }
+
+    /// `x[r] += v`, as [`ColumnSource::scatter_column`] adds an entry.
+    #[inline]
+    fn add(&mut self, r: usize, v: f64) {
+        self.touch(r);
+        self.x[r] += v;
+    }
+
+    /// `x[r] -= f · v`; an untouched `x[r]` is `+0.0`, so fill is
+    /// `0.0 - f · v` exactly as in a dense array.
+    #[inline]
+    fn subtract(&mut self, r: usize, f: f64, v: f64) {
+        self.touch(r);
+        self.x[r] -= f * v;
+    }
+
+    /// Hands `(row, x[row])` of every touched row to `visit` and clears
+    /// the column.
+    fn drain(&mut self, mut visit: impl FnMut(usize, f64)) {
+        for &r in &self.pattern[..self.len] {
+            visit(r, self.x[r]);
+            self.x[r] = 0.0;
+            self.touched[r] = false;
+        }
+        self.len = 0;
+    }
+}
+
+/// A set of indices drained in ascending order while the drain adds larger
+/// ones: an update at index `k` only ever schedules indices above `k`.
+struct Pending {
+    words: Vec<u64>,
+    /// First word that may still hold a member.
+    cursor: usize,
+}
+
+impl Pending {
+    fn new(n: usize) -> Self {
+        Self {
+            words: vec![0; n.div_ceil(64)],
+            cursor: 0,
+        }
+    }
+
+    /// Inserts `i` when `keep`, without a branch (`i` must be in range
+    /// either way).
+    #[inline]
+    fn insert_if(&mut self, i: usize, keep: bool) {
+        debug_assert!(!keep || i / 64 >= self.cursor, "inserted below the drain");
+        self.words[i / 64] |= u64::from(keep) << (i % 64);
+    }
+
+    /// Removes and returns the smallest member; at the end of a drain the
+    /// set is empty and ready for the next one.
+    fn pop(&mut self) -> Option<usize> {
+        while let Some(w) = self.words.get_mut(self.cursor) {
+            if *w != 0 {
+                let bit = w.trailing_zeros() as usize;
+                *w &= *w - 1;
+                return Some(self.cursor * 64 + bit);
+            }
+            self.cursor += 1;
+        }
+        self.cursor = 0;
+        None
+    }
 }
 
 /// Sparse LU-factored basis with a product-form eta file.
@@ -185,16 +299,76 @@ impl BasisFactor {
     /// order). Returns `None` when the matrix is (numerically) singular.
     pub(crate) fn factorize(src: &dyn ColumnSource, basis: &[usize]) -> Option<Self> {
         let m = src.num_rows();
-        let (packed, perm) = Lu::new(&basis_matrix(src, basis)).ok()?.into_parts();
-        let l_rows = SparseTriangle::rows_of(&packed, |i, j| j < i);
-        let u_rows = SparseTriangle::rows_of(&packed, |i, j| j > i);
+        if basis.len() != m {
+            return None;
+        }
+        // `perm[p]` is the basis row at position `p`, `pos` its inverse;
+        // both follow the dense elimination's row swaps step by step.
+        let mut perm: Vec<usize> = (0..m).collect();
+        let mut pos = perm.clone();
+        // Multiplier column `k` lists `(basis row, l)`: a row's position is
+        // final only once it is pivoted.
+        let mut l_by_row_id = SparseTriangle::new();
+        let mut u_cols = SparseTriangle::new();
+        let mut u_diag = Vec::with_capacity(m);
+        let mut work = WorkColumn::new(m);
+        let mut pending = Pending::new(m);
+        for (j, &col) in basis.iter().enumerate() {
+            src.for_each_entry(col, &mut |r, v| {
+                work.add(r, v);
+                pending.insert_if(pos[r], pos[r] < j);
+            });
+            // Left-looking update: position `k` ascending is the order in
+            // which the dense right-looking steps reach this column.
+            while let Some(k) = pending.pop() {
+                let u = work.x[perm[k]];
+                if u == 0.0 {
+                    continue;
+                }
+                u_cols.push(k, u);
+                for (r, l) in l_by_row_id.list(k) {
+                    work.subtract(r, l, u);
+                    pending.insert_if(pos[r], pos[r] < j);
+                }
+            }
+            u_cols.end_list();
+            // Largest magnitude among unpivoted rows; ties go to the lowest
+            // current position, as in the dense scan from position `j` down.
+            let (mut best, mut best_abs) = (j, work.x[perm[j]].abs());
+            for &r in work.touched_rows() {
+                let (p, v) = (pos[r], work.x[r].abs());
+                let wins = p > j && (v > best_abs || (v == best_abs && p < best));
+                best = if wins { p } else { best };
+                best_abs = if wins { v } else { best_abs };
+            }
+            if best_abs < SINGULARITY_TOL {
+                return None;
+            }
+            let (a, b) = (perm[j], perm[best]);
+            perm.swap(j, best);
+            pos[a] = best;
+            pos[b] = j;
+            let pivot = work.x[b];
+            u_diag.push(pivot);
+            work.drain(|r, x| {
+                let l = x / pivot;
+                l_by_row_id.push_if(r, l, pos[r] > j && l != 0.0);
+            });
+            l_by_row_id.end_list();
+        }
+        // Rename rows to their final positions; transposing twice sorts
+        // both layouts.
+        for r in &mut l_by_row_id.index {
+            *r = pos[*r as usize] as u32;
+        }
+        let l_rows = l_by_row_id.transpose();
         Some(Self {
             perm,
             l_cols: l_rows.transpose(),
-            u_cols: u_rows.transpose(),
+            u_rows: u_cols.transpose(),
             l_rows,
-            u_rows,
-            u_diag: (0..m).map(|i| packed[(i, i)]).collect(),
+            u_cols,
+            u_diag,
             etas: Vec::new(),
             scratch: vec![0.0; m],
         })
@@ -286,10 +460,19 @@ impl BasisFactor {
 /// repaired basis factorizes robustly.
 const CRASH_PIVOT_TOL: f64 = 1e-7;
 
+/// `complete_basis`'s mark for a row no accepted column pivots on.
+const UNPIVOTED: usize = usize::MAX;
+
 /// Builds a nonsingular basis from `candidates` (tried in order), filling
 /// rows no candidate can cover with the artificial column of that row
 /// (`artificial_base + row`). The returned basis always has exactly `m`
 /// linearly independent columns.
+///
+/// Each candidate is eliminated against the images of the columns accepted
+/// before it, in acceptance order, and is accepted on the largest remaining
+/// entry above `CRASH_PIVOT_TOL` in an unused row (ties to the lowest row).
+/// Only the accepted images whose pivot row the candidate reaches are
+/// applied, so the cost follows the fill rather than `m` per candidate.
 pub(crate) fn complete_basis(
     src: &dyn ColumnSource,
     candidates: &[usize],
@@ -297,48 +480,65 @@ pub(crate) fn complete_basis(
 ) -> Vec<usize> {
     let m = src.num_rows();
     let mut chosen: Vec<usize> = Vec::with_capacity(m);
-    // For every accepted column: its pivot row and its eliminated image.
-    let mut pivots: Vec<(usize, Vec<f64>)> = Vec::new();
-    let mut row_used = vec![false; m];
-    let mut seen = std::collections::HashSet::new();
-    let mut buf = vec![0.0; m];
+    // Accepted image `t` (list `t`, its pivot row's entry included), its
+    // pivot row and pivot value.
+    let mut images = SparseTriangle::new();
+    let mut pivots: Vec<(usize, f64)> = Vec::new();
+    // The acceptance index of the image pivoting on each row.
+    let mut pivot_of_row = vec![UNPIVOTED; m];
+    let mut seen = vec![false; artificial_base + m];
+    let mut work = WorkColumn::new(m);
+    let mut pending = Pending::new(m);
 
     for &c in candidates {
         if chosen.len() == m {
             break;
         }
-        if c >= artificial_base + m || !seen.insert(c) {
+        if c >= artificial_base + m || std::mem::replace(&mut seen[c], true) {
             continue;
         }
-        buf.fill(0.0);
-        src.scatter_column(c, &mut buf);
-        // Eliminate against the columns accepted so far (in order).
-        for (pr, pcol) in &pivots {
-            let f = buf[*pr] / pcol[*pr];
+        src.for_each_entry(c, &mut |r, v| {
+            work.add(r, v);
+            let t = pivot_of_row[r];
+            // An unpivoted row clamps to an index it does not insert.
+            pending.insert_if(t.min(m - 1), t != UNPIVOTED);
+        });
+        while let Some(t) = pending.pop() {
+            let (pr, pv) = pivots[t];
+            let f = work.x[pr] / pv;
             if f != 0.0 {
-                for (i, &pv) in pcol.iter().enumerate() {
-                    if pv != 0.0 {
-                        buf[i] -= f * pv;
-                    }
+                for (i, v) in images.list(t) {
+                    work.subtract(i, f, v);
+                    let s = pivot_of_row[i];
+                    let later = s > t && s != UNPIVOTED;
+                    pending.insert_if(if later { s } else { t }, later);
                 }
-                buf[*pr] = 0.0;
+                work.x[pr] = 0.0;
             }
         }
-        // Pick the largest remaining entry in an unused row as the pivot.
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &v) in buf.iter().enumerate() {
-            if !row_used[i] && v.abs() > best.map_or(CRASH_PIVOT_TOL, |(_, bv)| bv) {
-                best = Some((i, v.abs()));
-            }
+        // Above the tolerance, the largest magnitude in an unused row, ties
+        // to the lowest row (as a scan in row order finds it).
+        let (mut best, mut best_abs) = (0, CRASH_PIVOT_TOL);
+        for &r in work.touched_rows() {
+            let v = work.x[r].abs();
+            let wins =
+                pivot_of_row[r] == UNPIVOTED && (v > best_abs || (v == best_abs && r < best));
+            best = if wins { r } else { best };
+            best_abs = if wins { v } else { best_abs };
         }
-        if let Some((r, _)) = best {
-            row_used[r] = true;
-            pivots.push((r, buf.clone()));
+        let accepted = best_abs > CRASH_PIVOT_TOL;
+        if accepted {
+            pivot_of_row[best] = pivots.len();
+            pivots.push((best, work.x[best]));
             chosen.push(c);
         }
+        work.drain(|i, x| images.push_if(i, x, accepted && x != 0.0));
+        if accepted {
+            images.end_list();
+        }
     }
-    for (r, used) in row_used.iter().enumerate() {
-        if !used {
+    for (r, &pivot) in pivot_of_row.iter().enumerate() {
+        if pivot == UNPIVOTED {
             chosen.push(artificial_base + r);
         }
     }
@@ -348,7 +548,7 @@ pub(crate) fn complete_basis(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mapqn_linalg::CscMatrix;
+    use mapqn_linalg::{CscMatrix, DMatrix, Lu};
     use proptest::prelude::*;
 
     struct CscSource {
@@ -361,15 +561,149 @@ mod tests {
             self.csc.nrows()
         }
 
-        fn scatter_column(&self, j: usize, out: &mut [f64]) {
+        fn for_each_entry(&self, j: usize, visit: &mut dyn FnMut(usize, f64)) {
             if j >= self.artificial_base {
-                out[j - self.artificial_base] += 1.0;
+                visit(j - self.artificial_base, 1.0);
             } else {
                 for (r, v) in self.csc.col_iter(j) {
-                    out[r] += v;
+                    visit(r, v);
                 }
             }
         }
+    }
+
+    /// The basis matrix whose columns are `basis` (in position order),
+    /// dense: the input of the dense oracle.
+    fn basis_matrix(src: &dyn ColumnSource, basis: &[usize]) -> DMatrix {
+        let m = src.num_rows();
+        let mut dense = DMatrix::zeros(m, m);
+        let mut buf = vec![0.0; m];
+        for (position, &col) in basis.iter().enumerate() {
+            buf.fill(0.0);
+            src.scatter_column(col, &mut buf);
+            for (i, &v) in buf.iter().enumerate() {
+                dense[(i, position)] = v;
+            }
+        }
+        dense
+    }
+
+    /// The non-zeros `entry(i, j)` with `keep(i, j)`, listed by `i` with
+    /// `j` ascending.
+    fn lists_of(
+        m: usize,
+        entry: impl Fn(usize, usize) -> f64,
+        keep: impl Fn(usize, usize) -> bool,
+    ) -> SparseTriangle {
+        let mut lists = SparseTriangle::new();
+        for i in 0..m {
+            for j in 0..m {
+                let v = entry(i, j);
+                if v != 0.0 && keep(i, j) {
+                    lists.push(j, v);
+                }
+            }
+            lists.end_list();
+        }
+        lists
+    }
+
+    fn assert_lists_bitwise(got: &SparseTriangle, want: &SparseTriangle, what: &str) {
+        assert_eq!(got.start, want.start, "{what}: list lengths");
+        assert_eq!(got.index, want.index, "{what}: indices");
+        for (k, (g, w)) in got.value.iter().zip(&want.value).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what} entry {k}: {g:e} vs {w:e}");
+        }
+    }
+
+    /// Checks the sparse factorization of `basis` against the dense oracle
+    /// `Lu::new(&basis_matrix(..)).into_parts()`: the same singular
+    /// verdict, and otherwise the same permutation and every `L`/`U` index
+    /// and value under `to_bits()`. Returns whether the basis factorized.
+    fn assert_factor_matches_dense(src: &dyn ColumnSource, basis: &[usize]) -> bool {
+        let sparse = BasisFactor::factorize(src, basis);
+        let dense = Lu::new(&basis_matrix(src, basis)).ok().map(Lu::into_parts);
+        let (factor, (packed, perm)) = match (sparse, dense) {
+            (None, None) => return false,
+            (Some(factor), Some(dense)) => (factor, dense),
+            (sparse, _) => panic!(
+                "singular verdicts differ: sparse factorized = {}",
+                sparse.is_some()
+            ),
+        };
+        let m = src.num_rows();
+        assert_eq!(factor.perm, perm, "row permutation");
+        let by_row = |i: usize, j: usize| packed[(i, j)];
+        let by_col = |i: usize, j: usize| packed[(j, i)];
+        assert_lists_bitwise(&factor.l_rows, &lists_of(m, by_row, |i, j| j < i), "L rows");
+        assert_lists_bitwise(&factor.u_rows, &lists_of(m, by_row, |i, j| j > i), "U rows");
+        assert_lists_bitwise(
+            &factor.l_cols,
+            &lists_of(m, by_col, |i, j| j > i),
+            "L columns",
+        );
+        assert_lists_bitwise(
+            &factor.u_cols,
+            &lists_of(m, by_col, |i, j| j < i),
+            "U columns",
+        );
+        let diag: Vec<f64> = (0..m).map(|i| packed[(i, i)]).collect();
+        assert_bitwise(&factor.u_diag, &diag, "U diagonal", false);
+        true
+    }
+
+    /// The dense crash the sparse [`complete_basis`] replaced: every
+    /// candidate is scattered into a length-`m` buffer and eliminated
+    /// against every accepted image in acceptance order.
+    fn complete_basis_dense(
+        src: &dyn ColumnSource,
+        candidates: &[usize],
+        artificial_base: usize,
+    ) -> Vec<usize> {
+        let m = src.num_rows();
+        let mut chosen: Vec<usize> = Vec::with_capacity(m);
+        let mut pivots: Vec<(usize, Vec<f64>)> = Vec::new();
+        let mut row_used = vec![false; m];
+        let mut seen = std::collections::HashSet::new();
+        let mut buf = vec![0.0; m];
+        for &c in candidates {
+            if chosen.len() == m {
+                break;
+            }
+            if c >= artificial_base + m || !seen.insert(c) {
+                continue;
+            }
+            buf.fill(0.0);
+            src.scatter_column(c, &mut buf);
+            for (pr, pcol) in &pivots {
+                let f = buf[*pr] / pcol[*pr];
+                if f != 0.0 {
+                    for (i, &pv) in pcol.iter().enumerate() {
+                        if pv != 0.0 {
+                            buf[i] -= f * pv;
+                        }
+                    }
+                    buf[*pr] = 0.0;
+                }
+            }
+            let mut best: Option<(usize, f64)> = None;
+            for (i, &v) in buf.iter().enumerate() {
+                if !row_used[i] && v.abs() > best.map_or(CRASH_PIVOT_TOL, |(_, bv)| bv) {
+                    best = Some((i, v.abs()));
+                }
+            }
+            if let Some((r, _)) = best {
+                row_used[r] = true;
+                pivots.push((r, buf.clone()));
+                chosen.push(c);
+            }
+        }
+        for (r, used) in row_used.iter().enumerate() {
+            if !used {
+                chosen.push(artificial_base + r);
+            }
+        }
+        chosen
     }
 
     fn sample_source() -> CscSource {
@@ -471,6 +805,49 @@ mod tests {
         }
         for r in 0..m {
             triplets.push((r, structural + r, 1.0));
+        }
+        CscSource {
+            csc: CscMatrix::from_triplets(m, structural + m, &triplets).unwrap(),
+            artificial_base: structural + m,
+        }
+    }
+
+    /// `m` rows; `structural` columns of 1–5 non-zeros drawn from a short
+    /// list of values, so that magnitudes tie within and across columns;
+    /// every third structural column from the fourth on is the exact sum
+    /// of two earlier ones, so bases that hold all three are dependent.
+    /// Then the `m` slack columns, `+1` or `-1` (artificials are implicit
+    /// past those).
+    fn tied_source(m: usize, structural: usize, next: &mut impl FnMut() -> f64) -> CscSource {
+        const VALUES: [f64; 8] = [1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 3.0, 0.25];
+        let mut columns: Vec<Vec<f64>> = Vec::with_capacity(structural);
+        for c in 0..structural {
+            let pick = |next: &mut dyn FnMut() -> f64, n: usize| (next() * n as f64) as usize;
+            let mut column = vec![0.0; m];
+            if c >= 3 && c % 3 == 0 {
+                let (a, b) = (pick(next, c), pick(next, c));
+                for (v, (x, y)) in column.iter_mut().zip(columns[a].iter().zip(&columns[b])) {
+                    *v = x + y;
+                }
+            } else {
+                for _ in 0..1 + pick(next, 5) {
+                    column[pick(next, m)] = VALUES[pick(next, VALUES.len())];
+                }
+            }
+            columns.push(column);
+        }
+        let mut triplets = Vec::new();
+        for (c, column) in columns.iter().enumerate() {
+            triplets.extend(
+                column
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, v)| **v != 0.0)
+                    .map(|(r, &v)| (r, c, v)),
+            );
+        }
+        for r in 0..m {
+            triplets.push((r, structural + r, if next() < 0.5 { 1.0 } else { -1.0 }));
         }
         CscSource {
             csc: CscMatrix::from_triplets(m, structural + m, &triplets).unwrap(),
@@ -594,6 +971,62 @@ mod tests {
                 }
             }
             assert_solves_match_dense(&mut factor, &b0, &rhs);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
+
+        /// The sparse factorization equals the dense `Lu` on tied, partly
+        /// dependent bases: a random column draw (mostly singular), its
+        /// crash completion in a shuffled order (nonsingular), and that
+        /// order with its last column replaced by a copy of another, which
+        /// is singular only at the last step.
+        #[test]
+        fn sparse_factorize_is_bitwise_equal_to_dense_lu(
+            m in 1usize..MAX_ROWS + 1,
+            structural_share in 0.2f64..2.0,
+            seed in 0u64..1_000_000_000,
+        ) {
+            let mut next = unit_stream(seed);
+            let structural = ((m as f64 * structural_share) as usize).max(1);
+            let src = tied_source(m, structural, &mut next);
+            let all = structural + 2 * m;
+            let mut pick = |n: usize| (next() * n as f64) as usize;
+            let draw: Vec<usize> = (0..m).map(|_| pick(all)).collect();
+            assert_factor_matches_dense(&src, &draw);
+            let mut basis = complete_basis(&src, &draw, structural + m);
+            for i in (1..m).rev() {
+                basis.swap(i, pick(i + 1));
+            }
+            prop_assert!(assert_factor_matches_dense(&src, &basis));
+            if m > 1 {
+                basis[m - 1] = basis[pick(m - 1)];
+                prop_assert!(!assert_factor_matches_dense(&src, &basis));
+            }
+        }
+
+        /// The sparse crash returns exactly the dense crash's columns, for
+        /// candidate lists with duplicates, artificials and out-of-range
+        /// columns.
+        #[test]
+        fn sparse_complete_basis_matches_dense_crash(
+            m in 1usize..MAX_ROWS + 1,
+            structural_share in 0.2f64..2.0,
+            length_share in 0.0f64..2.0,
+            seed in 0u64..1_000_000_000,
+        ) {
+            let mut next = unit_stream(seed);
+            let structural = ((m as f64 * structural_share) as usize).max(1);
+            let src = tied_source(m, structural, &mut next);
+            let past_end = structural + 2 * m + 3;
+            let candidates: Vec<usize> = (0..(m as f64 * length_share) as usize)
+                .map(|_| (next() * past_end as f64) as usize)
+                .collect();
+            prop_assert_eq!(
+                complete_basis(&src, &candidates, structural + m),
+                complete_basis_dense(&src, &candidates, structural + m)
+            );
         }
     }
 

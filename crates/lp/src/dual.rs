@@ -441,7 +441,7 @@ impl RevisedSimplex {
     ///
     /// A seed with exactly one column per row (a fully translated basis —
     /// the population-sweep path) is factorized directly; only incomplete
-    /// or singular seeds go through the `O(m^3)` crash completion, where
+    /// or singular seeds go through the sparse crash completion, where
     /// uncovered rows are filled from the *slack* columns before
     /// artificials ([`complete_basis`] tries candidates in order): slacks
     /// carry zero cost, so they preserve dual feasibility of the seed,

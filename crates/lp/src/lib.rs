@@ -19,10 +19,13 @@
 //! * **Revised simplex** ([`revised::RevisedSimplex`], the default): the
 //!   constraint matrix is stored column-wise in CSC form, the basis is kept
 //!   as a sparse LU factorization plus a product-form eta file (refactorized
-//!   periodically for stability), and pricing works on sparse columns. The
-//!   LU factors keep only their non-zeros, so FTRAN and BTRAN cost time in
-//!   proportion to the factors' fill rather than `m²`, with results
-//!   bitwise equal to the dense triangular solves (see [`basis`]).
+//!   periodically for stability), and pricing works on sparse columns. A
+//!   refactorization eliminates the basis column by column over non-zeros
+//!   only (left-looking, Gilbert–Peierls) and never builds the `m × m`
+//!   matrix; the LU factors keep only their non-zeros, so refactorization,
+//!   FTRAN and BTRAN cost time in proportion to the flops and the fill
+//!   rather than `m²` or `m³`. Factors and solves are bitwise equal to the
+//!   dense partial-pivoting LU and its triangular solves (see [`basis`]).
 //!   Crucially it supports **warm starts**: a feasible region is phase-1'd
 //!   once ([`revised::RevisedSimplex::find_feasible_basis`]) and every
 //!   subsequent objective — both senses of every performance index of a

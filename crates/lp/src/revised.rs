@@ -214,12 +214,12 @@ impl ColumnSource for RevisedSimplex {
         self.m
     }
 
-    fn scatter_column(&self, j: usize, out: &mut [f64]) {
+    fn for_each_entry(&self, j: usize, visit: &mut dyn FnMut(usize, f64)) {
         if j >= self.total_real {
-            out[j - self.total_real] += 1.0;
+            visit(j - self.total_real, 1.0);
         } else {
             for (r, v) in self.cols.col_iter(j) {
-                out[r] += v;
+                visit(r, v);
             }
         }
     }
