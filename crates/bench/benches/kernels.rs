@@ -8,7 +8,7 @@ use mapqn_core::statespace::build_state_space;
 use mapqn_core::templates::figure5_network;
 use mapqn_core::MarginalBoundSolver;
 use mapqn_lp::{LpProblem, RevisedSimplex, Sense, SimplexEngine, SimplexOptions};
-use mapqn_markov::{stationary_dense_gth, stationary_iterative, SteadyStateOptions};
+use mapqn_markov::{stationary_dense_gth, stationary_sparse, SparseSteadyOptions};
 use mapqn_stochastic::{fit_map2, Map2FitSpec};
 use std::hint::black_box;
 
@@ -37,9 +37,9 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("gth_steady_state", |b| {
         b.iter(|| stationary_dense_gth(black_box(space.ctmc())).unwrap())
     });
-    group.bench_function("power_iteration_steady_state", |b| {
+    group.bench_function("sparse_steady_state", |b| {
         b.iter(|| {
-            stationary_iterative(black_box(space.ctmc()), &SteadyStateOptions::default()).unwrap()
+            stationary_sparse(black_box(space.ctmc()), &SparseSteadyOptions::default()).unwrap()
         })
     });
     group.bench_function("map2_fit", |b| {

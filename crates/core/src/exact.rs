@@ -44,7 +44,7 @@ use crate::metrics::NetworkMetrics;
 use crate::network::{ClosedNetwork, StationKind};
 use crate::statespace::build_state_space;
 use crate::Result;
-use mapqn_markov::{stationary_auto, stationary_sparse_op, SparseSteadyOptions, SteadyStateOptions};
+use mapqn_markov::{stationary_auto, stationary_sparse_op, SteadyStateOptions};
 
 /// How the exact solver represents the CTMC generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -72,8 +72,10 @@ pub struct ExactOptions {
     /// iteration vectors (`O(n)` floats), so the full `10^7` default is
     /// reachable and the binding constraint becomes sweep time, not memory.
     pub max_states: usize,
-    /// Steady-state solver options (tolerances, dense/sparse threshold,
-    /// preconditioner and worker count of the sparse engine).
+    /// Steady-state solver options: the dense/sparse threshold of a
+    /// materialized solve, and the sparse engine's options (tolerance,
+    /// sweep budget, preconditioner, worker count), which a factored solve
+    /// uses as they are.
     pub steady_state: SteadyStateOptions,
     /// Which generator representation to solve through.
     pub representation: GeneratorRepresentation,
@@ -165,16 +167,7 @@ fn solve_exact_factored(
     op: &FactoredGenerator,
     options: &ExactOptions,
 ) -> Result<NetworkMetrics> {
-    // Mirror `stationary_auto`'s option merge for its sparse branch: the
-    // caller's headline tolerance / iteration cap constrain the sparse
-    // engine the same way whichever representation runs.
-    let ss = &options.steady_state;
-    let sparse_options = SparseSteadyOptions {
-        tolerance: ss.sparse.tolerance.min(ss.tolerance),
-        max_sweeps: ss.sparse.max_sweeps.min(ss.max_iterations),
-        ..ss.sparse
-    };
-    let report = stationary_sparse_op(op, &sparse_options).map_err(crate::CoreError::from)?;
+    let report = stationary_sparse_op(op, &options.steady_state.sparse)?;
     let pi = report.pi;
 
     let mut acc = MetricAccumulators::new(network);

@@ -58,8 +58,10 @@ pub(crate) fn level_station(network: &ClosedNetwork) -> Option<usize> {
 }
 
 /// Enumerates the reachable state space of the network and assembles its
-/// CTMC generator. The CTMC carries the aggregation levels of
-/// [`level_station`] when the network has them.
+/// CTMC generator. The CTMC carries aggregation levels `n_b · P + c` when
+/// the network has them: `n_b` is the queue length of the queue station
+/// with the largest service demand, `P` the joint phase count and `c` the
+/// joint phase code.
 ///
 /// # Errors
 /// * [`CoreError::InvalidNetwork`] when the population does not fit in the

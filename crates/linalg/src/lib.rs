@@ -10,11 +10,6 @@
 //!   [`DVector`]),
 //! * LU factorization with partial pivoting for linear solves, inverses and
 //!   determinants ([`lu::Lu`]),
-//! * Kronecker products and sums (used when composing independent MAP phase
-//!   processes), plus the implicit-operator abstraction over CTMC
-//!   generators ([`op::GeneratorOp`]) with a build-nothing Kronecker
-//!   representation ([`op::KronGenerator`]) whose matvec and Gauss–Seidel
-//!   relaxation gather straight from the factor blocks,
 //! * sparse CSR matrices with matrix-vector products for large
 //!   continuous-time Markov chain generators ([`sparse::CsrMatrix`]), a
 //!   streaming row-by-row assembler for building them without a coordinate
@@ -22,8 +17,13 @@
 //!   parallel drivers ([`sparse::CsrMatrix::matvec_rows_into`]), and the
 //!   column-oriented CSC dual used by the revised simplex engine in
 //!   `mapqn-lp` ([`csc::CscMatrix`]),
-//! * simple iterative kernels (power iteration, Gauss–Seidel sweeps) used by
-//!   the steady-state solvers in `mapqn-markov`.
+//! * the operator trait through which the sparse stationary engine of
+//!   `mapqn-markov` sees a CTMC generator ([`op::GeneratorOp`]), with its
+//!   materialized implementations ([`sparse::CsrMatrix`] and
+//!   [`op::LeveledCsr`]) and the generator residual
+//!   ([`norms::left_residual_sparse`]),
+//! * cooperative solve budgets shared by the LP and CTMC engines
+//!   ([`budget::SolveBudget`]).
 //!
 //! The crate deliberately avoids external dependencies: the allowed offline
 //! crate set for this reproduction does not include `nalgebra`/`ndarray`, so
@@ -38,7 +38,6 @@
 pub mod budget;
 pub mod csc;
 pub mod dense;
-pub mod kron;
 pub mod lu;
 pub mod norms;
 pub mod op;
@@ -48,9 +47,8 @@ pub mod vector;
 pub use budget::{BudgetExhausted, EngineBudget, SolveBudget};
 pub use csc::CscMatrix;
 pub use dense::DMatrix;
-pub use kron::{kron, kron_sum};
 pub use lu::Lu;
-pub use op::{GeneratorOp, KronGenerator, LevelFlows, LeveledCsr};
+pub use op::{GeneratorOp, LevelFlows, LeveledCsr};
 pub use sparse::{CsrAssembler, CsrMatrix};
 pub use vector::DVector;
 

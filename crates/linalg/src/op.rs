@@ -10,31 +10,26 @@
 //!
 //! * a materialized [`CsrMatrix`] (the stored matrix is `Qᵀ`, the access
 //!   pattern of every left operation) — bit-for-bit the pre-trait engine;
-//! * a [`KronGenerator`] — a sum of Kronecker-product terms over small
-//!   per-factor blocks that *never forms `Q`*: each row of `Qᵀ` is gathered
-//!   on the fly from the factor blocks by mixed-radix digit decomposition
-//!   (the "shuffle"-style algorithm of the hierarchical/Kronecker CTMC
-//!   literature, organized as a gather so that every output element is
-//!   written exactly once and row-block chunking stays bitwise worker-count
-//!   invariant).
-//!
-//! Memory falls from `O(nnz(Q))` for the flat CSR to `O(Σ block sizes)` for
-//! the Kronecker form — the difference between the `10^5`-state regime and
-//! the `10^6`–`10^7`-state regime the exact engine is specified for.
+//! * the factored network generator in `mapqn-core`, which *never forms
+//!   `Q`*: it synthesizes each row of `Qᵀ` on the fly from per-station
+//!   blocks. Its memory falls from `O(nnz(Q))` for the flat CSR to the
+//!   blocks plus the state-length vectors — the difference between the
+//!   `10^5`-state regime and the `10^6`–`10^7`-state regime the exact
+//!   engine is specified for.
 //!
 //! Gauss–Seidel needs nothing beyond rows of `Qᵀ` visited in index order
 //! (Ciardo & Miner, PNPM 1999), so an implicit representation implements
-//! [`GeneratorOp::relax_rows_into`] with the same row gather as its apply.
+//! [`GeneratorOp::relax_rows_into`] with the same row synthesis as its
+//! apply.
 //!
 //! A representation may also partition its states into *aggregation
 //! levels* for the engine's coarse aggregation/disaggregation step:
 //! [`GeneratorOp::aggregate_rows_into`] scans a row block once and reports
 //! each row's level plus the [`LevelFlows`] between levels. The default
 //! means "no levels"; [`LeveledCsr`] pairs a materialized `Qᵀ` with a level
-//! array, and the factored network generator in `mapqn-core` reads levels
-//! off its row cursor. [`KronGenerator`] carries none.
+//! array, and the factored network generator reads levels off its row
+//! cursor.
 
-use crate::dense::DMatrix;
 use crate::sparse::CsrMatrix;
 use crate::{LinalgError, Result};
 
@@ -336,350 +331,9 @@ impl GeneratorOp for LeveledCsr<'_> {
     }
 }
 
-/// One Kronecker-product term `coeff · B_0 ⊗ B_1 ⊗ … ⊗ B_{M-1}` of a
-/// [`KronGenerator`]; `None` factors are identities (stored as nothing).
-#[derive(Debug, Clone)]
-struct KronTerm {
-    coeff: f64,
-    factors: Vec<Option<DMatrix>>,
-    /// Positions of the non-identity factors, the only ones the gather
-    /// loops visit.
-    non_identity: Vec<usize>,
-}
-
-/// A generator represented as a sum of Kronecker products of small dense
-/// factor blocks, `Q = Σ_t c_t · B_{t,0} ⊗ … ⊗ B_{t,M-1}`, applied without
-/// ever forming `Q`.
-///
-/// The state space is the full product of the factor dimensions, indexed in
-/// row-major mixed radix with factor 0 most significant — the same ordering
-/// produced by folding [`crate::kron::kron`] / [`crate::kron::kron_sum`]
-/// left to right, so a `KronGenerator` and its dense materialization agree
-/// entry for entry.
-///
-/// The left apply is a *gather*: for output state `j`, decompose `j` into
-/// its per-factor digits and sum `x[i] · Π B[i_s, j_s]` over the rows of
-/// each non-identity factor (identity factors pin `i_s = j_s`). Every
-/// output element is computed independently in a fixed order, so chunked
-/// parallel evaluation is bitwise identical at any worker count.
-#[derive(Debug, Clone)]
-pub struct KronGenerator {
-    dims: Vec<usize>,
-    /// `strides[s]` = product of `dims[s+1..]`; digit `s` of index `j` is
-    /// `(j / strides[s]) % dims[s]`.
-    strides: Vec<usize>,
-    n: usize,
-    terms: Vec<KronTerm>,
-}
-
-impl KronGenerator {
-    /// Creates an empty (all-zero) operator over the product of `dims`.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::InvalidArgument`] if `dims` is empty, any
-    /// dimension is zero, or the product overflows `usize`.
-    pub fn new(dims: Vec<usize>) -> Result<Self> {
-        if dims.is_empty() {
-            return Err(LinalgError::InvalidArgument(
-                "KronGenerator: at least one factor dimension is required",
-            ));
-        }
-        if dims.contains(&0) {
-            return Err(LinalgError::InvalidArgument(
-                "KronGenerator: factor dimensions must be positive",
-            ));
-        }
-        let mut n = 1usize;
-        for &d in &dims {
-            n = n.checked_mul(d).ok_or(LinalgError::InvalidArgument(
-                "KronGenerator: product of dimensions overflows usize",
-            ))?;
-        }
-        let mut strides = vec![1usize; dims.len()];
-        for s in (0..dims.len() - 1).rev() {
-            strides[s] = strides[s + 1] * dims[s + 1];
-        }
-        Ok(Self {
-            dims,
-            strides,
-            n,
-            terms: Vec::new(),
-        })
-    }
-
-    /// Adds the term `coeff · F_0 ⊗ … ⊗ F_{M-1}`, where `None` stands for
-    /// the identity of the matching dimension.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::InvalidArgument`] if the factor list length
-    /// does not match the dimension list, a factor is not square of its
-    /// declared dimension, or `coeff` is not finite.
-    pub fn add_term(&mut self, coeff: f64, factors: Vec<Option<DMatrix>>) -> Result<()> {
-        if factors.len() != self.dims.len() {
-            return Err(LinalgError::InvalidArgument(
-                "KronGenerator: one factor slot per dimension is required",
-            ));
-        }
-        if !coeff.is_finite() {
-            return Err(LinalgError::InvalidArgument(
-                "KronGenerator: term coefficient must be finite",
-            ));
-        }
-        for (s, f) in factors.iter().enumerate() {
-            if let Some(m) = f {
-                if m.shape() != (self.dims[s], self.dims[s]) {
-                    return Err(LinalgError::InvalidArgument(
-                        "KronGenerator: factor shape must match its declared dimension",
-                    ));
-                }
-            }
-        }
-        let non_identity = factors
-            .iter()
-            .enumerate()
-            .filter_map(|(s, f)| f.as_ref().map(|_| s))
-            .collect();
-        self.terms.push(KronTerm {
-            coeff,
-            factors,
-            non_identity,
-        });
-        Ok(())
-    }
-
-    /// Builds the Kronecker sum `B_0 ⊕ B_1 ⊕ … ⊕ B_{M-1}` (one term per
-    /// block, identities everywhere else) — the generator of independent
-    /// processes evolving in parallel, and the implicit counterpart of
-    /// [`crate::kron::kron_sum_all`].
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::NotSquare`] if a block is not square, and
-    /// propagates [`KronGenerator::new`] errors.
-    pub fn kron_sum(blocks: &[DMatrix]) -> Result<Self> {
-        for b in blocks {
-            if !b.is_square() {
-                return Err(LinalgError::NotSquare { dims: b.shape() });
-            }
-        }
-        let dims: Vec<usize> = blocks.iter().map(DMatrix::nrows).collect();
-        let mut op = Self::new(dims)?;
-        for (s, b) in blocks.iter().enumerate() {
-            let mut factors: Vec<Option<DMatrix>> = vec![None; blocks.len()];
-            factors[s] = Some(b.clone());
-            op.add_term(1.0, factors)?;
-        }
-        Ok(op)
-    }
-
-    /// The factor dimensions.
-    #[must_use]
-    pub fn dims(&self) -> &[usize] {
-        &self.dims
-    }
-
-    /// Number of Kronecker-product terms.
-    #[must_use]
-    pub fn num_terms(&self) -> usize {
-        self.terms.len()
-    }
-
-    /// Row `j` of `Qᵀ` dotted with the vector `read` — `(x Q)[j]` when
-    /// `read(i) = x[i]`. The one row gather behind both the apply and the
-    /// Gauss–Seidel relaxation.
-    fn gather_row(&self, j: usize, read: &impl Fn(usize) -> f64) -> f64 {
-        let mut acc = 0.0;
-        for term in &self.terms {
-            acc += term.coeff * self.gather(term, 0, j, j, 1.0, read);
-        }
-        acc
-    }
-
-    /// Gathers the contribution of `term` to row `j`: the sum over the
-    /// rows of the non-identity factors from `slot` onward, with `base`
-    /// the partial source index (digits of visited non-identity slots
-    /// replaced by their row choice) and `weight` the product of the factor
-    /// entries chosen so far.
-    fn gather(
-        &self,
-        term: &KronTerm,
-        slot: usize,
-        j: usize,
-        base: usize,
-        weight: f64,
-        read: &impl Fn(usize) -> f64,
-    ) -> f64 {
-        let Some(&s) = term.non_identity.get(slot) else {
-            return weight * read(base);
-        };
-        // INFALLIBLE: `non_identity` lists exactly the Some slots of `factors`.
-        let m = term.factors[s]
-            .as_ref()
-            .expect("KronGenerator: non_identity indexes a Some factor");
-        let stride = self.strides[s];
-        let d = self.dims[s];
-        let jd = (j / stride) % d;
-        let col_base = base - jd * stride;
-        let mut acc = 0.0;
-        for r in 0..d {
-            let w = m[(r, jd)];
-            if w == 0.0 {
-                continue;
-            }
-            acc += self.gather(term, slot + 1, j, col_base + r * stride, weight * w, read);
-        }
-        acc
-    }
-}
-
-impl GeneratorOp for KronGenerator {
-    fn num_states(&self) -> usize {
-        self.n
-    }
-
-    fn left_apply_rows_into(&self, start: usize, x: &[f64], out: &mut [f64]) {
-        assert!(
-            start + out.len() <= self.n,
-            "KronGenerator: row block out of range"
-        );
-        assert!(
-            x.len() >= self.n,
-            "KronGenerator: input vector shorter than the state space"
-        );
-        for (k, o) in out.iter_mut().enumerate() {
-            *o = self.gather_row(start + k, &|i| x[i]);
-        }
-    }
-
-    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
-        assert!(
-            start + out.len() <= self.n,
-            "KronGenerator: row block out of range"
-        );
-        for bi in 0..out.len() {
-            let i = start + bi;
-            // The diagonal is every term's product of factor diagonals; the
-            // gather reaches it exactly at source index `i`, read as zero.
-            let s = self.gather_row(i, &|j| {
-                if j == i {
-                    0.0
-                } else if j >= start && j < i {
-                    out[j - start]
-                } else {
-                    x_old[j]
-                }
-            });
-            out[bi] = s / exit[i];
-        }
-    }
-
-    fn diagonal_rows_into(&self, start: usize, out: &mut [f64]) {
-        assert!(
-            start + out.len() <= self.n,
-            "KronGenerator: row block out of range"
-        );
-        for (k, o) in out.iter_mut().enumerate() {
-            let j = start + k;
-            let mut acc = 0.0;
-            for term in &self.terms {
-                let mut w = term.coeff;
-                for &s in &term.non_identity {
-                    // INFALLIBLE: `non_identity` lists exactly the Some slots.
-                    let m = term.factors[s]
-                        .as_ref()
-                        .expect("KronGenerator: non_identity indexes a Some factor");
-                    let d = (j / self.strides[s]) % self.dims[s];
-                    w *= m[(d, d)];
-                }
-                acc += w;
-            }
-            *o = acc;
-        }
-    }
-
-    fn nnz(&self) -> usize {
-        // Structural upper bound: the apply of term t touches
-        // Π_s (identity ? dims[s] : nnz(B_s)) source/target pairs.
-        let mut total = 0usize;
-        for term in &self.terms {
-            let mut t = 1usize;
-            for (s, f) in term.factors.iter().enumerate() {
-                let factor_nnz = match f {
-                    None => self.dims[s],
-                    Some(m) => {
-                        let mut c = 0usize;
-                        for i in 0..m.nrows() {
-                            for jj in 0..m.ncols() {
-                                if m[(i, jj)] != 0.0 {
-                                    c += 1;
-                                }
-                            }
-                        }
-                        c
-                    }
-                };
-                t = t.saturating_mul(factor_nnz);
-            }
-            total = total.saturating_add(t);
-        }
-        total
-    }
-
-    fn memory_bytes(&self) -> usize {
-        let mut bytes = (self.dims.len() + self.strides.len()) * std::mem::size_of::<usize>();
-        for term in &self.terms {
-            bytes += std::mem::size_of::<f64>(); // coefficient
-            for f in term.factors.iter().flatten() {
-                bytes += f.nrows() * f.ncols() * std::mem::size_of::<f64>();
-            }
-        }
-        bytes
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kron::kron_sum_all;
-    use proptest::prelude::*;
-
-    /// Dense reference for `x Q`: `y[j] = Σ_i x[i] · q[(i, j)]`.
-    fn dense_left_apply(q: &DMatrix, x: &[f64]) -> Vec<f64> {
-        let n = q.nrows();
-        let mut y = vec![0.0; n];
-        for (j, yj) in y.iter_mut().enumerate() {
-            let mut acc = 0.0;
-            for (i, &xi) in x.iter().enumerate().take(n) {
-                acc += xi * q[(i, j)];
-            }
-            *yj = acc;
-        }
-        y
-    }
-
-    /// Deterministic pseudo-random generator block of order `d` whose rows
-    /// sum to zero (so the Kronecker sum is itself a generator).
-    fn generator_block(d: usize, seed: u64) -> DMatrix {
-        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(1);
-        let mut next = || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            (state >> 11) as f64 / (1u64 << 53) as f64
-        };
-        let mut m = DMatrix::zeros(d, d);
-        for i in 0..d {
-            let mut row_sum = 0.0;
-            for j in 0..d {
-                if j != i {
-                    let v = next() * 3.0;
-                    m[(i, j)] = v;
-                    row_sum += v;
-                }
-            }
-            m[(i, i)] = -row_sum;
-        }
-        m
-    }
 
     fn probe_vector(n: usize, seed: u64) -> Vec<f64> {
         let mut state = seed.wrapping_mul(0xd134_2543_de82_ef95).wrapping_add(7);
@@ -693,118 +347,55 @@ mod tests {
             .collect()
     }
 
-    #[cfg(miri)]
-    const CASES: u32 = 4;
-    #[cfg(not(miri))]
-    const CASES: u32 = 64;
-
-    proptest! {
-        #![proptest_config(ProptestConfig { cases: CASES, ..ProptestConfig::default() })]
-
-        /// Satellite: the shuffle-gather matvec of a Kronecker-sum operator
-        /// agrees with the dense `kron_sum_all` materialization to 1e-12 on
-        /// random per-station generator blocks.
-        #[test]
-        fn kron_sum_matvec_matches_dense(
-            d0 in 1usize..4,
-            d1 in 1usize..4,
-            d2 in 1usize..4,
-            seed in 0u64..1_000_000,
-        ) {
-            let blocks = [
-                generator_block(d0, seed),
-                generator_block(d1, seed ^ 0xabcd),
-                generator_block(d2, seed ^ 0x1234_5678),
-            ];
-            let refs: Vec<&DMatrix> = blocks.iter().collect();
-            let dense = kron_sum_all(&refs);
-            let op = KronGenerator::kron_sum(&blocks).unwrap();
-            prop_assert_eq!(op.num_states(), dense.nrows());
-
-            let x = probe_vector(op.num_states(), seed ^ 0x5555);
-            let expected = dense_left_apply(&dense, &x);
-            let mut got = vec![0.0; op.num_states()];
-            op.left_apply_rows_into(0, &x, &mut got);
-            for (g, e) in got.iter().zip(&expected) {
-                prop_assert!((g - e).abs() <= 1e-12, "matvec entry off: {} vs {}", g, e);
-            }
-
-            // Diagonal extraction agrees with the dense diagonal too.
-            let mut diag = vec![0.0; op.num_states()];
-            op.diagonal_rows_into(0, &mut diag);
-            for (j, dj) in diag.iter().enumerate() {
-                prop_assert!((dj - dense[(j, j)]).abs() <= 1e-12);
-            }
+    /// Transposed generator `Qᵀ` of an `n`-state chain in which every state
+    /// has three outgoing transitions with pseudo-random rates.
+    fn ring_generator_transpose(n: usize, seed: u64) -> CsrMatrix {
+        let w = probe_vector(3 * n, seed);
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            triplets.push((i, (i + 1) % n, 1.0 + w[i]));
+            triplets.push((i, (i + 7) % n, 0.75 + w[n + i]));
+            triplets.push((i, (i * 5 + 3) % n, 0.6 + w[2 * n + i]));
         }
-
-        /// General multi-term operators (not just Kronecker sums, and with
-        /// more than one non-identity factor per term) also match their
-        /// dense materialization.
-        #[test]
-        fn multi_term_matvec_matches_dense(
-            d0 in 1usize..4,
-            d1 in 1usize..4,
-            seed in 0u64..1_000_000,
-        ) {
-            let a = generator_block(d0, seed);
-            let b = generator_block(d1, seed ^ 0x77);
-            let c = generator_block(d0, seed ^ 0x99);
-            let mut op = KronGenerator::new(vec![d0, d1]).unwrap();
-            // 0.5 · A ⊗ B  +  2 · C ⊗ I  +  1 · I ⊗ B
-            op.add_term(0.5, vec![Some(a.clone()), Some(b.clone())]).unwrap();
-            op.add_term(2.0, vec![Some(c.clone()), None]).unwrap();
-            op.add_term(1.0, vec![None, Some(b.clone())]).unwrap();
-
-            let ib = DMatrix::identity(d1);
-            let ia = DMatrix::identity(d0);
-            let mut dense = crate::kron::kron(&a, &b);
-            dense.scale_mut(0.5);
-            let mut t2 = crate::kron::kron(&c, &ib);
-            t2.scale_mut(2.0);
-            let t3 = crate::kron::kron(&ia, &b);
-            let dense = dense.add(&t2).unwrap().add(&t3).unwrap();
-
-            let x = probe_vector(op.num_states(), seed ^ 0xbeef);
-            let expected = dense_left_apply(&dense, &x);
-            let mut got = vec![0.0; op.num_states()];
-            op.left_apply_rows_into(0, &x, &mut got);
-            for (g, e) in got.iter().zip(&expected) {
-                prop_assert!((g - e).abs() <= 1e-12, "matvec entry off: {} vs {}", g, e);
-            }
+        let offdiag: Vec<_> = triplets.iter().copied().filter(|&(i, j, _)| i != j).collect();
+        let mut full = offdiag.clone();
+        for i in 0..n {
+            let out: f64 = offdiag.iter().filter(|t| t.0 == i).map(|t| t.2).sum();
+            full.push((i, i, -out));
         }
+        CsrMatrix::from_triplets(n, n, &full).unwrap().transpose()
     }
 
-    /// Satellite: the chunked parallel matvec (the exact kernel the sparse
-    /// engine drives through `WorkPool::for_each_chunk`) is bitwise
-    /// invariant in the worker count, because chunk boundaries derive from
-    /// the chunk length alone and every output element is written once.
+    /// The chunked parallel matvec (the exact kernel the sparse engine
+    /// drives through `WorkPool::for_each_chunk`) is bitwise invariant in
+    /// the worker count, because chunk boundaries derive from the chunk
+    /// length alone and every output element is written once.
     #[test]
     fn chunked_parallel_matvec_is_bitwise_worker_invariant() {
-        let blocks = [
-            generator_block(3, 11),
-            generator_block(2, 22),
-            generator_block(3, 33),
-            generator_block(2, 44),
-        ];
-        let op = KronGenerator::kron_sum(&blocks).unwrap();
-        let n = op.num_states();
+        let n = 36;
+        let qt = ring_generator_transpose(n, 11);
+        let levels: Vec<u32> = (0..n as u32).map(|i| i / 6).collect();
+        let leveled = LeveledCsr::new(&qt, &levels).unwrap();
         let x = probe_vector(n, 99);
 
-        let mut serial = vec![0.0; n];
-        op.left_apply_rows_into(0, &x, &mut serial);
+        let ops: [&dyn GeneratorOp; 2] = [&qt, &leveled];
+        for op in ops {
+            let mut serial = vec![0.0; n];
+            op.left_apply_rows_into(0, &x, &mut serial);
 
-        for workers in [1usize, 2, 4, 7] {
-            for chunk_len in [1usize, 5, 16] {
-                let mut out = vec![0.0; n];
-                mapqn_par::WorkPool::new(workers).for_each_chunk(
-                    &mut out,
-                    chunk_len,
-                    |start, chunk| op.left_apply_rows_into(start, &x, chunk),
-                );
-                assert_eq!(
-                    serial, out,
-                    "workers={workers} chunk_len={chunk_len} must reproduce the serial bits"
-                );
+            for workers in [1usize, 2, 4, 7] {
+                for chunk_len in [1usize, 5, 16] {
+                    let mut out = vec![0.0; n];
+                    mapqn_par::WorkPool::new(workers).for_each_chunk(
+                        &mut out,
+                        chunk_len,
+                        |start, chunk| op.left_apply_rows_into(start, &x, chunk),
+                    );
+                    assert_eq!(
+                        serial, out,
+                        "workers={workers} chunk_len={chunk_len} must reproduce the serial bits"
+                    );
+                }
             }
         }
     }
@@ -878,37 +469,6 @@ mod tests {
         exit.iter().map(|d| -d).collect()
     }
 
-    /// Reference block Gauss–Seidel over the rows of `Qᵀ`, assembled column
-    /// by column through `left_apply_rows_into` on unit vectors.
-    fn reference_relax(op: &impl GeneratorOp, block_len: usize, x_old: &[f64]) -> Vec<f64> {
-        let n = op.num_states();
-        let mut qt = vec![vec![0.0; n]; n];
-        let mut unit = vec![0.0; n];
-        let mut col = vec![0.0; n];
-        for k in 0..n {
-            unit[k] = 1.0;
-            op.left_apply_rows_into(0, &unit, &mut col);
-            unit[k] = 0.0;
-            for i in 0..n {
-                qt[i][k] = col[i];
-            }
-        }
-        let exit = exit_rates(op);
-        let mut x = vec![0.0; n];
-        for start in (0..n).step_by(block_len) {
-            for i in start..(start + block_len).min(n) {
-                let mut s = 0.0;
-                for (j, &q) in qt[i].iter().enumerate() {
-                    if j != i {
-                        s += q * if j >= start && j < i { x[j] } else { x_old[j] };
-                    }
-                }
-                x[i] = s / exit[i];
-            }
-        }
-        x
-    }
-
     /// Runs `op`'s relaxation block by block, as the engine's chunked sweep does.
     fn blocked_relax(op: &impl GeneratorOp, block_len: usize, x_old: &[f64]) -> Vec<f64> {
         let exit = exit_rates(op);
@@ -922,20 +482,7 @@ mod tests {
     #[test]
     fn csr_relaxation_is_bitwise_the_frozen_sweep() {
         let n = 23;
-        let mut triplets = Vec::new();
-        let w = probe_vector(3 * n, 5);
-        for i in 0..n {
-            triplets.push((i, (i + 1) % n, 1.0 + w[i]));
-            triplets.push((i, (i + 7) % n, 0.75 + w[n + i]));
-            triplets.push((i, (i * 5 + 3) % n, 0.6 + w[2 * n + i]));
-        }
-        let offdiag: Vec<_> = triplets.iter().copied().filter(|&(i, j, _)| i != j).collect();
-        let mut full = offdiag.clone();
-        for i in 0..n {
-            let out: f64 = offdiag.iter().filter(|t| t.0 == i).map(|t| t.2).sum();
-            full.push((i, i, -out));
-        }
-        let qt = CsrMatrix::from_triplets(n, n, &full).unwrap().transpose();
+        let qt = ring_generator_transpose(n, 5);
         let exit = exit_rates(&qt);
         let x_old: Vec<f64> = probe_vector(n, 17).iter().map(|v| v + 0.75).collect();
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -946,29 +493,6 @@ mod tests {
             }
             let via_op = blocked_relax(&qt, block_len, &x_old);
             assert_eq!(bits(&frozen), bits(&via_op), "block_len {block_len}");
-        }
-    }
-
-    #[test]
-    fn kron_relaxation_matches_reference_gauss_seidel() {
-        let blocks = [
-            generator_block(3, 7),
-            generator_block(2, 8),
-            generator_block(3, 9),
-        ];
-        let op = KronGenerator::kron_sum(&blocks).unwrap();
-        let n = op.num_states();
-        let x_old: Vec<f64> = probe_vector(n, 31).iter().map(|v| v + 0.75).collect();
-        // 5 and 4 cut the 18 states mid-digit; 5 does not divide n.
-        for block_len in [1usize, 4, 5, n] {
-            let expected = reference_relax(&op, block_len, &x_old);
-            let got = blocked_relax(&op, block_len, &x_old);
-            for (i, (g, e)) in got.iter().zip(&expected).enumerate() {
-                assert!(
-                    (g - e).abs() <= 1e-13 * e.abs(),
-                    "block_len {block_len} row {i}: {g} vs {e}"
-                );
-            }
         }
     }
 
@@ -988,7 +512,6 @@ mod tests {
         let qt = CsrMatrix::from_triplets(n, n, &full).unwrap().transpose();
         let levels = [0u32, 0, 1, 1, 2, 2];
         let op = LeveledCsr::new(&qt, &levels).unwrap();
-        assert!(LeveledCsr::new(&qt, &levels[1..]).is_err());
 
         let x: Vec<f64> = probe_vector(n, 8).iter().map(|v| v + 1.0).collect();
         let mut got_levels = [9u32; 4];
@@ -1025,8 +548,6 @@ mod tests {
         // Representations without levels say so and leave the output alone.
         let mut untouched = LevelFlows::default();
         assert!(!qt.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
-        let kron = KronGenerator::kron_sum(&[generator_block(2, 1)]).unwrap();
-        assert!(!kron.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
         assert_eq!(untouched, LevelFlows::default());
         assert_eq!(got_levels, [1, 1, 2, 2]);
     }
@@ -1050,30 +571,11 @@ mod tests {
     }
 
     #[test]
-    fn kron_generator_accounting_is_factor_sized() {
-        let blocks = [generator_block(4, 1), generator_block(4, 2), generator_block(4, 3)];
-        let op = KronGenerator::kron_sum(&blocks).unwrap();
-        assert_eq!(op.num_states(), 64);
-        assert_eq!(op.num_terms(), 3);
-        assert_eq!(op.dims(), &[4, 4, 4]);
-        // Three 4×4 blocks: the factor payload is 3·16 doubles, far below
-        // any materialization of the 64×64 operator.
-        assert!(op.memory_bytes() < 64 * 64 * 8);
-        assert!(GeneratorOp::nnz(&op) > 0);
-    }
-
-    #[test]
     fn invalid_constructions_are_rejected() {
-        assert!(KronGenerator::new(vec![]).is_err());
-        assert!(KronGenerator::new(vec![2, 0]).is_err());
-        let mut op = KronGenerator::new(vec![2, 2]).unwrap();
-        assert!(op.add_term(1.0, vec![None]).is_err());
-        assert!(op
-            .add_term(f64::NAN, vec![None, None])
-            .is_err());
-        assert!(op
-            .add_term(1.0, vec![Some(DMatrix::zeros(3, 3)), None])
-            .is_err());
-        assert!(KronGenerator::kron_sum(&[DMatrix::zeros(2, 3)]).is_err());
+        let qt = ring_generator_transpose(6, 2);
+        let levels = [0u32, 0, 1, 1, 2, 2, 3];
+        assert!(LeveledCsr::new(&qt, &levels[..5]).is_err());
+        assert!(LeveledCsr::new(&qt, &levels).is_err());
+        assert!(LeveledCsr::new(&qt, &levels[..6]).is_ok());
     }
 }

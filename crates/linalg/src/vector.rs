@@ -2,7 +2,7 @@
 //! queueing-network solvers.
 //!
 //! [`DVector`] is a thin newtype over `Vec<f64>` so that vector semantics
-//! (dot products, axpy updates, norms, normalization to a probability
+//! (dot products, norms, normalization to a probability
 //! vector) live in one place and are tested once.
 
 use crate::{LinalgError, Result};
@@ -105,24 +105,6 @@ impl DVector {
             .sum())
     }
 
-    /// In-place `self += alpha * other` (the BLAS `axpy` update).
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn axpy(&mut self, alpha: f64, other: &DVector) -> Result<()> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "axpy",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-        Ok(())
-    }
-
     /// Multiplies every entry by `alpha` in place.
     pub fn scale(&mut self, alpha: f64) {
         for a in &mut self.data {
@@ -134,12 +116,6 @@ impl DVector {
     #[must_use]
     pub fn sum(&self) -> f64 {
         self.data.iter().sum()
-    }
-
-    /// Euclidean (L2) norm.
-    #[must_use]
-    pub fn norm2(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
     }
 
     /// L1 norm (sum of absolute values).
@@ -295,17 +271,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_updates_in_place() {
-        let mut a = DVector::from_vec(vec![1.0, 1.0]);
-        let b = DVector::from_vec(vec![2.0, -3.0]);
-        a.axpy(0.5, &b).unwrap();
-        assert_eq!(a.as_slice(), &[2.0, -0.5]);
-    }
-
-    #[test]
     fn norms_are_consistent() {
         let v = DVector::from_vec(vec![3.0, -4.0]);
-        assert!(approx_eq(v.norm2(), 5.0, 1e-12));
         assert!(approx_eq(v.norm1(), 7.0, 1e-12));
         assert!(approx_eq(v.norm_inf(), 4.0, 1e-12));
         assert!(approx_eq(v.sum(), -1.0, 1e-12));

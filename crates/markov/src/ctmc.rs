@@ -150,8 +150,8 @@ impl Ctmc {
         &self.generator
     }
 
-    /// The largest total exit rate `max_i |Q[i,i]|`, used as the
-    /// uniformization constant.
+    /// The largest total exit rate `max_i |Q[i,i]|`, the scale of the sparse
+    /// engine's residual tolerance.
     #[must_use]
     pub fn max_exit_rate(&self) -> f64 {
         let mut m = 0.0_f64;
@@ -159,35 +159,6 @@ impl Ctmc {
             m = m.max(-self.generator.get(i, i));
         }
         m
-    }
-
-    /// Uniformized transition matrix `P = I + Q / q` for
-    /// `q = max_exit_rate * (1 + margin)`. Returns the matrix and the
-    /// uniformization rate `q` actually used.
-    ///
-    /// The margin keeps the diagonal of `P` strictly positive, which makes
-    /// the chain aperiodic and power iteration convergent.
-    #[must_use]
-    pub fn uniformized(&self, margin: f64) -> (CsrMatrix, f64) {
-        let q = self.max_exit_rate() * (1.0 + margin.max(1e-6));
-        let n = self.num_states();
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        for i in 0..n {
-            let mut diag_extra = 1.0;
-            for (j, v) in self.generator.row_iter(i) {
-                if i == j {
-                    diag_extra += v / q;
-                } else {
-                    triplets.push((i, j, v / q));
-                }
-            }
-            triplets.push((i, i, diag_extra));
-        }
-        // INFALLIBLE: all triplets come from iterating the generator's own
-        // n x n sparsity pattern.
-        let p = CsrMatrix::from_triplets(n, n, &triplets)
-            .expect("indices are in range by construction");
-        (p, q)
     }
 
     /// Expected value of a state reward function under a probability vector:
@@ -256,22 +227,6 @@ mod tests {
         assert!(Ctmc::new(bad).is_err());
         // Empty.
         assert!(Ctmc::new(CsrMatrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn uniformized_matrix_is_stochastic() {
-        let c = two_state();
-        let (p, q) = c.uniformized(0.01);
-        assert!(q > c.max_exit_rate());
-        for i in 0..2 {
-            assert!(approx_eq(p.row_sum(i), 1.0, 1e-12));
-            for (_, v) in p.row_iter(i) {
-                assert!(v >= 0.0);
-            }
-        }
-        // Diagonal strictly positive thanks to the margin.
-        assert!(p.get(0, 0) > 0.0);
-        assert!(p.get(1, 1) > 0.0);
     }
 
     #[test]

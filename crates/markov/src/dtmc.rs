@@ -1,12 +1,11 @@
 //! Discrete-time Markov chains.
 //!
-//! Used for embedded processes (the phase chain of a MAP at completion
-//! epochs) and for the uniformized chains that the iterative CTMC solver
-//! works with. Small chains are solved densely, large ones by power
-//! iteration.
+//! Used for the routing chain of a closed network, whose stationary vector
+//! gives the visit ratios. These chains have one state per station, so they
+//! are solved densely.
 
 use crate::{MarkovError, Result};
-use mapqn_linalg::{lu, norms, CsrMatrix, DMatrix, DVector};
+use mapqn_linalg::{lu, DMatrix, DVector};
 
 /// A discrete-time Markov chain with a dense transition matrix.
 #[derive(Debug, Clone)]
@@ -82,54 +81,6 @@ impl Dtmc {
         let _ = pi.normalize_sum();
         Ok(pi)
     }
-
-    /// `k`-step transition matrix `P^k`.
-    ///
-    /// # Errors
-    /// Propagates linear-algebra failures (cannot occur for a valid chain).
-    pub fn k_step(&self, k: u32) -> Result<DMatrix> {
-        Ok(self.p.pow(k)?)
-    }
-
-    /// Distribution after `k` steps starting from `initial`.
-    ///
-    /// # Errors
-    /// Returns an error when `initial` has the wrong length.
-    pub fn distribution_after(&self, initial: &DVector, k: u32) -> Result<DVector> {
-        if initial.len() != self.num_states() {
-            return Err(MarkovError::InvalidChain(format!(
-                "initial distribution has {} entries, chain has {} states",
-                initial.len(),
-                self.num_states()
-            )));
-        }
-        let pk = self.k_step(k)?;
-        Ok(pk.vecmat(initial)?)
-    }
-}
-
-/// Stationary distribution of a large sparse stochastic matrix by power
-/// iteration (the sparse counterpart of [`Dtmc::stationary`]).
-///
-/// # Errors
-/// Returns [`MarkovError::NoConvergence`] when the iteration does not
-/// converge within `max_iterations`.
-pub fn sparse_dtmc_stationary(
-    p: &CsrMatrix,
-    tolerance: f64,
-    max_iterations: usize,
-) -> Result<DVector> {
-    match norms::power_iteration_left(p, tolerance, max_iterations) {
-        Ok(r) => Ok(r.vector),
-        Err(mapqn_linalg::LinalgError::NoConvergence {
-            iterations,
-            residual,
-        }) => Err(MarkovError::NoConvergence {
-            iterations,
-            residual,
-        }),
-        Err(e) => Err(MarkovError::from(e)),
-    }
 }
 
 #[cfg(test)]
@@ -163,57 +114,9 @@ mod tests {
     }
 
     #[test]
-    fn k_step_and_distribution_after() {
-        let chain = weather_chain();
-        let p2 = chain.k_step(2).unwrap();
-        let manual = chain
-            .transition_matrix()
-            .matmul(chain.transition_matrix())
-            .unwrap();
-        assert!(p2.max_abs_diff(&manual).unwrap() < 1e-14);
-
-        let initial = DVector::from_vec(vec![1.0, 0.0]);
-        let d1 = chain.distribution_after(&initial, 1).unwrap();
-        assert!(approx_eq(d1[0], 0.9, 1e-12));
-        assert!(approx_eq(d1[1], 0.1, 1e-12));
-        // Long-run distribution approaches the stationary one.
-        let d_inf = chain.distribution_after(&initial, 200).unwrap();
-        let pi = chain.stationary().unwrap();
-        assert!(d_inf.max_abs_diff(&pi).unwrap() < 1e-10);
-        assert!(chain.distribution_after(&DVector::zeros(3), 1).is_err());
-    }
-
-    #[test]
     fn single_state_chain_is_trivial() {
         let chain = Dtmc::new(DMatrix::from_row_slice(1, 1, &[1.0])).unwrap();
         assert_eq!(chain.stationary().unwrap().as_slice(), &[1.0]);
         assert_eq!(chain.num_states(), 1);
-    }
-
-    #[test]
-    fn sparse_stationary_matches_dense() {
-        let p_dense = DMatrix::from_row_slice(
-            3,
-            3,
-            &[0.5, 0.25, 0.25, 0.2, 0.6, 0.2, 0.3, 0.3, 0.4],
-        );
-        let chain = Dtmc::new(p_dense.clone()).unwrap();
-        let pi_dense = chain.stationary().unwrap();
-
-        let mut triplets = Vec::new();
-        for i in 0..3 {
-            for j in 0..3 {
-                triplets.push((i, j, p_dense[(i, j)]));
-            }
-        }
-        let p_sparse = CsrMatrix::from_triplets(3, 3, &triplets).unwrap();
-        let pi_sparse = sparse_dtmc_stationary(&p_sparse, 1e-13, 100_000).unwrap();
-        assert!(pi_dense.max_abs_diff(&pi_sparse).unwrap() < 1e-9);
-
-        // Non-convergence with a tiny budget.
-        assert!(matches!(
-            sparse_dtmc_stationary(&p_sparse, 1e-16, 1),
-            Err(MarkovError::NoConvergence { .. })
-        ));
     }
 }

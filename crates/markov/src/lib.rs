@@ -19,14 +19,12 @@
 //!   the automatic dense/sparse selection of [`steady::stationary_auto`];
 //! * [`sparse_steady`] — the large-chain engine: Gauss–Seidel /
 //!   Jacobi-preconditioned iterations with adaptive uniformization on the
-//!   CSR generator, parallel over row blocks via `mapqn-par`, with a
-//!   residual-based (`‖πQ‖_∞`) stopping criterion — this is what carries
-//!   exact validation references into the `10^5`–`10^7`-state regime;
-//! * [`dtmc::Dtmc`] — discrete-time chains (used for embedded processes and
-//!   uniformized chains);
-//! * [`transient`] — transient state probabilities via uniformization
-//!   (an extension beyond the paper's steady-state analysis, used by tests
-//!   and examples), sharing the parallel sparse matvec kernel.
+//!   CSR generator or any other [`mapqn_linalg::GeneratorOp`], parallel over
+//!   row blocks via `mapqn-par`, with a residual-based (`‖πQ‖_∞`) stopping
+//!   criterion — this is what carries exact validation references into the
+//!   `10^5`–`10^7`-state regime;
+//! * [`dtmc::Dtmc`] — small discrete-time chains (the routing chain whose
+//!   stationary vector gives a network's visit ratios).
 
 
 pub mod ctmc;
@@ -34,7 +32,6 @@ pub mod dtmc;
 pub mod sparse_steady;
 pub mod statespace;
 pub mod steady;
-pub mod transient;
 
 pub use ctmc::Ctmc;
 pub use dtmc::Dtmc;
@@ -43,10 +40,7 @@ pub use sparse_steady::{
     SparseSteadyReport,
 };
 pub use statespace::{StateSpace, StateSpaceBuilder};
-pub use steady::{
-    stationary_auto, stationary_dense_gth, stationary_iterative, stationary_residual,
-    SteadyStateOptions,
-};
+pub use steady::{stationary_auto, stationary_dense_gth, stationary_residual, SteadyStateOptions};
 
 /// Error type for Markov-chain construction and solution.
 #[derive(Debug, Clone, PartialEq)]

@@ -16,9 +16,9 @@
 //!   a **materialized** transposed CSR (assembled row-by-row by
 //!   [`crate::statespace::StateSpaceBuilder`], transposed once on entry —
 //!   the classic path, via [`stationary_sparse`]) and the **implicit**
-//!   build-nothing representations behind [`stationary_sparse_op`] (e.g.
-//!   [`mapqn_linalg::KronGenerator`]), whose matvec gathers entries from
-//!   per-station factor blocks and never forms `Q` at all;
+//!   factored network generator of `mapqn-core` behind
+//!   [`stationary_sparse_op`], which synthesizes its rows from per-station
+//!   blocks and never forms `Q` at all;
 //! * iterations are **preconditioned**: the default is a block-hybrid
 //!   Gauss–Seidel sweep (exact Gauss–Seidel inside fixed row blocks,
 //!   Jacobi across blocks), with a Jacobi-preconditioned power iteration —
@@ -179,7 +179,7 @@ pub struct SparseSteadyReport {
 /// *and* implicit representations alike, because each output entry of a
 /// [`GeneratorOp::left_apply_rows_into`] block depends only on `x` and its
 /// own row.
-pub(crate) fn par_left_apply<O: GeneratorOp + ?Sized>(
+fn par_left_apply<O: GeneratorOp + ?Sized>(
     pool: &ScopedPool<'_>,
     op: &O,
     block_len: usize,
@@ -194,10 +194,8 @@ pub(crate) fn par_left_apply<O: GeneratorOp + ?Sized>(
 /// The worker count a solve should use, from the requested width and the
 /// per-round work: rounds below the work threshold stay serial (the
 /// handshake would be a measurable fraction of the round), everything else
-/// fans out to `workers` (0 = [`mapqn_par::default_threads`]). Shared by
-/// the stationary engine and the transient uniformization path so the
-/// policy cannot drift between them.
-pub(crate) fn effective_workers(per_round_work: usize, threshold: usize, workers: usize) -> usize {
+/// fans out to `workers` (0 = [`mapqn_par::default_threads`]).
+fn effective_workers(per_round_work: usize, threshold: usize, workers: usize) -> usize {
     if per_round_work < threshold {
         1
     } else if workers == 0 {
@@ -541,9 +539,8 @@ pub fn stationary_sparse(ctmc: &Ctmc, options: &SparseSteadyOptions) -> Result<S
 /// [`stationary_sparse`]. Every representation runs the same fallback
 /// ladder: a materialized operator (a transposed-CSR generator) is
 /// bit-for-bit identical to [`stationary_sparse`] on the same chain, and an
-/// implicit operator (e.g. [`mapqn_linalg::KronGenerator`] or the factored
-/// network generator in `mapqn-core`) relaxes and applies its synthesized
-/// rows on the same rungs.
+/// implicit operator (the factored network generator in `mapqn-core`)
+/// relaxes and applies its synthesized rows on the same rungs.
 ///
 /// # Errors
 /// Returns [`MarkovError::NoConvergence`] when no preconditioner reaches the
@@ -1113,80 +1110,6 @@ mod tests {
             assert_eq!(via_ctmc.pi.as_slice(), via_op.pi.as_slice());
             assert_eq!(via_ctmc.sweeps, via_op.sweeps);
             assert_eq!(via_ctmc.used, via_op.used);
-        }
-    }
-
-    #[test]
-    fn implicit_kron_operator_solves_on_the_gauss_seidel_rung() {
-        // Two independent birth-death processes: the joint generator is the
-        // Kronecker sum of the factors. Solve it twice — materialized (the
-        // dense kron_sum, assembled into a CTMC) and implicit (the
-        // KronGenerator, which never forms Q) — and check the implicit
-        // ladder answered on the Gauss–Seidel rung with the same
-        // distribution.
-        use mapqn_linalg::kron::kron_sum;
-        use mapqn_linalg::{DMatrix, KronGenerator};
-
-        let block = |n: usize, birth: f64, death: f64| {
-            let mut m = DMatrix::zeros(n, n);
-            for i in 0..n - 1 {
-                m[(i, i + 1)] = birth;
-                m[(i, i)] -= birth;
-                m[(i + 1, i)] = death;
-                m[(i + 1, i + 1)] -= death;
-            }
-            m
-        };
-        let a = block(4, 2.0, 3.0);
-        let b = block(3, 1.0, 1.7);
-        let dense = kron_sum(&a, &b);
-        let n = dense.nrows();
-        let mut triplets = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if dense[(i, j)] != 0.0 {
-                    triplets.push((i, j, dense[(i, j)]));
-                }
-            }
-        }
-        let ctmc = Ctmc::from_transitions(
-            n,
-            &triplets
-                .iter()
-                .filter(|(i, j, _)| i != j)
-                .copied()
-                .collect::<Vec<_>>(),
-        )
-        .unwrap();
-        let reference = stationary_dense_gth(&ctmc).unwrap();
-
-        let op = KronGenerator::kron_sum(&[a, b]).unwrap();
-        let opts = SparseSteadyOptions::default();
-        let report = stationary_sparse_op(&op, &opts).unwrap();
-        assert_eq!(report.used, SparsePreconditioner::GaussSeidel);
-        assert!(
-            report.residual <= opts.tolerance * ctmc.max_exit_rate() * 1.01,
-            "residual {}",
-            report.residual
-        );
-        for (p, r) in report.pi.as_slice().iter().zip(reference.as_slice()) {
-            assert!((p - r).abs() < 1e-10, "pi entry {p} vs GTH {r}");
-        }
-
-        // The chunked implicit relaxation is bitwise worker-invariant
-        // through the whole solve.
-        let base = SparseSteadyOptions {
-            block_len: 4,
-            parallel_threshold: 0,
-            ..SparseSteadyOptions::default()
-        };
-        let serial =
-            stationary_sparse_op(&op, &SparseSteadyOptions { workers: 1, ..base }).unwrap();
-        for workers in [2, 4] {
-            let parallel =
-                stationary_sparse_op(&op, &SparseSteadyOptions { workers, ..base }).unwrap();
-            assert_eq!(serial.pi.as_slice(), parallel.pi.as_slice());
-            assert_eq!(serial.sweeps, parallel.sweeps);
         }
     }
 

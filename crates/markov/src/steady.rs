@@ -1,6 +1,6 @@
 //! Stationary distribution solvers for CTMCs.
 //!
-//! Three complementary algorithms are provided:
+//! Two complementary algorithms are provided:
 //!
 //! * **GTH elimination** (Grassmann–Taksar–Heyman) on a dense copy of the
 //!   generator. GTH performs Gaussian elimination using only additions of
@@ -12,9 +12,6 @@
 //!   the CSR generator with a residual-based (`‖πQ‖_∞`) stopping rule —
 //!   the path that carries the paper's exact ("global balance") validation
 //!   references into the `10^5`–`10^7`-state regime.
-//! * **Plain power iteration on the globally uniformized chain**
-//!   ([`stationary_iterative`]), kept as the simplest iterative baseline
-//!   and as the sparse engine's most conservative internal fallback.
 //!
 //! [`stationary_auto`] picks GTH below
 //! [`SteadyStateOptions::dense_threshold`] states and the sparse engine
@@ -25,15 +22,9 @@ use crate::sparse_steady::{stationary_sparse, SparseSteadyOptions};
 use crate::{MarkovError, Result};
 use mapqn_linalg::{norms, DVector};
 
-/// Options controlling the iterative solvers and the automatic selection.
+/// Options controlling the automatic dense/sparse selection.
 #[derive(Debug, Clone, Copy)]
 pub struct SteadyStateOptions {
-    /// Convergence tolerance: the sup-norm change of the iterate for
-    /// [`stationary_iterative`] (legacy power path); the sparse engine uses
-    /// the residual-based tolerance in [`SteadyStateOptions::sparse`].
-    pub tolerance: f64,
-    /// Maximum number of iterations of the legacy power method.
-    pub max_iterations: usize,
     /// State-count threshold below which the dense GTH solver is used by
     /// [`stationary_auto`].
     pub dense_threshold: usize,
@@ -45,8 +36,6 @@ pub struct SteadyStateOptions {
 impl Default for SteadyStateOptions {
     fn default() -> Self {
         Self {
-            tolerance: 1e-12,
-            max_iterations: 200_000,
             dense_threshold: 2_000,
             sparse: SparseSteadyOptions::default(),
         }
@@ -119,63 +108,22 @@ pub fn stationary_dense_gth(ctmc: &Ctmc) -> Result<DVector> {
     Ok(result)
 }
 
-/// Computes the stationary distribution by power iteration on the
-/// uniformized chain `P = I + Q / q`.
-///
-/// # Errors
-/// Returns [`MarkovError::NoConvergence`] when the iteration does not reach
-/// the requested tolerance within the iteration budget.
-pub fn stationary_iterative(ctmc: &Ctmc, options: &SteadyStateOptions) -> Result<DVector> {
-    let (p, _q) = ctmc.uniformized(0.05);
-    match norms::power_iteration_left(&p, options.tolerance, options.max_iterations) {
-        Ok(result) => {
-            let mut pi = result.vector;
-            pi.clamp_small_negatives(1e-15);
-            let _ = pi.normalize_sum();
-            Ok(pi)
-        }
-        Err(mapqn_linalg::LinalgError::NoConvergence {
-            iterations,
-            residual,
-        }) => Err(MarkovError::NoConvergence {
-            iterations,
-            residual,
-        }),
-        Err(e) => Err(MarkovError::from(e)),
-    }
-}
-
 /// Computes the stationary distribution, choosing the dense GTH solver for
 /// small chains and the sparse preconditioned engine
 /// ([`crate::sparse_steady::stationary_sparse`]) for large ones.
-///
-/// The legacy `tolerance` / `max_iterations` knobs still bound the routed
-/// sparse solve: the engine runs at the *tighter* of the legacy and sparse
-/// tolerances and the *smaller* of the two work budgets, so a caller that
-/// capped the old power path keeps its bound instead of having the fields
-/// silently ignored.
 ///
 /// # Errors
 /// Propagates the error of whichever solver was selected; if GTH fails due
 /// to reducibility the sparse engine is tried as a fallback (its internal
 /// power path handles reducible generators).
 pub fn stationary_auto(ctmc: &Ctmc, options: &SteadyStateOptions) -> Result<DVector> {
-    let sparse_options = SparseSteadyOptions {
-        tolerance: options.sparse.tolerance.min(options.tolerance),
-        max_sweeps: options.sparse.max_sweeps.min(options.max_iterations),
-        ..options.sparse
-    };
     if ctmc.num_states() <= options.dense_threshold {
         match stationary_dense_gth(ctmc) {
-            Ok(pi) => Ok(pi),
-            Err(MarkovError::InvalidChain(_)) => {
-                Ok(stationary_sparse(ctmc, &sparse_options)?.pi)
-            }
-            Err(e) => Err(e),
+            Err(MarkovError::InvalidChain(_)) => {}
+            done => return done,
         }
-    } else {
-        Ok(stationary_sparse(ctmc, &sparse_options)?.pi)
     }
+    Ok(stationary_sparse(ctmc, &options.sparse)?.pi)
 }
 
 /// Residual `‖pi Q‖_inf` of a candidate stationary vector — used by tests and
@@ -222,14 +170,6 @@ mod tests {
     }
 
     #[test]
-    fn iterative_matches_gth() {
-        let ctmc = birth_death(10, 3.0, 2.0);
-        let dense = stationary_dense_gth(&ctmc).unwrap();
-        let iter = stationary_iterative(&ctmc, &SteadyStateOptions::default()).unwrap();
-        assert!(dense.max_abs_diff(&iter).unwrap() < 1e-8);
-    }
-
-    #[test]
     fn auto_picks_a_working_solver() {
         let ctmc = birth_death(4, 1.0, 1.0);
         let opts = SteadyStateOptions {
@@ -266,13 +206,15 @@ mod tests {
     fn no_convergence_is_reported_by_iterative_solver() {
         let ctmc = birth_death(20, 1.0, 1.1);
         let opts = SteadyStateOptions {
-            tolerance: 1e-15,
-            max_iterations: 2,
             dense_threshold: 0,
-            ..SteadyStateOptions::default()
+            sparse: SparseSteadyOptions {
+                tolerance: 1e-15,
+                max_sweeps: 2,
+                ..SparseSteadyOptions::default()
+            },
         };
         assert!(matches!(
-            stationary_iterative(&ctmc, &opts),
+            stationary_auto(&ctmc, &opts),
             Err(MarkovError::NoConvergence { .. })
         ));
     }

@@ -70,12 +70,12 @@
 //!
 //! The chunk contract deliberately says nothing about *which inputs* a
 //! chunk may read: a chunk job may gather from arbitrary, non-contiguous
-//! positions of shared read-only inputs (the access pattern of the
-//! shuffle-style Kronecker matvec in `mapqn-linalg`, where output element
-//! `j` reads mixed-radix-permuted positions of `x`), and invariance still
-//! holds because the inputs are immutable for the whole round and each
-//! output element is produced by exactly one chunk in a fixed serial order
-//! within that chunk. What the contract does require of the closure is that
+//! positions of shared read-only inputs (the access pattern of the factored
+//! network generator in `mapqn-core`, where output element `j` reads the
+//! scattered positions of `x` that hold the states flowing into state `j`),
+//! and invariance still holds because the inputs are immutable for the
+//! whole round and each output element is produced by exactly one chunk in
+//! a fixed serial order within that chunk. What the contract does require of the closure is that
 //! it derive everything from `(start, chunk)` and round-immutable data —
 //! never from the worker id or claim order.
 //!
@@ -755,7 +755,7 @@ mod tests {
 
     #[test]
     fn chunked_permuted_gather_is_bitwise_worker_invariant() {
-        // The access pattern of the shuffle-style Kronecker matvec: each
+        // The access pattern of a row-synthesizing generator apply: each
         // output element gathers from mixed-radix-*permuted* positions of a
         // shared read-only input (reads cross chunk boundaries freely).
         // The chunk contract guarantees bitwise invariance anyway: inputs
