@@ -64,7 +64,7 @@ fn bench_kernels(c: &mut Criterion) {
     });
     // The headline comparison of the revised-engine PR: all bound LPs of a
     // Figure 5 network, cold dense tableau vs warm-started revised simplex
-    // (see the `bench_lp` binary for the full BENCH_lp.json harness).
+    // (the release-scale speedup gate is in `tests/release_gates.rs`).
     let bounds_network = figure5_network(6, 4.0, 0.5).unwrap();
     group.bench_function("marginal_bound_all_dense_cold_n6", |b| {
         let options = BoundOptions {

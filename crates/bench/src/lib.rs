@@ -15,17 +15,16 @@
 //! | Figure 8 (case-study bounds) | `fig8_case_study` | `fig8_case_study` |
 //! | Ablation (constraint families) | `ablation_constraints` | `ablation_constraints` |
 //!
-//! Four CI-gated perf harnesses record the workspace's speed trajectory in
-//! `BENCH_*.json` files (each hard-fails on its correctness gates):
-//! `bench_lp` (revised vs dense simplex), `bench_sweep` (dual-warm
-//! population sweeps vs cold), `bench_ensemble` (parallel scenario
-//! ensembles vs serial) and `bench_exact` (sparse CTMC engine vs the dense
-//! GTH ceiling).
+//! The release-scale correctness and timing gates of the solver stack
+//! (revised vs dense simplex, dual-warm population sweeps, parallel
+//! ensembles, the sparse and implicit CTMC engines, the fluid tier) are
+//! tests in `tests/release_gates.rs`, ignored in debug builds; CI runs them
+//! with `cargo test --release -p mapqn-bench --test release_gates --
+//! --test-threads=1`.
 //!
 //! All binaries accept the `MAPQN_SCALE` environment variable:
 //! `quick` (default, finishes in seconds/minutes on a laptop) or `full`
 //! (closer to the paper's original experiment sizes; hours of compute).
-
 
 /// Experiment scale selected through the `MAPQN_SCALE` environment variable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,13 +82,6 @@ impl Table {
             self.headers.len()
         );
         self.rows.push(cells);
-    }
-
-    /// Convenience: adds a row of formatted floats (6 significant digits).
-    pub fn add_float_row(&mut self, label: &str, values: &[f64]) {
-        let mut cells = vec![label.to_string()];
-        cells.extend(values.iter().map(|v| format!("{v:.6}")));
-        self.add_row(cells);
     }
 
     /// Renders the table as a string.
@@ -195,7 +187,7 @@ mod tests {
     fn table_renders_all_rows_aligned() {
         let mut t = Table::new(&["N", "exact", "bound"]);
         t.add_row(vec!["1".into(), "0.5".into(), "0.6".into()]);
-        t.add_float_row("2", &[0.25, 0.3333333]);
+        t.add_row(vec!["2".into(), "0.25".into(), "0.333333".into()]);
         let s = t.render();
         assert!(s.contains("exact"));
         assert_eq!(s.lines().count(), 4);

@@ -165,7 +165,7 @@ fn scope_classification() {
     assert_eq!(classify("crates/markov/src/lib.rs"), Scope::Library);
     assert_eq!(classify("src/lib.rs"), Scope::Library);
     assert_eq!(classify("crates/compat/rand/src/lib.rs"), Scope::Harness);
-    assert_eq!(classify("crates/bench/src/bin/bench_lp.rs"), Scope::Harness);
+    assert_eq!(classify("crates/bench/src/bin/fig8_case_study.rs"), Scope::Harness);
     assert_eq!(classify("tests/bounds_validity.rs"), Scope::Test);
     assert_eq!(classify("crates/core/tests/fault_injection.rs"), Scope::Test);
     assert_eq!(classify("examples/quickstart.rs"), Scope::Test);

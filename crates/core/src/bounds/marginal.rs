@@ -337,9 +337,9 @@ pub struct SolverStats {
 /// [`MarginalBoundSolver::timings`]. Deliberately separate from
 /// [`SolverStats`]: the counters are schedule-independent and compared
 /// bitwise by the determinism tests, while wall-clock numbers differ on
-/// every run — they exist for performance forensics (the `bench_lp`
-/// large-N cold profile that located the cold-`bound_all` hotspot, see
-/// ROADMAP.md).
+/// every run — they exist for performance forensics (the large-N cold
+/// profile that located the cold-`bound_all` hotspot, see ROADMAP.md, and
+/// perfbench's `lp.*` per-phase metrics).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverTimings {
     /// Constraint-set construction plus revised-engine setup (first
@@ -526,7 +526,7 @@ impl MarginalBoundSolver {
 
     /// The underlying LP over the marginal probability terms (constraints
     /// only; the objective is installed per performance index). Exposed for
-    /// the engine-equivalence tests and the benchmark harnesses.
+    /// the engine-equivalence and population-sweep tests.
     #[must_use]
     pub fn lp_problem(&self) -> &LpProblem {
         &self.base

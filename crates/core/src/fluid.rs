@@ -23,13 +23,14 @@
 //! mix** ([`mapqn_stochastic::Map::phase_mix`], `theta D1 1 = 1 / mean`):
 //! in the mean-field limit the phase process of a busy server mixes on a
 //! faster time scale than the queue contents, so only its long-run rate
-//! survives. This collapse is what makes one iteration `O(M · phases)` —
-//! the phase structure enters once, through `mu_k`, independent of `N`.
+//! survives. This collapse is what makes the solve `O(M · phases)` — the
+//! phase structure enters once, through `mu_k`, independent of `N`.
 //!
-//! The engine solves for the fixed point `dx/dt = 0` by **damped Euler
-//! iteration from a bottleneck-aware initial guess** (the closed-form
-//! allocation that parks the surplus population on the highest-demand
-//! queues), then reports queue lengths, utilizations and throughput. The
+//! The fixed point `dx/dt = 0` is **closed form**: every station holds its
+//! demand-proportional share at the asymptotic throughput, and the surplus
+//! population parks on the highest-demand queues (see `fixed_point`). The
+//! engine checks that allocation's drift residual against the tolerance,
+//! then reports queue lengths, utilizations and throughput. The
 //! reported queue lengths additionally carry a **finite-N variance
 //! redistribution**: each sub-saturated queue is granted the
 //! Pollaczek-Khinchine backlog `rho^2 (c_a^2 + c_s^2) / (2 (1 - rho))`
@@ -43,39 +44,27 @@
 //! the ABA bound is tight, and the approximation error at finite `N`
 //! decays like `1/N` past the knee `N* = (Z + sum_k D_k) / D_max`. The
 //! error is *measured*, never assumed: `tests/cross_solver_consistency.rs`
-//! and `bench_fluid` validate it against the sparse-exact reference at
-//! every feasible population, and the [`mod@crate::solve`] router quotes the
-//! band recorded there.
+//! and the release-scale gates in `crates/bench/tests/release_gates.rs`
+//! validate it against the sparse-exact reference, and the
+//! [`mod@crate::solve`] router quotes the band recorded there.
 
 use crate::metrics::NetworkMetrics;
 use crate::network::{ClosedNetwork, StationKind};
 use crate::service::Service;
 use crate::{CoreError, Result};
 
-/// Options of the fluid fixed-point iteration.
+/// Options of the fluid fixed-point solve.
 #[derive(Debug, Clone, Copy)]
 pub struct FluidOptions {
-    /// Convergence tolerance on the drift residual, relative to the
-    /// largest station completion rate: the iteration stops when
-    /// `max_k |dx_k/dt| <= tolerance * max_k r_k`.
+    /// Acceptance tolerance on the drift residual of the closed-form fixed
+    /// point, relative to the largest station completion rate: the solve
+    /// succeeds when `max_k |dx_k/dt| <= tolerance * max_k r_k`.
     pub tolerance: f64,
-    /// Iteration cap; exceeding it is reported as
-    /// [`mapqn_markov::MarkovError::NoConvergence`].
-    pub max_iterations: usize,
-    /// Euler step safety factor in `(0, 1]`: the step is
-    /// `damping / max_k mu_k`, so `1.0` steps at the stability limit of
-    /// the stiffest station and smaller values trade iterations for
-    /// robustness on near-tied bottlenecks.
-    pub damping: f64,
 }
 
 impl Default for FluidOptions {
     fn default() -> Self {
-        Self {
-            tolerance: 1e-10,
-            max_iterations: 50_000,
-            damping: 0.8,
-        }
+        Self { tolerance: 1e-10 }
     }
 }
 
@@ -95,15 +84,13 @@ pub struct FluidSolution {
     /// Index of (one of) the bottleneck queue(s): the queue of maximal
     /// service demand `D_k = v_k / mu_k`.
     pub bottleneck: usize,
-    /// Damped-Euler iterations performed before the residual test passed.
-    pub iterations: usize,
-    /// Final drift residual `max_k |dx_k/dt|`, relative to the largest
-    /// station completion rate.
+    /// Drift residual `max_k |dx_k/dt|` of the fixed point, relative to
+    /// the largest station completion rate.
     pub residual: f64,
 }
 
-/// Per-station rate/demand profile shared by the initial guess, the
-/// iteration and the asymptotic fractions.
+/// Per-station rate/demand profile shared by the fixed point, its residual
+/// check and the asymptotic fractions.
 struct Profile {
     /// Per-server long-run completion rate `mu_k` (phase-mix effective
     /// rate for MAP service).
@@ -182,11 +169,17 @@ fn profile(network: &ClosedNetwork) -> Result<Profile> {
     })
 }
 
-/// Bottleneck-aware closed-form guess: every station holds its
+/// Closed-form fixed point of the drift: every station holds its
 /// demand-proportional share `lambda_0 D_k` at the asymptotic throughput
 /// `lambda_0 = min(1 / D_max, N / (Z + sum D))`; whatever population that
 /// leaves over is parked, in equal parts, on the bottleneck queue(s).
-fn initial_guess(p: &Profile, population: f64) -> Vec<f64> {
+///
+/// Before the knee every queue holds `lambda_0 D_k <= 1` job and completes
+/// at `lambda_0 v_k`; past it the bottlenecks hold at least one job and
+/// run at `mu_k = v_k / D_max = lambda_0 v_k`; delay stations complete at
+/// `lambda_0 v_k` either way. Every station's rate is thus proportional to
+/// its visit ratio, which is exactly `dx/dt = 0`.
+fn fixed_point(p: &Profile, population: f64) -> Vec<f64> {
     let lambda0 = (1.0 / p.max_demand).min(population / (p.think_demand + p.queue_demand));
     let mut x: Vec<f64> = p.demands.iter().map(|d| lambda0 * d).collect();
     let assigned: f64 = x.iter().sum();
@@ -195,7 +188,7 @@ fn initial_guess(p: &Profile, population: f64) -> Vec<f64> {
     for &k in &p.bottlenecks {
         x[k] += share;
     }
-    // Exact population conservation from the very first iterate.
+    // Exact population conservation.
     let total: f64 = x.iter().sum();
     if total > 0.0 {
         let scale = population / total;
@@ -246,9 +239,10 @@ pub fn solve_fluid(network: &ClosedNetwork) -> Result<FluidSolution> {
 /// Solves the mean-field fixed point of `network` at its configured
 /// population.
 ///
-/// Cost per iteration is `O(M^2)` in the station count (one routing-matrix
-/// transpose application) and **independent of the population** — the
-/// population enters only as the conserved mass of the drift system.
+/// The fixed point is closed form; checking its drift residual costs
+/// `O(M^2)` in the station count (one routing-matrix transpose
+/// application). Neither step depends on the population, which enters
+/// only as the conserved mass of the drift system.
 ///
 /// # Errors
 /// * [`CoreError::Unsupported`] for delay-only networks (no queue to
@@ -256,8 +250,8 @@ pub fn solve_fluid(network: &ClosedNetwork) -> Result<FluidSolution> {
 /// * [`CoreError::InvalidNetwork`] for zero population or non-positive
 ///   effective rates;
 /// * [`mapqn_markov::MarkovError::NoConvergence`] (wrapped in
-///   [`CoreError::Markov`]) when the damped iteration exhausts
-///   [`FluidOptions::max_iterations`] — also the failure injected by the
+///   [`CoreError::Markov`]) when the fixed point's drift residual exceeds
+///   [`FluidOptions::tolerance`] — also the failure injected by the
 ///   `fluid-nonconvergence` fault site, which the [`mod@crate::solve`] router
 ///   degrades past (down to the algebraic asymptotic floor) instead of
 ///   surfacing.
@@ -272,17 +266,8 @@ pub fn solve_fluid_with(network: &ClosedNetwork, options: &FluidOptions) -> Resu
     let p = profile(network)?;
     let population = n as f64;
 
-    let mut x = initial_guess(&p, population);
-    let mut r = vec![0.0; m];
-    let mut drift = vec![0.0; m];
-
-    // Stability limit of explicit Euler on the stiffest station; `damping`
-    // keeps the step strictly inside it.
-    let mu_max = p.mu.iter().cloned().fold(0.0_f64, f64::max);
-    let step = options.damping.clamp(1e-3, 1.0) / mu_max;
-
     // The injected fluid failure: the engine abandons the solve exactly as
-    // it would after a genuinely non-convergent iteration, so the callers'
+    // it would after a residual check that fails, so the callers'
     // degradation paths see the real error shape.
     if mapqn_faults::fire(mapqn_faults::FaultSite::FluidFixedPoint) {
         return Err(CoreError::Markov(mapqn_markov::MarkovError::NoConvergence {
@@ -291,50 +276,33 @@ pub fn solve_fluid_with(network: &ClosedNetwork, options: &FluidOptions) -> Resu
         }));
     }
 
-    let mut iterations = 0;
-    let mut residual = f64::INFINITY;
-    for iter in 0..=options.max_iterations {
-        completion_rates(network, &p, &x, &mut r);
+    let mut x = fixed_point(&p, population);
+    let mut r = vec![0.0; m];
+    completion_rates(network, &p, &x, &mut r);
 
-        // drift_k = inflow_k - r_k, inflow through the routing transpose.
-        let mut r_max = 0.0_f64;
-        for k in 0..m {
-            let mut inflow = 0.0;
-            for (j, &rate) in r.iter().enumerate() {
-                inflow += rate * network.routing(j, k);
-            }
-            drift[k] = inflow - r[k];
-            r_max = r_max.max(r[k]);
+    // Check the closed form against the drift equations:
+    // drift_k = inflow_k - r_k, inflow through the routing transpose.
+    let mut r_max = 0.0_f64;
+    let mut residual = 0.0_f64;
+    for k in 0..m {
+        let mut inflow = 0.0;
+        for (j, &rate) in r.iter().enumerate() {
+            inflow += rate * network.routing(j, k);
         }
-        let scale = if r_max > 0.0 { r_max } else { 1.0 };
-        residual = drift.iter().fold(0.0_f64, |a, d| a.max(d.abs())) / scale;
-        iterations = iter;
-        if residual <= options.tolerance {
-            break;
-        }
-        if iter == options.max_iterations {
-            return Err(CoreError::Markov(mapqn_markov::MarkovError::NoConvergence {
-                iterations,
-                residual,
-            }));
-        }
-
-        for k in 0..m {
-            x[k] = (x[k] + step * drift[k]).max(0.0);
-        }
-        // The drift conserves total mass exactly (routing rows are
-        // stochastic); renormalizing here only repairs the clamp above and
-        // floating-point drift, keeping `sum x = N` an invariant.
-        let total: f64 = x.iter().sum();
-        if total > 0.0 {
-            let scale = population / total;
-            for v in &mut x {
-                *v *= scale;
-            }
-        }
+        residual = residual.max((inflow - r[k]).abs());
+        r_max = r_max.max(r[k]);
+    }
+    residual /= if r_max > 0.0 { r_max } else { 1.0 };
+    if residual > options.tolerance {
+        return Err(CoreError::Markov(mapqn_markov::MarkovError::NoConvergence {
+            iterations: 0,
+            residual,
+        }));
     }
 
-    // Final exact renormalization so `sum q = N` holds to round-off.
+    // `fixed_point` already conserves `N`; this second pass moves only the
+    // last bit of some entries, and is kept so that answers stay bitwise
+    // stable.
     let total: f64 = x.iter().sum();
     if total > 0.0 {
         let scale = population / total;
@@ -441,7 +409,6 @@ pub fn solve_fluid_with(network: &ClosedNetwork, options: &FluidOptions) -> Resu
         },
         fractions,
         bottleneck,
-        iterations,
         residual,
     })
 }

@@ -47,8 +47,8 @@
 //!    paper (Figure 4).
 //! 4. **Mean-field (fluid) limit** ([`fluid::solve_fluid`]): each station
 //!    collapsed to its drift equation (MAP service enters through the
-//!    stationary phase-mix rate), solved by damped fixed-point iteration
-//!    in microseconds *independent of the population* — the
+//!    stationary phase-mix rate), whose fixed point is closed form and
+//!    costs microseconds *independent of the population* — the
 //!    millions-of-users tier, with its approximation error measured
 //!    against the exact engine at feasible populations, never assumed.
 //!

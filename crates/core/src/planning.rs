@@ -207,8 +207,8 @@ pub struct PlanningAnswer {
 impl PlanningAnswer {
     /// Structural sanity of the answer: every interval ordered and finite,
     /// every point metric finite, and a quality tag consistent with the
-    /// rung. The service-level gate of `bench_service` counts an answer
-    /// valid only when this holds.
+    /// rung. The fault-storm test in `crates/core/tests/planning_session.rs`
+    /// counts an answer valid only when this holds.
     #[must_use]
     pub fn is_valid(&self) -> bool {
         let interval_ok = |i: &crate::bounds::BoundInterval| {

@@ -29,8 +29,9 @@
 //!
 //! The router quotes the fluid tier's error from the **feasible-N
 //! validation band**: `tests/cross_solver_consistency.rs` and the
-//! `bench_fluid` harness measure the population-normalized mean-queue-length
-//! gap `max_k |q_fluid_k - q_exact_k| / N` against the sparse-exact
+//! release-scale gates in `crates/bench/tests/release_gates.rs` measure the
+//! population-normalized mean-queue-length gap
+//! `max_k |q_fluid_k - q_exact_k| / N` against the sparse-exact
 //! reference on the fig-5, fig-8/SCV=16 and TPC-W families at every
 //! population the exact engine can reach, and check the gap shrinks
 //! monotonically in `N` (the `1/N` decay of the mean-field limit past the
@@ -56,8 +57,8 @@ use std::time::Duration;
 /// Maximum population-normalized mean-queue-length error of the fluid
 /// engine at [`FLUID_BAND_REFERENCE_POPULATION`], as measured against the
 /// sparse-exact reference across the fig-5, fig-8/SCV=16 and TPC-W
-/// validation families (`bench_fluid`, `BENCH_fluid.json`; re-checked at
-/// test scale in `tests/cross_solver_consistency.rs`). The recorded
+/// validation families (re-checked in `tests/cross_solver_consistency.rs`
+/// and, for the fig-5/SCV=4 family, in the release-scale gates). The recorded
 /// constant includes headroom over the measured maximum so platform-level
 /// numeric jitter cannot move an answer outside its quoted band.
 pub const FLUID_MQL_BAND: f64 = 0.075;
@@ -252,7 +253,7 @@ pub fn route(
 /// workspace — see the module docs for the selection matrix. It answers a
 /// TPC-W-sized model at `N = 10^6` in well under a millisecond through the
 /// fluid tier, with the quoted error band measured in-repo against the
-/// sparse-exact reference (`BENCH_fluid.json`).
+/// sparse-exact reference ([`FLUID_MQL_BAND`]).
 ///
 /// ```
 /// use mapqn_core::templates::{tpcw_network, TpcwParameters};

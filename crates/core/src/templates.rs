@@ -171,8 +171,8 @@ pub fn tpcw_network(params: &TpcwParameters) -> Result<ClosedNetwork> {
 /// The population is the multiprogramming level (in-flight requests); the
 /// returned network carries `params.browsers` as a default and is meant to
 /// be re-instantiated per level by a sweep or ensemble. This is the model
-/// family behind the capacity-planning example and the SCV×ACF grid of
-/// `bench_ensemble` — including the SCV=8 / decay-0.6 instance that
+/// family behind the capacity-planning example and the release-scale
+/// SCV×ACF ensemble gate — including the SCV=8 / decay-0.6 instance that
 /// historically broke the revised engine at `N = 7` (fixed by the LP row
 /// equilibration; `tests/tpcw_server_tier.rs` keeps every answer there on
 /// the ladder's direct rung).

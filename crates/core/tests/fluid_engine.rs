@@ -3,7 +3,7 @@
 //! case studies — exact population conservation, the asymptotic-bound
 //! ceiling on throughput, monotonicity in the population, bitwise
 //! population-independence of the asymptotic fractions, and the residual
-//! contract of the damped fixed-point iteration.
+//! contract of the closed-form fixed point.
 
 use mapqn_core::bounds::aba_bounds;
 use mapqn_core::random_models::{random_model, RandomModelSpec};
@@ -102,10 +102,7 @@ proptest! {
     #[test]
     fn residual_honors_the_tolerance(seed in 0u64..1024, n in 1usize..1_000) {
         let network = random_network(seed, n);
-        let options = FluidOptions {
-            tolerance: 1e-8,
-            ..FluidOptions::default()
-        };
+        let options = FluidOptions { tolerance: 1e-8 };
         let fluid = solve_fluid_with(&network, &options).unwrap();
         prop_assert!(
             fluid.residual <= 1e-8,

@@ -6,9 +6,10 @@
 //! 2. a poisoned entry quarantines its key and the transparent fallback
 //!    re-runs exactly the cold path — again bitwise identical;
 //! 3. poisoning one key leaves every neighboring request untouched;
-//! 4. two independent sessions under the same base salt agree bit for bit.
+//! 4. two independent sessions under the same base salt agree bit for bit;
+//! 5. a fault storm over every fault site leaves the session answering.
 
-use mapqn_core::templates::figure5_network;
+use mapqn_core::templates::{figure5_network, tpcw_server_tier, TpcwParameters};
 use mapqn_core::{
     AnswerSource, NetworkBounds, PlanningRequest, PlanningSession, Quality, SessionOptions,
     WhatIf,
@@ -176,4 +177,58 @@ fn topology_commit_forces_fresh_solves() {
     let after = session.ask(&request(4)).unwrap();
     assert_eq!(after.source, AnswerSource::Solve);
     assert_eq!(after.bounds.quality, Quality::Certified);
+}
+
+/// The fault storm: on the bursty TPC-W server tier, a clean cold round
+/// and a clean replay (every answer a cache hit, bitwise equal to the cold
+/// one), then 36 requests over the same five keys with every fault site
+/// armed round-robin, one site per request. At least 99% of the storm's
+/// answers are valid, nothing aborts, the cache-poison requests reach
+/// quarantine, and every storm answer served from the cache is bitwise
+/// equal to its clean cold answer.
+#[test]
+fn fault_storm_over_every_site_keeps_answering() {
+    let requests: Vec<PlanningRequest> = (1..=5).map(request).collect();
+    let mut session = PlanningSession::new(tpcw_server_tier(&TpcwParameters::default()).unwrap());
+    let cold: Vec<_> = {
+        let _guard = quiet();
+        let cold: Vec<_> = session
+            .run_batch(&requests)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        for (c, warm) in cold.iter().zip(session.run_batch(&requests)) {
+            let warm = warm.unwrap();
+            assert_eq!(warm.source, AnswerSource::CacheHit);
+            assert!(c.is_valid() && bitwise_eq(&c.bounds, &warm.bounds));
+        }
+        cold
+    };
+    let storm = 36;
+    let mut valid = 0;
+    for i in 0..storm {
+        let site = FaultSite::ALL[i % FaultSite::ALL.len()];
+        let reference = &cold[i % requests.len()];
+        let answer = {
+            let _guard = mapqn_faults::arm(site, 0, u64::MAX);
+            session.ask(&requests[i % requests.len()])
+        };
+        let Ok(answer) = answer else { continue };
+        valid += usize::from(answer.is_valid());
+        if answer.source == AnswerSource::CacheHit {
+            assert!(
+                bitwise_eq(&reference.bounds, &answer.bounds),
+                "storm request {i} under {} diverged from its cold answer",
+                site.name()
+            );
+        }
+    }
+    assert!(
+        valid * 100 >= storm * 99,
+        "{valid}/{storm} valid storm answers"
+    );
+    assert!(
+        session.stats().quarantines > 0,
+        "the storm never reached quarantine"
+    );
 }

@@ -62,8 +62,8 @@ pub enum FaultSite {
     /// An ensemble scenario fails outright; keyed by **job index**
     /// (`ensemble-scenario`).
     EnsembleScenario,
-    /// The mean-field (fluid) engine abandons its damped fixed-point
-    /// iteration as non-convergent (`fluid-nonconvergence`).
+    /// The mean-field (fluid) engine rejects its fixed point as
+    /// non-convergent (`fluid-nonconvergence`).
     FluidFixedPoint,
     /// A planning-session cache entry is corrupted before its integrity
     /// recheck, forcing the quarantine path; keyed by **cache-admission

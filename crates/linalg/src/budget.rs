@@ -154,13 +154,6 @@ impl EngineBudget {
         }
     }
 
-    /// Whether any constraint is set; engines may skip their checks
-    /// entirely when not.
-    #[must_use]
-    pub fn is_active(&self) -> bool {
-        self.deadline.is_some() || self.max_work.is_some()
-    }
-
     /// Cooperative check called from engine hot loops with the running
     /// work counter. The work cap is compared on every call; the
     /// wall-clock deadline only every [`CLOCK_CHECK_MASK`]` + 1` units
@@ -211,7 +204,6 @@ mod tests {
     #[test]
     fn unlimited_budget_never_trips() {
         let budget = EngineBudget::none();
-        assert!(!budget.is_active());
         for work in [0u64, 1, 128, u64::MAX - 1] {
             assert_eq!(budget.check(work), Ok(()));
         }

@@ -48,17 +48,6 @@ impl DMatrix {
         m
     }
 
-    /// Creates a square diagonal matrix from the given diagonal entries.
-    #[must_use]
-    pub fn from_diagonal(diag: &[f64]) -> Self {
-        let n = diag.len();
-        let mut m = Self::zeros(n, n);
-        for (i, &d) in diag.iter().enumerate() {
-            m[(i, i)] = d;
-        }
-        m
-    }
-
     /// Creates a matrix from a row-major flat slice.
     ///
     /// # Panics
@@ -348,13 +337,6 @@ impl DMatrix {
         }
     }
 
-    /// In-place scaling by `alpha`.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        for x in &mut self.data {
-            *x *= alpha;
-        }
-    }
-
     /// Matrix power `self^k` by repeated squaring.
     ///
     /// # Errors
@@ -377,18 +359,6 @@ impl DMatrix {
         Ok(result)
     }
 
-    /// Maximum absolute entry.
-    #[must_use]
-    pub fn norm_inf_entrywise(&self) -> f64 {
-        self.data.iter().fold(0.0_f64, |m, x| m.max(x.abs()))
-    }
-
-    /// Frobenius norm.
-    #[must_use]
-    pub fn norm_frobenius(&self) -> f64 {
-        self.data.iter().map(|x| x * x).sum::<f64>().sqrt()
-    }
-
     /// Largest absolute difference between corresponding entries.
     ///
     /// # Errors
@@ -406,14 +376,6 @@ impl DMatrix {
             .iter()
             .zip(other.data.iter())
             .fold(0.0_f64, |m, (a, b)| m.max((a - b).abs())))
-    }
-
-    /// Extracts the diagonal as a vector (for square matrices the main
-    /// diagonal, otherwise the leading `min(rows, cols)` entries).
-    #[must_use]
-    pub fn diagonal(&self) -> DVector {
-        let n = self.rows.min(self.cols);
-        (0..n).map(|i| self[(i, i)]).collect()
     }
 
     /// Checks whether every off-diagonal entry is non-negative and every row
@@ -474,7 +436,6 @@ impl std::fmt::Display for DMatrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
 
     fn sample() -> DMatrix {
         DMatrix::from_row_slice(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
@@ -490,7 +451,6 @@ mod tests {
         assert!(!m.is_square());
         assert_eq!(DMatrix::identity(2)[(0, 0)], 1.0);
         assert_eq!(DMatrix::identity(2)[(0, 1)], 0.0);
-        assert_eq!(DMatrix::from_diagonal(&[2.0, 3.0])[(1, 1)], 3.0);
         assert_eq!(DMatrix::constant(2, 2, 7.0).sum(), 28.0);
     }
 
@@ -554,9 +514,6 @@ mod tests {
         assert_eq!(a.add(&b).unwrap().as_slice(), &[4.0, 7.0]);
         assert_eq!(b.sub(&a).unwrap().as_slice(), &[2.0, 3.0]);
         assert_eq!(a.scaled(2.0).as_slice(), &[2.0, 4.0]);
-        let mut c = a.clone();
-        c.scale_mut(-1.0);
-        assert_eq!(c.as_slice(), &[-1.0, -2.0]);
         assert!(a.add(&DMatrix::zeros(2, 2)).is_err());
         assert!(a.sub(&DMatrix::zeros(2, 2)).is_err());
     }
@@ -571,11 +528,8 @@ mod tests {
     }
 
     #[test]
-    fn norms_and_diagonal() {
+    fn row_sums_of_a_diagonal_matrix() {
         let m = DMatrix::from_row_slice(2, 2, &[3.0, 0.0, 0.0, -4.0]);
-        assert!(approx_eq(m.norm_frobenius(), 5.0, 1e-12));
-        assert!(approx_eq(m.norm_inf_entrywise(), 4.0, 1e-12));
-        assert_eq!(m.diagonal().as_slice(), &[3.0, -4.0]);
         assert_eq!(m.row_sums().as_slice(), &[3.0, -4.0]);
     }
 

@@ -29,8 +29,7 @@ pub struct CsrMatrix {
 
 impl CsrMatrix {
     /// Builds a CSR matrix from coordinate triplets. Duplicate `(row, col)`
-    /// entries are summed, explicit zeros are kept (callers that care can
-    /// call [`CsrMatrix::prune`]).
+    /// entries are summed and explicit zeros are kept.
     ///
     /// # Errors
     /// Returns [`LinalgError::InvalidArgument`] when a triplet is out of
@@ -114,25 +113,6 @@ impl CsrMatrix {
                 new_col_idx.push(col);
                 new_values.push(val);
                 i = j;
-            }
-            new_row_ptr[r + 1] = new_col_idx.len();
-        }
-        self.col_idx = new_col_idx;
-        self.values = new_values;
-        self.row_ptr = new_row_ptr;
-    }
-
-    /// Removes stored entries with absolute value at or below `tol`.
-    pub fn prune(&mut self, tol: f64) {
-        let mut new_col_idx = Vec::with_capacity(self.col_idx.len());
-        let mut new_values = Vec::with_capacity(self.values.len());
-        let mut new_row_ptr = vec![0usize; self.rows + 1];
-        for r in 0..self.rows {
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                if self.values[k].abs() > tol {
-                    new_col_idx.push(self.col_idx[k]);
-                    new_values.push(self.values[k]);
-                }
             }
             new_row_ptr[r + 1] = new_col_idx.len();
         }
@@ -323,24 +303,6 @@ impl CsrMatrix {
         }
         m
     }
-
-    /// Scales all stored values by `alpha` in place.
-    pub fn scale_mut(&mut self, alpha: f64) {
-        for v in &mut self.values {
-            *v *= alpha;
-        }
-    }
-
-    /// Extracts the diagonal entries as a vector.
-    #[must_use]
-    pub fn diagonal(&self) -> DVector {
-        let n = self.rows.min(self.cols);
-        let mut d = vec![0.0; n];
-        for (r, dr) in d.iter_mut().enumerate() {
-            *dr = self.get(r, r);
-        }
-        DVector::from_vec(d)
-    }
 }
 
 /// Streaming row-by-row CSR assembler.
@@ -517,16 +479,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_removes_small_entries() {
-        let mut m =
-            CsrMatrix::from_triplets(2, 2, &[(0, 0, 1e-15), (0, 1, 1.0), (1, 1, -2.0)]).unwrap();
-        m.prune(1e-12);
-        assert_eq!(m.nnz(), 2);
-        assert_eq!(m.get(0, 0), 0.0);
-        assert_eq!(m.get(0, 1), 1.0);
-    }
-
-    #[test]
     fn row_iteration_is_sorted_by_column() {
         let m = CsrMatrix::from_triplets(1, 4, &[(0, 3, 3.0), (0, 1, 1.0), (0, 2, 2.0)]).unwrap();
         let cols: Vec<usize> = m.row_iter(0).map(|(c, _)| c).collect();
@@ -591,15 +543,10 @@ mod tests {
     }
 
     #[test]
-    fn row_sums_scale_and_diagonal() {
-        let mut m = sample();
+    fn row_sums_and_empty_matrix() {
+        let m = sample();
         assert!(approx_eq(m.row_sum(0), 3.0, 1e-12));
         assert!(approx_eq(m.row_sum(1), 3.0, 1e-12));
-        m.scale_mut(2.0);
-        assert!(approx_eq(m.row_sum(0), 6.0, 1e-12));
-        assert_eq!(m.diagonal().as_slice(), &[2.0, 6.0]);
-        let z = CsrMatrix::zeros(3, 3);
-        assert_eq!(z.nnz(), 0);
-        assert_eq!(z.diagonal().as_slice(), &[0.0, 0.0, 0.0]);
+        assert_eq!(CsrMatrix::zeros(3, 3).nnz(), 0);
     }
 }

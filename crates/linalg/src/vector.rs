@@ -44,18 +44,6 @@ impl DVector {
         }
     }
 
-    /// Creates the `i`-th canonical basis vector of dimension `len`.
-    ///
-    /// # Panics
-    /// Panics if `i >= len`.
-    #[must_use]
-    pub fn basis(len: usize, i: usize) -> Self {
-        assert!(i < len, "basis index {i} out of range for length {len}");
-        let mut v = Self::zeros(len);
-        v.data[i] = 1.0;
-        v
-    }
-
     /// Number of entries.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -118,12 +106,6 @@ impl DVector {
         self.data.iter().sum()
     }
 
-    /// L1 norm (sum of absolute values).
-    #[must_use]
-    pub fn norm1(&self) -> f64 {
-        self.data.iter().map(|x| x.abs()).sum()
-    }
-
     /// Maximum absolute entry (infinity norm). Zero for an empty vector.
     #[must_use]
     pub fn norm_inf(&self) -> f64 {
@@ -183,27 +165,6 @@ impl DVector {
             }
         }
     }
-
-    /// Element-wise product (Hadamard product) with another vector.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::DimensionMismatch`] when lengths differ.
-    pub fn hadamard(&self, other: &DVector) -> Result<DVector> {
-        if self.len() != other.len() {
-            return Err(LinalgError::DimensionMismatch {
-                context: "hadamard",
-                left: (self.len(), 1),
-                right: (other.len(), 1),
-            });
-        }
-        Ok(DVector::from_vec(
-            self.data
-                .iter()
-                .zip(other.data.iter())
-                .map(|(a, b)| a * b)
-                .collect(),
-        ))
-    }
 }
 
 impl std::ops::Index<usize> for DVector {
@@ -247,13 +208,6 @@ mod tests {
         assert_eq!(DVector::zeros(3).as_slice(), &[0.0, 0.0, 0.0]);
         assert_eq!(DVector::ones(2).as_slice(), &[1.0, 1.0]);
         assert_eq!(DVector::constant(2, 3.5).as_slice(), &[3.5, 3.5]);
-        assert_eq!(DVector::basis(3, 1).as_slice(), &[0.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn basis_out_of_range_panics() {
-        let _ = DVector::basis(2, 5);
     }
 
     #[test]
@@ -273,7 +227,6 @@ mod tests {
     #[test]
     fn norms_are_consistent() {
         let v = DVector::from_vec(vec![3.0, -4.0]);
-        assert!(approx_eq(v.norm1(), 7.0, 1e-12));
         assert!(approx_eq(v.norm_inf(), 4.0, 1e-12));
         assert!(approx_eq(v.sum(), -1.0, 1e-12));
     }
@@ -304,10 +257,9 @@ mod tests {
     }
 
     #[test]
-    fn hadamard_and_max_abs_diff() {
+    fn max_abs_diff_is_the_largest_entrywise_gap() {
         let a = DVector::from_vec(vec![1.0, 2.0]);
         let b = DVector::from_vec(vec![3.0, -1.0]);
-        assert_eq!(a.hadamard(&b).unwrap().as_slice(), &[3.0, -2.0]);
         assert!(approx_eq(a.max_abs_diff(&b).unwrap(), 3.0, 1e-12));
     }
 

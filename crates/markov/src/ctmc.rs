@@ -1,7 +1,7 @@
 //! Continuous-time Markov chains with sparse generators.
 
 use crate::{MarkovError, Result};
-use mapqn_linalg::{CsrMatrix, DVector};
+use mapqn_linalg::CsrMatrix;
 
 /// A continuous-time Markov chain described by its infinitesimal generator
 /// `Q` in sparse CSR form.
@@ -160,22 +160,6 @@ impl Ctmc {
         }
         m
     }
-
-    /// Expected value of a state reward function under a probability vector:
-    /// `sum_i pi[i] * reward(i)`.
-    ///
-    /// # Errors
-    /// Returns [`MarkovError::InvalidChain`] when `pi` has the wrong length.
-    pub fn expected_reward<F: Fn(usize) -> f64>(&self, pi: &DVector, reward: F) -> Result<f64> {
-        if pi.len() != self.num_states() {
-            return Err(MarkovError::InvalidChain(format!(
-                "probability vector has {} entries, chain has {} states",
-                pi.len(),
-                self.num_states()
-            )));
-        }
-        Ok((0..self.num_states()).map(|i| pi[i] * reward(i)).sum())
-    }
 }
 
 #[cfg(test)]
@@ -227,14 +211,5 @@ mod tests {
         assert!(Ctmc::new(bad).is_err());
         // Empty.
         assert!(Ctmc::new(CsrMatrix::zeros(0, 0)).is_err());
-    }
-
-    #[test]
-    fn expected_reward_weights_states() {
-        let c = two_state();
-        let pi = DVector::from_vec(vec![0.25, 0.75]);
-        let r = c.expected_reward(&pi, |i| i as f64 * 10.0).unwrap();
-        assert!(approx_eq(r, 7.5, 1e-12));
-        assert!(c.expected_reward(&DVector::zeros(3), |_| 1.0).is_err());
     }
 }

@@ -160,7 +160,7 @@ impl Default for SparseSteadyOptions {
 }
 
 /// Result of a sparse stationary solve: the distribution plus convergence
-/// diagnostics (which the `bench_exact` harness records as its perf gates).
+/// diagnostics (the rung and sweep count are what the release gates check).
 #[derive(Debug, Clone)]
 pub struct SparseSteadyReport {
     /// The stationary distribution.

@@ -120,8 +120,8 @@ fn autocorrelation_degrades_throughput_at_fixed_marginal() {
 /// rung), and the LP bounds must bracket every index of the result — the
 /// first exact cross-check at populations the bounds have handled since
 /// the sweep PRs with nothing to validate against. (Populations of 100+
-/// solve exactly in seconds too — `bench_exact` gates one — but *cold*
-/// `bound_all` past N≈50 is its own LP-scaling frontier, noted in
+/// solve exactly in seconds too — the release-scale gates solve two — but
+/// *cold* `bound_all` past N≈50 is its own LP-scaling frontier, noted in
 /// ROADMAP.md, so this test stays at the largest population both sides
 /// handle briskly.)
 #[test]
@@ -179,7 +179,8 @@ fn lp_bounds_contain_sparse_exact_reference_at_large_population() {
 ///   population ([`fluid_error_estimate`]);
 /// * at the reference population the binding family's gap sits inside the
 ///   documented band constant [`FLUID_MQL_BAND`] the router extrapolates
-///   from — the same measurement `bench_fluid` gates at release scale.
+///   from — the same measurement the release-scale gates in
+///   `crates/bench/tests/release_gates.rs` take on the fig-5/SCV=4 family.
 #[test]
 fn fluid_band_shrinks_post_knee_and_stays_inside_the_quoted_band() {
     fn fig5_scv4(n: usize) -> ClosedNetwork {
@@ -203,7 +204,7 @@ fn fluid_band_shrinks_post_knee_and_stays_inside_the_quoted_band() {
     }
     // Grids stop where the debug-build exact reference stays brisk; the
     // release-scale continuation (fig-8 out to N = 144 where its band
-    // crosses 5%) lives in `bench_fluid`.
+    // crosses 5%) lives in `crates/bench/tests/release_gates.rs`.
     let families = [
         FamilyCase {
             name: "fig5_scv4",

@@ -178,17 +178,15 @@ fn engines_agree_on_random_models() {
     }
 }
 
-#[test]
-fn bound_intervals_match_between_engines() {
-    // End-to-end: the public bound API must produce matching intervals
-    // whichever engine backs it. Both solvers run at the same (default)
-    // tolerance — the interval-widening margin is proportional to it, so
-    // differing tolerances would shift the intervals even with identical
-    // optima.
-    let network = figure5_network(5, 4.0, 0.5).unwrap();
-    let mut revised_solver = MarginalBoundSolver::new(&network).unwrap();
+/// End-to-end: the public bound API must produce matching intervals
+/// whichever engine backs it. Both solvers run at the same (default)
+/// tolerance — the interval-widening margin is proportional to it, so
+/// differing tolerances would shift the intervals even with identical
+/// optima.
+fn assert_bound_intervals_match(network: &ClosedNetwork, context: &str) {
+    let mut revised_solver = MarginalBoundSolver::new(network).unwrap();
     let mut dense_solver = MarginalBoundSolver::with_options(
-        &network,
+        network,
         mapqn::core::bounds::BoundOptions {
             simplex: dense_options(),
             ..mapqn::core::bounds::BoundOptions::default()
@@ -199,10 +197,11 @@ fn bound_intervals_match_between_engines() {
     let dense_bounds = dense_solver.bound_all().unwrap();
     assert!(
         !revised_bounds.diagnostics.degraded(),
-        "the revised engine needed the degradation ladder: {}",
+        "{context}: the revised engine needed the degradation ladder: {}",
         revised_bounds.diagnostics
     );
     for k in 0..network.num_stations() {
+        let ctx = format!("{context}, station {k}");
         for (a, b) in [
             (&revised_bounds.throughput[k], &dense_bounds.throughput[k]),
             (&revised_bounds.utilization[k], &dense_bounds.utilization[k]),
@@ -211,8 +210,26 @@ fn bound_intervals_match_between_engines() {
                 &dense_bounds.mean_queue_length[k],
             ),
         ] {
-            assert_close(a.lower, b.lower, 1e-6, &format!("station {k} lower"));
-            assert_close(a.upper, b.upper, 1e-6, &format!("station {k} upper"));
+            assert_close(a.lower, b.lower, 1e-6, &format!("{ctx} lower"));
+            assert_close(a.upper, b.upper, 1e-6, &format!("{ctx} upper"));
+        }
+    }
+}
+
+#[test]
+fn bound_intervals_match_between_engines() {
+    assert_bound_intervals_match(&figure5_network(5, 4.0, 0.5).unwrap(), "figure5 N=5");
+    // The Table 1 kernel the engine speedup is measured on.
+    let spec = RandomModelSpec {
+        num_map_queues: 2,
+        ..RandomModelSpec::default()
+    };
+    let mut rng = StdRng::seed_from_u64(1);
+    for instance in 0..3 {
+        let model = random_model(&spec, &mut rng).unwrap();
+        for n in [4usize, 6] {
+            let network = model.network.with_population(n).unwrap();
+            assert_bound_intervals_match(&network, &format!("random model {instance} N={n}"));
         }
     }
 }
