@@ -139,15 +139,18 @@ fn revised_bound_all_beats_the_cold_dense_tableau_by_1_5x() {
     );
 }
 
-/// Cold `bound_all` on the Figure 8 case study (SCV = 16) just below the
-/// N = 50 cliff answers on the direct rung at every profiled population.
+/// Cold `bound_all` on the Figure 8 case study (SCV = 16) around the
+/// N = 50 cliff answers on the direct rung at every profiled population,
+/// with a system-throughput lower bound that says something: on these
+/// ill-conditioned LPs a pivot-path change once certified vacuous lower
+/// bounds of about `-N * 1.5e-5`.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "release-scale gate: CI runs it with --release"
 )]
 fn cold_fig8_profile_populations_never_degrade() {
-    for n in [40, 44, 48] {
+    for n in [40, 44, 48, 52, 54, 58] {
         let bounds = MarginalBoundSolver::new(&fig5(n, 16.0))
             .unwrap()
             .bound_all()
@@ -156,6 +159,11 @@ fn cold_fig8_profile_populations_never_degrade() {
             !bounds.diagnostics.degraded(),
             "fig8 N={n}: {}",
             bounds.diagnostics
+        );
+        assert!(
+            bounds.system_throughput.lower > 0.0,
+            "fig8 N={n}: vacuous lower bound {}",
+            bounds.system_throughput.lower
         );
     }
 }

@@ -246,6 +246,10 @@ impl EnsembleRunner {
     /// any single job bit-for-bit outside the pool; the shift leaves the
     /// low 32 bits of salt space to the engine's own deterministic
     /// dead-end re-draws, so neighbouring jobs' streams never collide.
+    ///
+    /// Jobs run their bound solves' two objective chains at width 1
+    /// ([`BoundOptions::workers`]): the runner already fans out over jobs,
+    /// and `with_threads(1)` stays fully serial.
     #[must_use]
     pub fn scenario_options(&self, job: usize) -> BoundOptions {
         let mut options = self.options;
@@ -253,6 +257,7 @@ impl EnsembleRunner {
             .simplex
             .perturbation_salt
             .wrapping_add((job as u64) << 32);
+        options.workers = 1;
         options
     }
 

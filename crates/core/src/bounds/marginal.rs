@@ -51,7 +51,7 @@ use crate::network::ClosedNetwork;
 use crate::{CoreError, Result};
 use mapqn_linalg::SolveBudget;
 use mapqn_lp::{
-    Basis, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine,
+    Basis, LpError, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine,
     SimplexOptions,
 };
 
@@ -72,6 +72,12 @@ pub struct BoundOptions {
     /// engines; on exhaustion the degradation ladder takes over instead of
     /// surfacing an error. The default is unlimited.
     pub budget: SolveBudget,
+    /// Threads a `bound_all`-style solve runs its two objective chains on
+    /// (see [`MarginalBoundSolver::bound_all_seeded`]): `0` is
+    /// [`mapqn_par::default_threads`], `1` runs both chains on the caller.
+    /// The caller that owns the threads sets it; it never changes an
+    /// answer.
+    pub workers: usize,
 }
 
 impl Default for BoundOptions {
@@ -82,6 +88,17 @@ impl Default for BoundOptions {
             include_structural: true,
             simplex: SimplexOptions::default(),
             budget: SolveBudget::unlimited(),
+            workers: 0,
+        }
+    }
+}
+
+impl BoundOptions {
+    /// The chain width [`BoundOptions::workers`] resolves to.
+    fn width(&self) -> usize {
+        match self.workers {
+            0 => mapqn_par::default_threads(),
+            w => w,
         }
     }
 }
@@ -261,14 +278,40 @@ impl RowKey {
 /// the next solve, making phase 1 a once-per-network cost). The basis is
 /// absent until the first solve — dual-seeded solves create the engine
 /// without ever running phase 1.
+#[derive(Clone)]
 struct WarmState {
     engine: RevisedSimplex,
     basis: Option<Basis>,
 }
 
-/// The solver's owned mutable state: the warm-started LP engine, the
-/// per-slot bases and engine paths of the last full solve, and the usage
-/// counters.
+/// One warm-start chain of objective solves: the revised engine with its
+/// rolling basis, and the counters and phase times the chain accrued. A
+/// [`MarginalBoundSolver::bound_all_seeded`] call runs two of them (the
+/// minimizations and the maximizations); single-index queries run on the
+/// solver's own chain.
+#[derive(Default)]
+struct Chain {
+    warm: Option<WarmState>,
+    /// The basis the chains of a `bound_all_seeded` call forked from, if
+    /// any: a primal solve that breaks down numerically from the rolling
+    /// basis restarts from it once.
+    anchor: Option<Basis>,
+    stats: SolverStats,
+    timings: SolverTimings,
+}
+
+/// What a chain reads of its solver: the constraint set and the engine
+/// options. Shared, read-only and `Sync`, so the two chains of a
+/// `bound_all_seeded` call can run on two threads.
+#[derive(Clone, Copy)]
+struct LpInputs<'a> {
+    base: &'a LpProblem,
+    simplex: &'a SimplexOptions,
+}
+
+/// The solver's owned mutable state: its own warm-start chain (which also
+/// holds the lifetime counters and phase times), and the per-slot bases
+/// and engine paths of the last full solve.
 ///
 /// This used to live behind `RefCell`/`Cell` interior mutability so the
 /// solve methods could take `&self`; it is now a plain owned struct (and the
@@ -279,8 +322,7 @@ struct WarmState {
 /// (`crate::bounds::ensemble`).
 #[derive(Default)]
 struct SolverContext {
-    warm: Option<WarmState>,
-    timings: SolverTimings,
+    chain: Chain,
     /// Optimal bases of the objectives solved by the last
     /// [`MarginalBoundSolver::bound_all`]-style call, in canonical order
     /// (see `MarginalBoundSolver::canonical_indices`); the raw material a
@@ -289,7 +331,6 @@ struct SolverContext {
     /// Per-slot engine path of the last full solve, aligned with
     /// `solved_bases`.
     solve_outcomes: Vec<SlotOutcome>,
-    stats: SolverStats,
 }
 
 /// A cross-population warm start only counts as a *successful transfer*
@@ -333,6 +374,15 @@ pub struct SolverStats {
     pub feasibility_repairs: usize,
 }
 
+impl SolverStats {
+    fn add(&mut self, other: &Self) {
+        self.revised_solves += other.revised_solves;
+        self.dual_warm_solves += other.dual_warm_solves;
+        self.dual_seed_rejections += other.dual_seed_rejections;
+        self.feasibility_repairs += other.feasibility_repairs;
+    }
+}
+
 /// Per-phase wall-clock profile of a solver's lifetime, exposed through
 /// [`MarginalBoundSolver::timings`]. Deliberately separate from
 /// [`SolverStats`]: the counters are schedule-independent and compared
@@ -340,10 +390,16 @@ pub struct SolverStats {
 /// every run — they exist for performance forensics (the large-N cold
 /// profile that located the cold-`bound_all` hotspot, see ROADMAP.md, and
 /// perfbench's `lp.*` per-phase metrics).
+///
+/// Every field is summed over the two objective chains of a
+/// [`MarginalBoundSolver::bound_all_seeded`] call. When the chains run on
+/// two threads the phase times add up CPU time, which can exceed the wall
+/// clock the call took.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SolverTimings {
     /// Constraint-set construction plus revised-engine setup (first
-    /// factorization of the standard form).
+    /// factorization of the standard form), including the copy of the
+    /// engine the maximization chain starts from.
     pub setup_ns: u64,
     /// Cold phase-1 runs (`find_feasible_basis`) of the revised engine.
     /// Phase-1 restarts inside a warm solve (a basis infeasible at the
@@ -376,6 +432,17 @@ impl SolverTimings {
             + self.primal_ns
             + self.dense_ns
     }
+
+    fn add(&mut self, other: &Self) {
+        self.setup_ns += other.setup_ns;
+        self.phase1_ns += other.phase1_ns;
+        self.dual_ns += other.dual_ns;
+        self.repair_ns += other.repair_ns;
+        self.primal_ns += other.primal_ns;
+        self.dense_ns += other.dense_ns;
+        self.primal_pivots += other.primal_pivots;
+        self.dual_pivots += other.dual_pivots;
+    }
 }
 
 /// The bound solver: builds the constraint set once and solves a pair of
@@ -383,8 +450,9 @@ impl SolverTimings {
 ///
 /// With the default [`SimplexEngine::Revised`] the solver runs phase 1
 /// **once** per network, caches the resulting basis, and warm starts every
-/// subsequent objective (both senses of every index queried by
-/// [`MarginalBoundSolver::bound_all`]) from the previous optimum. Selecting
+/// subsequent objective from the previous optimum of the same sense:
+/// [`MarginalBoundSolver::bound_all`] runs its minimizations and its
+/// maximizations as two chains from that one phase-1 basis. Selecting
 /// [`SimplexEngine::DenseTableau`] through
 /// [`BoundOptions::simplex`] reproduces the original cold dense-tableau
 /// behaviour, which is kept as a correctness oracle.
@@ -407,7 +475,7 @@ impl SolverTimings {
 /// assert!(throughput.lower > 0.0 && throughput.lower <= throughput.upper);
 ///
 /// // bound_all() solves every standard index, grouped so consecutive
-/// // objectives warm start off each other's optimal bases.
+/// // same-sense objectives warm start off each other's optimal bases.
 /// let all = solver.bound_all().unwrap();
 /// assert_eq!(all.mean_queue_length.len(), 3);
 /// ```
@@ -481,7 +549,7 @@ impl MarginalBoundSolver {
             .map(|(row, &key)| (key, row))
             .collect();
         let mut context = SolverContext::default();
-        context.timings.setup_ns = t_setup.elapsed().as_nanos() as u64;
+        context.chain.timings.setup_ns = t_setup.elapsed().as_nanos() as u64;
         Ok(Self {
             network: network.clone(),
             options,
@@ -500,7 +568,7 @@ impl MarginalBoundSolver {
     /// Engine-usage counters since this solver was created.
     #[must_use]
     pub fn stats(&self) -> SolverStats {
-        self.context.stats
+        self.context.chain.stats
     }
 
     /// Per-phase wall-clock profile (constraint build, phase 1, dual /
@@ -508,7 +576,14 @@ impl MarginalBoundSolver {
     /// this solver was created. See [`SolverTimings`].
     #[must_use]
     pub fn timings(&self) -> SolverTimings {
-        self.context.timings
+        self.context.chain.timings
+    }
+
+    /// Drops the warm-started engine (the next solve on this solver builds
+    /// a fresh one and runs phase 1 again); the recorded bases, outcomes,
+    /// counters and timings stay.
+    pub(crate) fn release_engine(&mut self) {
+        self.context.chain.warm = None;
     }
 
     /// Number of LP variables (the `M^2 (N+1) K`-style count the paper
@@ -613,25 +688,14 @@ impl MarginalBoundSolver {
     /// every supported functional is bounded).
     pub fn bound(&mut self, index: PerformanceIndex) -> Result<BoundInterval> {
         let terms = self.objective_terms(index);
-        let lower = self.solve_checked(&terms, Sense::Minimize)?;
-        let upper = self.solve_checked(&terms, Sense::Maximize)?;
+        let lp = LpInputs {
+            base: &self.base,
+            simplex: &self.options.simplex,
+        };
+        let chain = &mut self.context.chain;
+        let (lower, ..) = chain.solve(lp, &terms, Sense::Minimize, None)?;
+        let (upper, ..) = chain.solve(lp, &terms, Sense::Maximize, None)?;
         Ok(self.widen(&lower, &upper))
-    }
-
-    /// Solves one objective and insists on an optimal termination.
-    fn solve_checked(&mut self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
-        let solution = self.solve_objective(terms, sense)?;
-        if solution.status != LpStatus::Optimal {
-            return Err(CoreError::BoundLpFailed(format!(
-                "{} LP terminated with status {:?}",
-                match sense {
-                    Sense::Minimize => "lower-bound",
-                    Sense::Maximize => "upper-bound",
-                },
-                solution.status
-            )));
-        }
-        Ok(solution)
     }
 
     /// Assembles a valid interval from the two optima.
@@ -659,9 +723,11 @@ impl MarginalBoundSolver {
     /// proportional to every other on a feasible set satisfying the traffic
     /// equations, so after the first throughput solve the rest re-price in
     /// ~zero pivots — which makes the family grouping markedly cheaper than
-    /// interleaving per-station triples. A population sweep relies on this
-    /// order staying fixed across populations of the same network, so
-    /// per-objective bases can be carried by slot position.
+    /// interleaving per-station triples. Each of the two chains of
+    /// [`MarginalBoundSolver::bound_all_seeded`] walks this order in its
+    /// own sense. A population sweep relies on this order staying fixed
+    /// across populations of the same network, so per-objective bases can
+    /// be carried by slot position.
     pub(crate) fn canonical_indices(&self) -> Vec<PerformanceIndex> {
         let m = self.layout.m;
         let mut indices: Vec<PerformanceIndex> =
@@ -674,11 +740,15 @@ impl MarginalBoundSolver {
 
     /// Computes bounds on every standard index of the network.
     ///
-    /// All lower bounds are solved before all upper bounds: with the warm
-    /// started revised engine, consecutive same-sense objectives stop at
-    /// nearby vertices and re-price in a handful of pivots, while
-    /// alternating min/max would walk across the whole feasible polytope
-    /// once per index (measured at roughly twice the total pivot count).
+    /// The objectives run as two fixed warm-start chains over one shared
+    /// phase 1 — all lower bounds in one, all upper bounds in the other
+    /// (see [`MarginalBoundSolver::bound_all_seeded`]): consecutive
+    /// same-sense objectives stop at nearby vertices and re-price in a
+    /// handful of pivots, while alternating min/max would walk across the
+    /// whole feasible polytope once per index (measured at roughly twice
+    /// the total pivot count). [`BoundOptions::workers`] sets how many
+    /// threads the two chains use; the answer is bitwise the same at any
+    /// width.
     ///
     /// The system-throughput interval comes from solving the dedicated
     /// [`PerformanceIndex::SystemThroughput`] objective — the same one
@@ -717,19 +787,55 @@ impl MarginalBoundSolver {
     /// [`MarginalBoundSolver::translate_basis`] or one of its variants;
     /// unusable seeds fall back to the primal warm-start path.
     ///
-    /// Both blocks are solved in the same order with and without seeds —
-    /// all minimizations (family-grouped), then all maximizations — so a
-    /// seeded solve drops into the same rolling chain a cold solve uses.
-    /// When slot 0 (the first minimization) carries a usable seed, its
-    /// dual re-solve or zero-objective repair stands in for phase 1 and
-    /// the population step never runs a cold start.
+    /// The objectives run as two fixed chains, each with its own engine,
+    /// rolling basis, counters and phase times:
+    /// * **chain A** solves the minimizations, in family order;
+    /// * **chain B** solves the maximizations, in family order.
     ///
-    /// After the call, [`MarginalBoundSolver::solved_bases`] holds this
-    /// solve's optimal bases and [`MarginalBoundSolver::solve_outcomes`]
-    /// the per-slot engine paths, both in canonical slot order.
+    /// When slot 0 is unseeded, chain A runs phase 1 once and solves slot
+    /// 0, and chain B starts from a copy of chain A's engine at that first
+    /// minimum. When slot 0 carries a seed, its dual re-solve or
+    /// zero-objective repair stands in for phase 1 and the population step
+    /// never runs a cold start; chain B then starts from a copy of the
+    /// engine before any solve, and its own seeds (or its own phase 1)
+    /// start it. The maximizations used to start from the last
+    /// minimization's optimum; a probe on the 41 `lp_sweep` models at
+    /// N = 4–8 found that starting them from the phase-1 vertex instead
+    /// took 0.95–1.01× the time and pivots, with endpoints agreeing to
+    /// 3.9e-8 relative, so that hand-off bought nothing there. It does on
+    /// two-station networks, where the last minimization's optimum is a
+    /// maximization optimum too: there chain B still starts from chain
+    /// A's end, and the two chains run one after the other at any width.
+    ///
+    /// The chain structure never depends on the thread count. At width 1
+    /// ([`BoundOptions::workers`]) chain A and then chain B run on the
+    /// caller; at width 2 the longer chain B runs on the caller while
+    /// chain A runs on a second thread. Every answer,
+    /// basis and counter is bitwise the same at either width. While a
+    /// fault is armed (`mapqn_faults::current()`) the chains run serially,
+    /// A first, and B is skipped when A failed: the LP fault sites count
+    /// occurrences on process-wide counters, which concurrent chains would
+    /// race for.
+    ///
+    /// Two recoveries run before a numerical breakdown fails the solve,
+    /// both deterministic and width-independent: a primal solve that the
+    /// engine's own recoveries could not save restarts once from the
+    /// basis the chains forked from, and when chain B still breaks down
+    /// where chain A held, chain B is walked again from chain A's end, as
+    /// the maximizations were when they followed the minimization block.
+    /// With both, cold `bound_all` answers all 160 Table 1 solves (40
+    /// two-MAP models, generator seed 1, N = 4, 8, 16, 24) and the SCV 16
+    /// case study at N = 54 and 56 on the direct rung, against 158 and
+    /// N = 54 alone for the single chain.
+    ///
+    /// After a successful call, [`MarginalBoundSolver::solved_bases`]
+    /// holds this solve's optimal bases and
+    /// [`MarginalBoundSolver::solve_outcomes`] the per-slot engine paths,
+    /// both in canonical slot order; after a failed call both are empty.
     ///
     /// # Errors
-    /// Propagates LP failures.
+    /// Propagates LP failures; when both chains fail, the error of the
+    /// lowest failing slot (chain A's).
     pub fn bound_all_seeded(&mut self, seeds: &[Option<Basis>]) -> Result<NetworkBounds> {
         // Anchor the declarative budget for this whole solve: every engine
         // call below shares one absolute deadline through the simplex
@@ -744,52 +850,51 @@ impl MarginalBoundSolver {
         let m = self.layout.m;
         let n = self.layout.population;
         let indices = self.canonical_indices();
-        let num_indices = indices.len();
-        {
-            let empty = Basis::from_columns(Vec::new());
-            self.context.solved_bases.clear();
-            self.context.solved_bases.resize(2 * num_indices, empty);
-            self.context.solve_outcomes.clear();
-            self.context
-                .solve_outcomes
-                .resize(2 * num_indices, SlotOutcome::Primal);
-        }
+        let terms: Vec<Vec<(usize, f64)>> =
+            indices.iter().map(|&i| self.objective_terms(i)).collect();
+        self.context.solved_bases.clear();
+        self.context.solve_outcomes.clear();
 
-        let mut lowers: Vec<Option<LpSolution>> = vec![None; num_indices];
-        let mut uppers: Vec<Option<LpSolution>> = vec![None; num_indices];
+        let job = ChainJob {
+            lp: LpInputs {
+                base: &self.base,
+                simplex: &self.options.simplex,
+            },
+            indices: &indices,
+            terms: &terms,
+            seeds,
+            population: n,
+            stations: m,
+        };
+        let [mut lower, mut upper] = job.run(self.context.chain.warm.take(), self.options.width());
 
-        // Minimizations first — the phase-1 vertex (everything on the
-        // slacks) is closer to the lower-bound optima — each block in
-        // family order. The order is the same with and without seeds: the
-        // rolling chain this order sets up resolves most objectives in
-        // ~zero pivots (same-family neighbours share optimal faces, and
-        // the min-block end vertex prices out optimal for most of the max
-        // block), and a seeded solve drops into the chain without
-        // disturbing the objectives around it. When slot 0 is seeded and
-        // its dual re-solve succeeds, it also stands in for phase 1 — a
-        // seeded sweep step never goes cold at all.
-        for (i, slot) in lowers.iter_mut().enumerate() {
-            *slot = Some(self.solve_slot(&indices, i, Sense::Minimize, seeds)?);
+        let own = &mut self.context.chain;
+        for run in [&lower, &upper] {
+            own.stats.add(&run.chain.stats);
+            own.timings.add(&run.chain.timings);
         }
-        for (i, slot) in uppers.iter_mut().enumerate() {
-            *slot = Some(self.solve_slot(&indices, i, Sense::Maximize, seeds)?);
-        }
+        // The next solve on this solver's own chain starts from the last
+        // maximization's optimum (chain A's state when chain B never got
+        // an engine).
+        own.warm = upper.chain.warm.take().or(lower.chain.warm.take());
+        // Chain A's failure first: it holds the lower slots.
+        let lowers = lower.into_result()?;
+        let uppers = upper.into_result()?;
 
-        // INFALLIBLE: the loops above filled every slot (or returned `Err`).
-        let lower_at = |i: usize| lowers[i].as_ref().expect("solved above");
-        let upper_at = |i: usize| uppers[i].as_ref().expect("solved above");
+        let mut optima = Vec::with_capacity(2 * indices.len());
+        for (solution, basis, outcome) in lowers.into_iter().chain(uppers) {
+            optima.push(solution);
+            self.context.solved_bases.push(basis);
+            self.context.solve_outcomes.push(outcome);
+        }
+        let interval = |i: usize| self.widen(&optima[i], &optima[indices.len() + i]);
         // Canonical layout: throughputs at 0..m, system throughput at m,
         // utilizations at m+1.., mean queue lengths at 2m+1...
-        let throughput: Vec<BoundInterval> = (0..m)
-            .map(|k| self.widen(lower_at(k), upper_at(k)))
-            .collect();
-        let utilization: Vec<BoundInterval> = (0..m)
-            .map(|k| self.widen(lower_at(m + 1 + k), upper_at(m + 1 + k)))
-            .collect();
-        let mean_queue_length: Vec<BoundInterval> = (0..m)
-            .map(|k| self.widen(lower_at(2 * m + 1 + k), upper_at(2 * m + 1 + k)))
-            .collect();
-        let system_throughput = self.widen(lower_at(m), upper_at(m));
+        let throughput: Vec<BoundInterval> = (0..m).map(interval).collect();
+        let utilization: Vec<BoundInterval> = (0..m).map(|k| interval(m + 1 + k)).collect();
+        let mean_queue_length: Vec<BoundInterval> =
+            (0..m).map(|k| interval(2 * m + 1 + k)).collect();
+        let system_throughput = interval(m);
         let system_response_time = response_time_from_throughput(system_throughput, n);
         Ok(NetworkBounds {
             throughput,
@@ -803,35 +908,6 @@ impl MarginalBoundSolver {
         })
     }
 
-    /// Solves one canonical slot (objective `indices[i]` in `sense`) with
-    /// its optional seed, recording the optimal basis and engine path at the
-    /// slot.
-    fn solve_slot(
-        &mut self,
-        indices: &[PerformanceIndex],
-        i: usize,
-        sense: Sense,
-        seeds: &[Option<Basis>],
-    ) -> Result<LpSolution> {
-        let slot = if sense == Sense::Maximize {
-            indices.len() + i
-        } else {
-            i
-        };
-        let seed = seeds.get(slot).and_then(Option::as_ref);
-        let terms = self.objective_terms(indices[i]);
-        let (solution, basis, outcome) = self
-            .solve_checked_seeded(&terms, sense, seed)
-            .map_err(|e| CoreError::ObjectiveSolve {
-                population: self.layout.population,
-                objective: indices[i],
-                source: Box::new(e),
-            })?;
-        self.context.solved_bases[slot] = basis;
-        self.context.solve_outcomes[slot] = outcome;
-        Ok(solution)
-    }
-
     /// Convenience: bounds on the system response time only (one pair of
     /// LPs), the quantity evaluated in Table 1 of the paper.
     ///
@@ -840,210 +916,6 @@ impl MarginalBoundSolver {
     pub fn response_time_bounds(&mut self) -> Result<BoundInterval> {
         let x = self.bound(PerformanceIndex::SystemThroughput)?;
         Ok(response_time_from_throughput(x, self.layout.population))
-    }
-
-    /// Like [`MarginalBoundSolver::solve_checked`], but optionally trying a
-    /// dual-simplex seed first and returning the optimal basis alongside
-    /// the solution (an empty basis when the dense oracle answered — it
-    /// carries no reusable basis) plus the engine path taken.
-    fn solve_checked_seeded(
-        &mut self,
-        terms: &[(usize, f64)],
-        sense: Sense,
-        seed: Option<&Basis>,
-    ) -> Result<(LpSolution, Basis, SlotOutcome)> {
-        let (solution, basis, outcome) = self.solve_objective_seeded(terms, sense, seed)?;
-        if solution.status != LpStatus::Optimal {
-            return Err(CoreError::BoundLpFailed(format!(
-                "{} LP terminated with status {:?}",
-                match sense {
-                    Sense::Minimize => "lower-bound",
-                    Sense::Maximize => "upper-bound",
-                },
-                solution.status
-            )));
-        }
-        Ok((
-            solution,
-            basis.unwrap_or_else(|| Basis::from_columns(Vec::new())),
-            outcome,
-        ))
-    }
-
-    /// Solves one objective over the cached constraint set, dispatching on
-    /// the configured engine. The revised path warm starts from the basis of
-    /// the previous solve; when it cannot reach an optimal vertex the solve
-    /// fails, and the degradation ladder's salted re-solve is the recovery
-    /// path.
-    fn solve_objective(&mut self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
-        self.solve_objective_seeded(terms, sense, None)
-            .map(|(solution, _, _)| solution)
-    }
-
-    /// Engine dispatch with an optional dual seed: the dense-tableau oracle
-    /// when it is the selected engine, the revised engine otherwise.
-    fn solve_objective_seeded(
-        &mut self,
-        terms: &[(usize, f64)],
-        sense: Sense,
-        seed: Option<&Basis>,
-    ) -> Result<(LpSolution, Option<Basis>, SlotOutcome)> {
-        if self.options.simplex.engine == SimplexEngine::DenseTableau {
-            let t_dense = mapqn_linalg::budget::now();
-            let solution = self.solve_dense(terms, sense);
-            self.context.timings.dense_ns += t_dense.elapsed().as_nanos() as u64;
-            return Ok((solution?, None, SlotOutcome::Primal));
-        }
-        let (solution, basis, outcome) = self.solve_revised(terms, sense, seed)?;
-        Ok((solution, Some(basis), outcome))
-    }
-
-    /// Revised-engine solve to an optimal vertex; anything short of one is
-    /// an error.
-    ///
-    /// When a `dual_seed` is supplied (a basis translated from the same
-    /// network at a neighbouring population), the dual engine is tried
-    /// first: the seed is usually still dual feasible for the objective it
-    /// was optimal for, and a few dual pivots repair primal feasibility —
-    /// no phase 1 at all. A rejected seed silently degrades to the primal
-    /// warm-start path (and is counted in the stats).
-    fn solve_revised(
-        &mut self,
-        terms: &[(usize, f64)],
-        sense: Sense,
-        dual_seed: Option<&Basis>,
-    ) -> Result<(LpSolution, Basis, SlotOutcome)> {
-        if self.context.warm.is_none() {
-            let t_setup = mapqn_linalg::budget::now();
-            let engine = RevisedSimplex::new(&self.base).map_err(CoreError::Lp)?;
-            engine.set_perturbation_salt(self.options.simplex.perturbation_salt);
-            self.context.warm = Some(WarmState {
-                engine,
-                basis: None,
-            });
-            self.context.timings.setup_ns += t_setup.elapsed().as_nanos() as u64;
-        }
-        let stats = &mut self.context.stats;
-        let timings = &mut self.context.timings;
-        // INFALLIBLE: the `if self.context.warm.is_none()` block above
-        // just populated the slot.
-        let warm = self.context.warm.as_mut().expect("initialized above");
-
-        let mut objective = vec![0.0; self.layout.total];
-        for &(idx, c) in terms {
-            objective[idx] += c;
-        }
-
-        if let Some(seed) = dual_seed {
-            let t_dual = mapqn_linalg::budget::now();
-            let attempt =
-                warm.engine
-                    .solve_dual_from_basis(&objective, sense, seed, &self.options.simplex);
-            timings.dual_ns += t_dual.elapsed().as_nanos() as u64;
-            match attempt {
-                Ok(Some((solution, basis, _outcome)))
-                    if solution.status == LpStatus::Optimal =>
-                {
-                    warm.basis = Some(basis.clone());
-                    timings.dual_pivots += solution.iterations as u64;
-                    let outcome = if solution.iterations <= TRANSFER_ACCEPT_ITERATIONS {
-                        SlotOutcome::DualWarm
-                    } else {
-                        // Solved, but the carried vertex was far: classify
-                        // as a non-transfer so sweep adaptivity reacts.
-                        SlotOutcome::Primal
-                    };
-                    stats.revised_solves += 1;
-                    // Count only solves *classified* as transfers, so the
-                    // stats agree with the sweep's adaptation.
-                    if outcome == SlotOutcome::DualWarm {
-                        stats.dual_warm_solves += 1;
-                    }
-                    return Ok((solution, basis, outcome));
-                }
-                // Unusable seed (dual infeasible, stalled, or a numerical
-                // error): degrade to the primal path below.
-                Ok(_) | Err(_) => {
-                    stats.dual_seed_rejections += 1;
-                }
-            }
-        }
-
-        // A rejected seed is still worth a *zero-objective* dual repair: it
-        // yields a primal feasible basis a few pivots from the carried
-        // vertex — a better primal starting point for this objective than
-        // the rolling basis (which sits at the previous objective's
-        // optimum), and, on the first solve of a population, a stand-in for
-        // the whole cold phase 1.
-        let mut repaired = false;
-        if let Some(seed) = dual_seed {
-            let t_repair = mapqn_linalg::budget::now();
-            let attempt = warm
-                .engine
-                .repair_primal_feasible(seed, &self.options.simplex);
-            timings.repair_ns += t_repair.elapsed().as_nanos() as u64;
-            if let Ok(Some(basis)) = attempt {
-                warm.basis = Some(basis);
-                repaired = true;
-            }
-        }
-        if warm.basis.is_none() {
-            // Timing accumulates before the error check on purpose: the
-            // failure path is exactly where the profile matters (the cold
-            // breakdown at large N burns its minutes *inside* failing
-            // solves, which a success-only profile would report as zero).
-            let t_phase1 = mapqn_linalg::budget::now();
-            let found = warm.engine.find_feasible_basis(&self.options.simplex);
-            timings.phase1_ns += t_phase1.elapsed().as_nanos() as u64;
-            let Some(basis) = found.map_err(CoreError::Lp)? else {
-                return Err(CoreError::BoundLpFailed(
-                    "phase 1 found no feasible basis".into(),
-                ));
-            };
-            warm.basis = Some(basis);
-        }
-        // INFALLIBLE: both branches above either stored a basis or
-        // returned early.
-        let start = warm.basis.clone().expect("ensured above");
-        let t_primal = mapqn_linalg::budget::now();
-        let attempt =
-            warm.engine
-                .solve_from_basis(&objective, sense, &start, &self.options.simplex);
-        timings.primal_ns += t_primal.elapsed().as_nanos() as u64;
-        let (solution, next_basis) = attempt.map_err(CoreError::Lp)?;
-        timings.primal_pivots += solution.iterations as u64;
-        if solution.status != LpStatus::Optimal {
-            return Err(CoreError::BoundLpFailed(format!(
-                "revised simplex stopped with status {:?}",
-                solution.status
-            )));
-        }
-        warm.basis = Some(next_basis.clone());
-        let outcome = if repaired && solution.iterations <= TRANSFER_ACCEPT_ITERATIONS {
-            SlotOutcome::RepairWarm
-        } else {
-            SlotOutcome::Primal
-        };
-        stats.revised_solves += 1;
-        // Count only repairs whose follow-up solve was short enough to
-        // classify as a transfer, so the stats agree with the sweep's
-        // adaptation (and with what the counter's name promises).
-        if outcome == SlotOutcome::RepairWarm {
-            stats.feasibility_repairs += 1;
-        }
-        Ok((solution, next_basis, outcome))
-    }
-
-    /// Cold dense-tableau solve (the original code path, kept as oracle).
-    fn solve_dense(&self, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
-        let mut problem = self.base.clone();
-        problem.set_objective(terms);
-        problem.set_sense(sense);
-        let options = SimplexOptions {
-            engine: SimplexEngine::DenseTableau,
-            ..self.options.simplex
-        };
-        Ok(problem.solve_with(&options)?)
     }
 
     /// The optimal bases recorded by the last
@@ -1249,6 +1121,410 @@ impl MarginalBoundSolver {
         }
         Basis::from_columns(columns)
     }
+}
+
+/// One solved objective: the optimum, its optimal basis (empty when the
+/// dense oracle answered — it carries no reusable basis) and the engine
+/// path that answered.
+type Solved = (LpSolution, Basis, SlotOutcome);
+
+/// The shared, read-only inputs of one
+/// [`MarginalBoundSolver::bound_all_seeded`] call's two chains.
+struct ChainJob<'a> {
+    lp: LpInputs<'a>,
+    indices: &'a [PerformanceIndex],
+    /// Objective terms of each of `indices`.
+    terms: &'a [Vec<(usize, f64)>],
+    seeds: &'a [Option<Basis>],
+    population: usize,
+    stations: usize,
+}
+
+/// One chain of a `bound_all_seeded` call and what it solved.
+struct ChainRun {
+    sense: Sense,
+    chain: Chain,
+    /// The chain's solves so far, in canonical order.
+    solved: Vec<Solved>,
+    /// The failure that stopped the chain.
+    error: Option<CoreError>,
+}
+
+impl ChainJob<'_> {
+    /// Runs chain A (the minimizations) and chain B (the maximizations),
+    /// chain A starting from `warm`: serially on the caller at `width` 1,
+    /// while a fault is armed or when chain A finished before the fork,
+    /// on two threads otherwise. A chain B that breaks down numerically
+    /// where chain A held is walked again from chain A's end.
+    fn run(&self, warm: Option<WarmState>, width: usize) -> [ChainRun; 2] {
+        let mut a = ChainRun::new(Sense::Minimize, warm);
+        let mut b = ChainRun::new(Sense::Maximize, None);
+        if let Err(e) = self.fork(&mut a, &mut b) {
+            a.error = Some(e);
+            return [a, b];
+        }
+        let armed = mapqn_faults::current().is_some();
+        let handed_off = a.solved.len() == self.indices.len();
+        if width < 2 || armed || handed_off {
+            a.run(self);
+            if !(armed && a.error.is_some()) {
+                b.run(self);
+            }
+        } else {
+            // The caller claims the first job while the second thread
+            // starts, so it takes the longer chain.
+            let mut runs = [b, a];
+            mapqn_par::WorkPool::new(2).for_each_chunk(&mut runs, 1, |_, run| run[0].run(self));
+            [b, a] = runs;
+        }
+        // A numerical breakdown of the maximizations where the
+        // minimizations held: walk them again from chain A's end, the
+        // start they had when they followed the minimization block.
+        if !handed_off && a.error.is_none() && b.error.as_ref().is_some_and(broke_down) {
+            let t_copy = mapqn_linalg::budget::now();
+            b.chain.warm.clone_from(&a.chain.warm);
+            b.chain.timings.setup_ns += t_copy.elapsed().as_nanos() as u64;
+            b.solved.clear();
+            b.error = None;
+            b.run(self);
+        }
+        [a, b]
+    }
+
+    /// The chains' shared start on the revised engine: chain A builds its
+    /// engine on first use and solves its first `handoff` objectives (after
+    /// phase 1 when it has no basis yet); chain B starts from a copy of
+    /// chain A's engine and basis at that point (takes it over when chain
+    /// A is done).
+    ///
+    /// * Slot 0 seeded: the copy is taken before any solve.
+    /// * Slot 0 unseeded: after slot 0 rather than right after phase 1.
+    ///   From the phase-1 vertex the maximizations reach degenerate optimal
+    ///   bases that the split translation carries one population up only
+    ///   with repairs (eight max slots of the SCV 16 case study at N = 4);
+    ///   from the first minimum they translate intact, as they did when the
+    ///   maximizations followed the whole minimization block.
+    /// * Two stations: after the last minimization. The queue lengths sum
+    ///   to N, so that optimum (station 1's least queue) is also the
+    ///   optimum of station 0's greatest, and the maximizations start next
+    ///   to their vertices. On the TPC-W server tier at N = 3–12 they then
+    ///   take 2,714 primal pivots in all, against 3,809 when chain B starts
+    ///   after slot 0, whose critical path of 2,547 would save next to
+    ///   nothing — so two-station networks keep one serial chain.
+    fn fork(&self, a: &mut ChainRun, b: &mut ChainRun) -> Result<()> {
+        if self.lp.simplex.engine == SimplexEngine::DenseTableau {
+            return Ok(());
+        }
+        a.chain
+            .ensure_engine(self.lp)
+            .map_err(|e| self.slot_error(0, e))?;
+        let handoff = if self.stations == 2 {
+            self.indices.len()
+        } else {
+            usize::from(self.seeds.first().is_none_or(Option::is_none))
+        };
+        while a.solved.len() < handoff {
+            a.step(self);
+            if let Some(e) = a.error.take() {
+                return Err(e);
+            }
+        }
+        let anchor = a.chain.warm.as_ref().and_then(|warm| warm.basis.clone());
+        if a.solved.len() == self.indices.len() {
+            // Chain A is done: chain B takes its engine over.
+            b.chain.warm = a.chain.warm.take();
+        } else {
+            let t_copy = mapqn_linalg::budget::now();
+            b.chain.warm = a.chain.warm.clone();
+            b.chain.timings.setup_ns += t_copy.elapsed().as_nanos() as u64;
+            a.chain.anchor.clone_from(&anchor);
+        }
+        b.chain.anchor = anchor;
+        Ok(())
+    }
+
+    /// `error` as the failure of canonical objective `i`.
+    fn slot_error(&self, i: usize, error: CoreError) -> CoreError {
+        CoreError::ObjectiveSolve {
+            population: self.population,
+            objective: self.indices[i],
+            source: Box::new(error),
+        }
+    }
+}
+
+/// Whether a chain stopped on a numerical breakdown of the engine (not on
+/// its budget or iteration cap).
+fn broke_down(error: &CoreError) -> bool {
+    matches!(
+        error,
+        CoreError::ObjectiveSolve { source, .. }
+            if matches!(**source, CoreError::Lp(LpError::Numerical(_)))
+    )
+}
+
+impl ChainRun {
+    fn new(sense: Sense, warm: Option<WarmState>) -> Self {
+        Self {
+            sense,
+            chain: Chain {
+                warm,
+                ..Chain::default()
+            },
+            solved: Vec::new(),
+            error: None,
+        }
+    }
+
+    /// Solves the chain's next canonical objective with its slot's seed,
+    /// recording the solve or the failure.
+    fn step(&mut self, job: &ChainJob<'_>) {
+        let i = self.solved.len();
+        let slot = match self.sense {
+            Sense::Minimize => i,
+            Sense::Maximize => job.indices.len() + i,
+        };
+        let seed = job.seeds.get(slot).and_then(Option::as_ref);
+        match self.chain.solve(job.lp, &job.terms[i], self.sense, seed) {
+            Ok(solved) => self.solved.push(solved),
+            Err(e) => self.error = Some(job.slot_error(i, e)),
+        }
+    }
+
+    /// Solves the chain's remaining objectives in canonical order, stopping
+    /// at the first failure.
+    fn run(&mut self, job: &ChainJob<'_>) {
+        while self.error.is_none() && self.solved.len() < job.indices.len() {
+            self.step(job);
+        }
+    }
+
+    /// The chain's solves, or the failure that stopped it.
+    fn into_result(self) -> Result<Vec<Solved>> {
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.solved),
+        }
+    }
+}
+
+impl WarmState {
+    /// Runs phase 1 when the chain has no basis yet, billing it to
+    /// `timings.phase1_ns`.
+    fn ensure_basis(
+        &mut self,
+        options: &SimplexOptions,
+        timings: &mut SolverTimings,
+    ) -> Result<()> {
+        if self.basis.is_some() {
+            return Ok(());
+        }
+        // Timing accumulates before the error check on purpose: the
+        // failure path is exactly where the profile matters (the cold
+        // breakdown at large N burns its minutes *inside* failing solves,
+        // which a success-only profile would report as zero).
+        let t_phase1 = mapqn_linalg::budget::now();
+        let found = self.engine.find_feasible_basis(options);
+        timings.phase1_ns += t_phase1.elapsed().as_nanos() as u64;
+        let Some(basis) = found.map_err(CoreError::Lp)? else {
+            return Err(CoreError::BoundLpFailed(
+                "phase 1 found no feasible basis".into(),
+            ));
+        };
+        self.basis = Some(basis);
+        Ok(())
+    }
+}
+
+impl Chain {
+    /// Builds the chain's revised engine on first use.
+    fn ensure_engine(&mut self, lp: LpInputs<'_>) -> Result<()> {
+        if self.warm.is_none() {
+            let t_setup = mapqn_linalg::budget::now();
+            let engine = RevisedSimplex::new(lp.base).map_err(CoreError::Lp)?;
+            engine.set_perturbation_salt(lp.simplex.perturbation_salt);
+            self.warm = Some(WarmState {
+                engine,
+                basis: None,
+            });
+            self.timings.setup_ns += t_setup.elapsed().as_nanos() as u64;
+        }
+        Ok(())
+    }
+
+    /// Solves one objective on the configured engine, optionally trying a
+    /// dual-simplex seed first, and insists on an optimal termination.
+    fn solve(
+        &mut self,
+        lp: LpInputs<'_>,
+        terms: &[(usize, f64)],
+        sense: Sense,
+        seed: Option<&Basis>,
+    ) -> Result<Solved> {
+        let solved = if lp.simplex.engine == SimplexEngine::DenseTableau {
+            let t_dense = mapqn_linalg::budget::now();
+            let solution = solve_dense(lp, terms, sense);
+            self.timings.dense_ns += t_dense.elapsed().as_nanos() as u64;
+            (
+                solution?,
+                Basis::from_columns(Vec::new()),
+                SlotOutcome::Primal,
+            )
+        } else {
+            self.solve_revised(lp, terms, sense, seed)?
+        };
+        if solved.0.status != LpStatus::Optimal {
+            return Err(CoreError::BoundLpFailed(format!(
+                "{} LP terminated with status {:?}",
+                match sense {
+                    Sense::Minimize => "lower-bound",
+                    Sense::Maximize => "upper-bound",
+                },
+                solved.0.status
+            )));
+        }
+        Ok(solved)
+    }
+
+    /// Revised-engine solve to an optimal vertex; anything short of one is
+    /// an error. The primal path warm starts from the chain's rolling
+    /// basis; when it cannot reach an optimal vertex the solve fails, and
+    /// the degradation ladder's salted re-solve is the recovery path.
+    ///
+    /// When a `dual_seed` is supplied (a basis translated from the same
+    /// network at a neighbouring population), the dual engine is tried
+    /// first: the seed is usually still dual feasible for the objective it
+    /// was optimal for, and a few dual pivots repair primal feasibility —
+    /// no phase 1 at all. A rejected seed silently degrades to the primal
+    /// warm-start path (and is counted in the stats).
+    fn solve_revised(
+        &mut self,
+        lp: LpInputs<'_>,
+        terms: &[(usize, f64)],
+        sense: Sense,
+        dual_seed: Option<&Basis>,
+    ) -> Result<Solved> {
+        self.ensure_engine(lp)?;
+        let Chain {
+            warm,
+            anchor,
+            stats,
+            timings,
+        } = self;
+        // INFALLIBLE: `ensure_engine` just populated the slot.
+        let warm = warm.as_mut().expect("initialized above");
+        let options = lp.simplex;
+
+        let mut objective = vec![0.0; lp.base.num_vars()];
+        for &(idx, c) in terms {
+            objective[idx] += c;
+        }
+
+        if let Some(seed) = dual_seed {
+            let t_dual = mapqn_linalg::budget::now();
+            let attempt = warm
+                .engine
+                .solve_dual_from_basis(&objective, sense, seed, options);
+            timings.dual_ns += t_dual.elapsed().as_nanos() as u64;
+            match attempt {
+                Ok(Some((solution, basis, _outcome)))
+                    if solution.status == LpStatus::Optimal =>
+                {
+                    warm.basis = Some(basis.clone());
+                    timings.dual_pivots += solution.iterations as u64;
+                    let outcome = if solution.iterations <= TRANSFER_ACCEPT_ITERATIONS {
+                        SlotOutcome::DualWarm
+                    } else {
+                        // Solved, but the carried vertex was far: classify
+                        // as a non-transfer so sweep adaptivity reacts.
+                        SlotOutcome::Primal
+                    };
+                    stats.revised_solves += 1;
+                    // Count only solves *classified* as transfers, so the
+                    // stats agree with the sweep's adaptation.
+                    if outcome == SlotOutcome::DualWarm {
+                        stats.dual_warm_solves += 1;
+                    }
+                    return Ok((solution, basis, outcome));
+                }
+                // Unusable seed (dual infeasible, stalled, or a numerical
+                // error): degrade to the primal path below.
+                Ok(_) | Err(_) => {
+                    stats.dual_seed_rejections += 1;
+                }
+            }
+        }
+
+        // A rejected seed is still worth a *zero-objective* dual repair: it
+        // yields a primal feasible basis a few pivots from the carried
+        // vertex — a better primal starting point for this objective than
+        // the rolling basis (which sits at the previous objective's
+        // optimum), and, on the first solve of a population, a stand-in for
+        // the whole cold phase 1.
+        let mut repaired = false;
+        if let Some(seed) = dual_seed {
+            let t_repair = mapqn_linalg::budget::now();
+            let attempt = warm.engine.repair_primal_feasible(seed, options);
+            timings.repair_ns += t_repair.elapsed().as_nanos() as u64;
+            if let Ok(Some(basis)) = attempt {
+                warm.basis = Some(basis);
+                repaired = true;
+            }
+        }
+        warm.ensure_basis(options, timings)?;
+        // INFALLIBLE: `ensure_basis` either stored a basis or returned
+        // early.
+        let start = warm.basis.clone().expect("ensured above");
+        let t_primal = mapqn_linalg::budget::now();
+        let mut attempt = warm
+            .engine
+            .solve_from_basis(&objective, sense, &start, options);
+        if let (Err(LpError::Numerical(_)), Some(anchor)) = (&attempt, anchor.as_ref()) {
+            // The engine's own recoveries (a local repair, then a cold
+            // restart under a fresh salt) already failed; the walk from
+            // the fork basis is a different path to the same optimum.
+            if *anchor != start {
+                attempt = warm
+                    .engine
+                    .solve_from_basis(&objective, sense, anchor, options);
+            }
+        }
+        timings.primal_ns += t_primal.elapsed().as_nanos() as u64;
+        let (solution, next_basis) = attempt.map_err(CoreError::Lp)?;
+        timings.primal_pivots += solution.iterations as u64;
+        if solution.status != LpStatus::Optimal {
+            return Err(CoreError::BoundLpFailed(format!(
+                "revised simplex stopped with status {:?}",
+                solution.status
+            )));
+        }
+        warm.basis = Some(next_basis.clone());
+        let outcome = if repaired && solution.iterations <= TRANSFER_ACCEPT_ITERATIONS {
+            SlotOutcome::RepairWarm
+        } else {
+            SlotOutcome::Primal
+        };
+        stats.revised_solves += 1;
+        // Count only repairs whose follow-up solve was short enough to
+        // classify as a transfer, so the stats agree with the sweep's
+        // adaptation (and with what the counter's name promises).
+        if outcome == SlotOutcome::RepairWarm {
+            stats.feasibility_repairs += 1;
+        }
+        Ok((solution, next_basis, outcome))
+    }
+}
+
+/// Cold dense-tableau solve (the original code path, kept as oracle).
+fn solve_dense(lp: LpInputs<'_>, terms: &[(usize, f64)], sense: Sense) -> Result<LpSolution> {
+    let mut problem = lp.base.clone();
+    problem.set_objective(terms);
+    problem.set_sense(sense);
+    let options = SimplexOptions {
+        engine: SimplexEngine::DenseTableau,
+        ..*lp.simplex
+    };
+    Ok(problem.solve_with(&options)?)
 }
 
 // Compile-time guarantee the ensemble layer relies on: a solver, together

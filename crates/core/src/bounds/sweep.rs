@@ -259,13 +259,17 @@ impl PopulationSweep {
         self.stats.dual_warm_objectives += solver_stats.dual_warm_solves;
         self.stats.dual_seed_rejections += solver_stats.dual_seed_rejections;
 
+        // Only the solved bases carry to the next population; the engine
+        // is never warm started again, so it is not kept alive next to the
+        // next population's two chains.
+        solver.release_engine();
         self.previous = Some(solver);
         Ok(bounds)
     }
 
-    /// The solver of the most recently completed population (for inspection
-    /// or additional per-index [`MarginalBoundSolver::bound`] queries at
-    /// that population).
+    /// The solver of the most recently completed population, for
+    /// inspection: its solved bases, engine paths, counters and timings.
+    /// Its warm engine is not kept.
     #[must_use]
     pub fn last_solver(&self) -> Option<&MarginalBoundSolver> {
         self.previous.as_ref()

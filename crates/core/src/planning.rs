@@ -538,9 +538,13 @@ impl PlanningSession {
                 _ => None,
             })
             .collect();
+        // Each solve job's bound chains get an equal share of the pool: a
+        // lone cold solve overlaps its two chains, a batch of cold solves
+        // keeps one thread per job.
         let options = &self.options;
+        let workers = (self.pool.threads() / jobs.len().max(1)).max(1);
         let raw = self.pool.map_isolated(&jobs, |_, &(_, network, job)| {
-            solve_request(network, options, job)
+            solve_request(network, options, workers, job)
         });
         let mut outcomes: HashMap<usize, std::result::Result<Result<SolveOutcome>, String>> =
             HashMap::new();
@@ -706,7 +710,12 @@ impl PlanningSession {
                 // Contained panic: answer from the floor, recording the
                 // panic in the diagnostics.
                 self.stats.contained_panics += 1;
-                solve_request(&adm.network, &self.options, &Job::panicked(panic_message))
+                solve_request(
+                    &adm.network,
+                    &self.options,
+                    1,
+                    &Job::panicked(panic_message),
+                )
             }
             // INFALLIBLE: every non-memo admission slot had a job queued.
             None => unreachable!("solve job missing for admitted request"),
@@ -882,16 +891,21 @@ fn bound_options(options: &SessionOptions) -> BoundOptions {
     bound
 }
 
-/// Walks one request's ladder plan. Pure function of its inputs (model,
-/// options, job), so it is safe to fan out and its answers are
-/// schedule-independent.
+/// Walks one request's ladder plan, running its bound solves' chains on
+/// `workers` threads. Pure function of its inputs (model, options, job;
+/// the width never changes an answer), so it is safe to fan out and its
+/// answers are schedule-independent.
 fn solve_request(
     network: &ClosedNetwork,
     options: &SessionOptions,
+    workers: usize,
     job: &Job,
 ) -> Result<SolveOutcome> {
     let start = budget::now();
-    let base = bound_options(options);
+    let base = BoundOptions {
+        workers,
+        ..bound_options(options)
+    };
     let walk = ladder::run(
         &job.plan,
         options.budget,

@@ -64,6 +64,7 @@ pub(crate) trait ColumnSource {
 /// heavily degenerate bound LPs are mostly zeros, and the eta file is
 /// applied twice per pivot (FTRAN + BTRAN), so the sparse form is where the
 /// engine's per-iteration time goes from `O(etas · m)` to `O(etas · nnz)`.
+#[derive(Clone)]
 struct Eta {
     position: usize,
     /// `d[position]`, the pivot element.
@@ -91,6 +92,7 @@ const SINGULARITY_TOL: f64 = 1e-13;
 /// off-diagonal non-zeros of row (or column) `i` with indices ascending, the
 /// order in which the dense solves visit them. The eliminations also build
 /// their multiplier columns and crash images in this layout, unsorted.
+#[derive(Clone)]
 struct SparseTriangle {
     /// List `i` occupies `index[start[i]..start[i + 1]]`.
     start: Vec<usize>,
@@ -275,6 +277,7 @@ impl Pending {
 }
 
 /// Sparse LU-factored basis with a product-form eta file.
+#[derive(Clone)]
 pub(crate) struct BasisFactor {
     /// Row permutation of `P B = L U`: factor row `i` is basis row `perm[i]`.
     perm: Vec<usize>,

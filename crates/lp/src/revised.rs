@@ -167,6 +167,7 @@ enum Phase1Outcome {
 /// Mutable per-solve state: basis, basic values and factorization. Shared
 /// with the dual engine in [`crate::dual`], which drives the same state with
 /// a dual pivoting rule before handing it back to the primal machinery.
+#[derive(Clone)]
 pub(crate) struct Work {
     pub(crate) basis: Vec<usize>,
     pub(crate) in_basis: Vec<bool>,
@@ -188,7 +189,10 @@ pub(crate) struct Work {
 /// Construction converts the constraints of an [`LpProblem`] to standard
 /// form once; every subsequent solve only changes the objective. The engine
 /// caches its last basis internally, so repeated [`RevisedSimplex::solve_from_basis`]
-/// calls with the basis it returned skip refactorization.
+/// calls with the basis it returned skip refactorization. A clone copies
+/// that cache and the perturbation salt, so the clone and the original
+/// answer the same calls bitwise alike.
+#[derive(Clone)]
 pub struct RevisedSimplex {
     pub(crate) m: usize,
     pub(crate) n_struct: usize,
