@@ -489,7 +489,7 @@ fn solve_both_ways(network: &ClosedNetwork) -> BothWays {
         .states()
         .iter()
         .enumerate()
-        .map(|(bfs, state)| (materialized.pi[bfs] - implicit.pi[op.index_of(state).unwrap()]).abs())
+        .map(|(mat, state)| (materialized.pi[mat] - implicit.pi[op.index_of(state).unwrap()]).abs())
         .fold(0.0, f64::max);
     BothWays {
         pi_diff,
@@ -546,20 +546,22 @@ fn implicit_only_solve_past_the_materialized_ceiling_conserves_population() {
 }
 
 /// tpcw_B80 solved through the factored operator is answered by the
-/// Gauss–Seidel rung in at most 1.1x the materialized sweeps (a sweep
-/// count, not a timing); on it and on fig5_scv16_N60 the two
-/// representations agree within 1e-8.
+/// Gauss–Seidel rung within one residual check (16 sweeps) of the
+/// materialized solve: both number the states in the same rank order and
+/// give them the same levels, so only rounding separates the two chains.
+/// On it and on fig5_scv16_N60 the two representations agree within 1e-8.
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "release-scale gate: CI runs it with --release"
 )]
-fn tpcw_b80_implicit_runs_gauss_seidel_within_1_1x_the_materialized_sweeps() {
+fn tpcw_b80_implicit_gauss_seidel_sweeps_match_the_materialized_within_one_check() {
     let r = solve_both_ways(&tpcw(80));
     assert!(r.pi_diff <= 1e-8, "tpcw_B80: pi diff {:.2e}", r.pi_diff);
     assert_eq!(r.implicit_rung, SparsePreconditioner::GaussSeidel);
+    let check = SparseSteadyOptions::default().check_every;
     assert!(
-        r.implicit_sweeps as f64 <= 1.1 * r.materialized_sweeps as f64,
+        r.implicit_sweeps.abs_diff(r.materialized_sweeps) <= check,
         "{} implicit sweeps vs {} materialized",
         r.implicit_sweeps,
         r.materialized_sweeps

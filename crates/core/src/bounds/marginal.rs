@@ -51,8 +51,8 @@ use crate::network::ClosedNetwork;
 use crate::{CoreError, Result};
 use mapqn_linalg::SolveBudget;
 use mapqn_lp::{
-    Basis, LpError, LpProblem, LpSolution, LpStatus, RevisedSimplex, Sense, SimplexEngine,
-    SimplexOptions,
+    Basis, LpError, LpProblem, LpSolution, LpStatus, RevisedSimplex, SeedFactor, Sense,
+    SimplexEngine, SimplexOptions,
 };
 
 /// Which optional constraint families to include (the mandatory ones —
@@ -1420,11 +1420,14 @@ impl Chain {
             objective[idx] += c;
         }
 
+        // A seed rejected at pricing keeps its factorization for the
+        // repair below.
+        let mut kept = SeedFactor::default();
         if let Some(seed) = dual_seed {
             let t_dual = mapqn_linalg::budget::now();
             let attempt = warm
                 .engine
-                .solve_dual_from_basis(&objective, sense, seed, options);
+                .solve_dual_keeping_seed(&objective, sense, seed, &mut kept, options);
             timings.dual_ns += t_dual.elapsed().as_nanos() as u64;
             match attempt {
                 Ok(Some((solution, basis, _outcome)))
@@ -1464,7 +1467,7 @@ impl Chain {
         let mut repaired = false;
         if let Some(seed) = dual_seed {
             let t_repair = mapqn_linalg::budget::now();
-            let attempt = warm.engine.repair_primal_feasible(seed, options);
+            let attempt = warm.engine.repair_primal_feasible(seed, kept, options);
             timings.repair_ns += t_repair.elapsed().as_nanos() as u64;
             if let Ok(Some(basis)) = attempt {
                 warm.basis = Some(basis);

@@ -5,32 +5,41 @@
 //! read the performance indexes off the state probabilities. The cost grows
 //! combinatorially with the population and the number of stations — the very
 //! limitation the LP bound methodology removes — but the reachable regime is
-//! set by the steady-state engine: the generator is streamed directly into
-//! CSR by [`build_state_space`] and solved by `mapqn-markov`'s dense GTH
-//! elimination below a few thousand states or by its sparse preconditioned
-//! engine (row-block-parallel Gauss–Seidel / Jacobi iterations with a
-//! `‖πQ‖_∞` stopping rule) up to the `10^6`–`10^7`-state range, so exact
-//! references now cover the same populations the LP bounds and sweeps are
-//! run at (e.g. the SCV=16 case study at `N = 60+`, or the TPC-W model at
-//! its full 384-browser population).
+//! set by the steady-state engine: `mapqn-markov`'s dense GTH elimination
+//! below a few thousand states, and its sparse preconditioned engine
+//! (row-block-parallel Gauss–Seidel / Jacobi iterations with a `‖πQ‖_∞`
+//! stopping rule) up to the `10^6`–`10^7`-state range, so exact references
+//! cover the same populations the LP bounds and sweeps are run at (e.g. the
+//! SCV=16 case study at `N = 60+`, or the TPC-W model at its full
+//! 384-browser population).
 //!
-//! ## Generator representations
+//! ## One state order, two generator representations
 //!
-//! The CTMC generator can be held two ways, selected by
+//! Every solve first builds the [`crate::FactoredGenerator`], which ranks
+//! the product space `compositions × phases` in closed form. The generator
+//! is then held one of two ways, selected by
 //! [`ExactOptions::representation`]:
 //!
-//! * **Materialized** — BFS enumeration streamed into a flat CSR
-//!   ([`build_state_space`]), solved by [`stationary_auto`] (dense GTH below
-//!   its threshold, sparse engine above). Memory is `O(nnz)`.
-//! * **Factored** — the per-station Kronecker blocks of
-//!   [`crate::FactoredGenerator`]; rows of `Qᵀ` are synthesized on demand
-//!   and the sparse engine iterates without the generator ever existing.
-//!   Memory is `O(Σ station blocks)`; the solve runs the same ladder,
-//!   Gauss–Seidel first, over the synthesized rows.
+//! * **Materialized** — the states reachable from the initial state,
+//!   numbered in rank order, with `Qᵀ` assembled directly from the forward
+//!   transition closure (a dense rank array marks the reached states; no
+//!   state hash, no transpose). Dense GTH solves it at or below
+//!   [`SteadyStateOptions::dense_threshold`] states; above, the sparse
+//!   engine iterates on `Qᵀ` itself. Memory is `O(nnz)`.
+//! * **Factored** — rows of `Qᵀ` are synthesized on demand from the
+//!   per-station blocks and the sparse engine iterates without the
+//!   generator ever existing. Memory is `O(Σ station blocks)`; the solve
+//!   runs the same ladder, Gauss–Seidel first, over the synthesized rows.
 //!
-//! The default, [`GeneratorRepresentation::Auto`], estimates the bytes a
-//! materialized solve would hold and goes implicit only above
-//! [`ExactOptions::materialize_bytes_ceiling`].
+//! Either way the metric pass walks the ranks in order with the factored
+//! operator's cursor. The default, [`GeneratorRepresentation::Auto`],
+//! estimates the bytes a materialized solve would hold and goes implicit
+//! only above [`ExactOptions::materialize_bytes_ceiling`].
+//!
+//! Rank order is also the better order for Gauss–Seidel: on the `ctmc_exact`
+//! grid of the benchmark it needs fewer sweeps than the breadth-first order
+//! this path used before (TPC-W at `N = 44…68`: 256–304 sweeps against
+//! 304–416).
 //!
 //! Both representations hand the sparse engine the same aggregation level
 //! per state — bottleneck queue length times the joint phase count, plus
@@ -42,9 +51,9 @@
 use crate::factored::FactoredGenerator;
 use crate::metrics::NetworkMetrics;
 use crate::network::{ClosedNetwork, StationKind};
-use crate::statespace::build_state_space;
+use crate::statespace::RankedChain;
 use crate::Result;
-use mapqn_markov::{stationary_auto, stationary_sparse_op, SteadyStateOptions};
+use mapqn_markov::{stationary_sparse_op, SteadyStateOptions};
 
 /// How the exact solver represents the CTMC generator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -63,12 +72,13 @@ pub enum GeneratorRepresentation {
 /// Options for the exact solver.
 #[derive(Debug, Clone, Copy)]
 pub struct ExactOptions {
-    /// Maximum number of CTMC states before giving up. What that ceiling
-    /// costs depends on the representation: a *materialized* solve holds the
-    /// flat CSR generator and its transpose — roughly 150 bytes per state
-    /// plus 40 bytes per transition, i.e. tens of GiB at `10^7` states — so
-    /// in practice it tops out around the `10^6`-state regime; a *factored*
-    /// solve stores only the per-station blocks (kilobytes) plus the
+    /// Maximum number of product-space states (`compositions × phases`,
+    /// reachable or not) before giving up. What that ceiling costs depends
+    /// on the representation: a *materialized* solve holds the flat CSR of
+    /// `Qᵀ`, rank arrays and the iteration vectors — roughly 100 bytes per
+    /// state plus 16 bytes per transition, i.e. a few GiB at `10^7` states —
+    /// so in practice it tops out around the `10^6`-state regime; a
+    /// *factored* solve stores only the per-station blocks (kilobytes) plus the
     /// iteration vectors (`O(n)` floats), so the full `10^7` default is
     /// reachable and the binding constraint becomes sweep time, not memory.
     pub max_states: usize,
@@ -80,7 +90,8 @@ pub struct ExactOptions {
     /// Which generator representation to solve through.
     pub representation: GeneratorRepresentation,
     /// Memory ceiling (bytes) for [`GeneratorRepresentation::Auto`]: when
-    /// the estimated materialized footprint (CSR + transpose) exceeds this,
+    /// the estimated materialized footprint
+    /// ([`crate::FactoredGenerator::flat_csr_bytes_estimate`]) exceeds this,
     /// the solver goes implicit. Default 8 GiB.
     pub materialize_bytes_ceiling: usize,
 }
@@ -128,63 +139,40 @@ pub fn solve_exact_with(
     network: &ClosedNetwork,
     options: &ExactOptions,
 ) -> Result<NetworkMetrics> {
-    let factored = match options.representation {
-        GeneratorRepresentation::Materialized => None,
-        GeneratorRepresentation::Factored => {
-            Some(FactoredGenerator::new(network, options.max_states)?)
-        }
+    // Building the factored operator is cheap (kilobytes). Both
+    // representations rank states by it, and `Auto` routes on its footprint
+    // estimate.
+    let op = FactoredGenerator::new(network, options.max_states)?;
+    let implicit = match options.representation {
+        GeneratorRepresentation::Materialized => false,
+        GeneratorRepresentation::Factored => true,
         GeneratorRepresentation::Auto => {
-            // Building the factored operator is cheap (kilobytes); use its
-            // footprint estimate to decide whether materializing is safe.
-            let op = FactoredGenerator::new(network, options.max_states)?;
-            (op.flat_csr_bytes_estimate() > options.materialize_bytes_ceiling).then_some(op)
+            op.flat_csr_bytes_estimate() > options.materialize_bytes_ceiling
         }
     };
-    if let Some(op) = factored {
-        return solve_exact_factored(network, &op, options);
-    }
-
-    let space = build_state_space(network, options.max_states)?;
-    let pi = stationary_auto(space.ctmc(), &options.steady_state)?;
-
     let mut acc = MetricAccumulators::new(network);
-    for (idx, state) in space.states().iter().enumerate() {
-        let p = pi[idx];
-        if p == 0.0 {
-            continue;
-        }
-        acc.accumulate(network, &state.queue_lengths, &state.phases, p);
+    if implicit {
+        // No enumeration, no generator in memory: the sparse engine
+        // iterates through the factored operator.
+        let pi = stationary_sparse_op(&op, &options.steady_state.sparse)?.pi;
+        op.for_each_state(|index, queues, phases| {
+            acc.accumulate(network, queues, phases, pi[index]);
+        });
+    } else {
+        let chain = RankedChain::new(network, &op)?;
+        let pi = chain.stationary(&options.steady_state)?;
+        op.for_each_state(|rank, queues, phases| {
+            if let Some(index) = chain.index_of_rank(rank) {
+                acc.accumulate(network, queues, phases, pi[index]);
+            }
+        });
     }
-    Ok(acc.finish(network))
-}
-
-/// Implicit-operator exact solve: no state enumeration, no generator in
-/// memory. The sparse engine iterates through the factored operator; the
-/// metric pass walks the state indexes in order with the operator's row
-/// cursor.
-fn solve_exact_factored(
-    network: &ClosedNetwork,
-    op: &FactoredGenerator,
-    options: &ExactOptions,
-) -> Result<NetworkMetrics> {
-    let report = stationary_sparse_op(op, &options.steady_state.sparse)?;
-    let pi = report.pi;
-
-    let mut acc = MetricAccumulators::new(network);
-    op.for_each_state(|idx, queues, phases| {
-        let p = pi[idx];
-        if p != 0.0 {
-            acc.accumulate(network, queues, phases, p);
-        }
-    });
     Ok(acc.finish(network))
 }
 
 /// Running per-station metric sums, fed one state at a time and finished
-/// into [`NetworkMetrics`]. Both generator representations drive the same
-/// accumulator — the materialized path from stored
-/// [`crate::statespace::NetworkState`]s, the factored path from its row
-/// cursor — so the reductions cannot drift apart.
+/// into [`NetworkMetrics`]. Both generator representations drive it from
+/// the same rank cursor, so the reductions cannot drift apart.
 struct MetricAccumulators {
     throughput: Vec<f64>,
     busy: Vec<f64>,
@@ -204,26 +192,29 @@ impl MetricAccumulators {
         }
     }
 
-    /// Adds one state's contribution, weighted by its probability.
+    /// Adds one state's contribution, weighted by its probability (states
+    /// of probability 0 add nothing).
     fn accumulate(
         &mut self,
         network: &ClosedNetwork,
-        queue_lengths: &[u16],
-        phases: &[u8],
+        queue_lengths: &[usize],
+        phases: &[usize],
         probability: f64,
     ) {
+        if probability == 0.0 {
+            return;
+        }
         for k in 0..network.num_stations() {
             let n_k = queue_lengths[k];
             let station = network.station(k);
-            self.queue_length_distribution[k][n_k as usize] += probability;
-            self.mean_queue_length[k] += probability * f64::from(n_k);
+            self.queue_length_distribution[k][n_k] += probability;
+            self.mean_queue_length[k] += probability * n_k as f64;
             if n_k > 0 {
                 self.busy[k] += probability;
-                let phase = phases[k] as usize;
-                let completion_rate = station.service.completion_rate(phase);
+                let completion_rate = station.service.completion_rate(phases[k]);
                 let multiplier = match station.kind {
                     StationKind::Queue => 1.0,
-                    StationKind::Delay => f64::from(n_k),
+                    StationKind::Delay => n_k as f64,
                 };
                 self.throughput[k] += probability * completion_rate * multiplier;
             }

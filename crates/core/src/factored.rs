@@ -1,9 +1,9 @@
 //! Build-nothing ("factored") representation of the network CTMC generator.
 //!
-//! [`crate::statespace::build_state_space`] enumerates the reachable states
-//! by BFS and streams the generator into a flat CSR — `O(nnz)` memory, the
-//! single obstacle between the sparse exact engine and the `10^6`–`10^7`-
-//! state regime. This module exploits what the paper's §3 construction
+//! The materialized exact path enumerates the reachable states and
+//! assembles `Qᵀ` as a flat CSR — `O(nnz)` memory, the single obstacle
+//! between the sparse exact engine and the `10^6`–`10^7`-state regime.
+//! This module exploits what the paper's §3 construction
 //! makes explicit: the generator of a MAP queueing network is assembled
 //! from *small per-station blocks* (hidden-transition and completion rates
 //! of each service process, one routing row per station) combined over a
@@ -50,19 +50,26 @@
 //! one row walk and the sparse engine's Gauss–Seidel rung runs its coarse
 //! step on the factored path too.
 //!
-//! ## Relation to the BFS space
+//! ## Relation to the materialized chain
 //!
-//! The factored space is a *superset* of the BFS-reachable space whenever
-//! idle-station phase freezing makes some phase combinations unreachable.
-//! For the paper's template networks the two coincide (the existing
-//! state-space tests pin `space.len() == global_state_count()`), and in
-//! general the extra states are transient — every rung of the sparse
-//! engine's ladder (Gauss–Seidel, Jacobi, uniformized power) drives their
-//! probability to zero, so the computed `π` matches the materialized solve
-//! on the reachable states. The factored path does assume the
-//! product-space chain has a **single recurrent class** (true for
-//! irreducible routing and irreducible MAPs); on a decomposable model the
-//! materialized BFS path remains the reference.
+//! Both representations number states by this rank. The materialized
+//! chain ([`crate::statespace::build_state_space`]) keeps only the ranks
+//! reachable from the initial state, in rank order, with rates from its
+//! own forward transition closure; the rank is all the two share. On a
+//! chain where every rank is reachable (the paper's template networks: the
+//! state-space tests pin `space.len() == global_state_count()`) the two
+//! are the same chain in the same order, so the Gauss–Seidel rung walks the
+//! same rows and only rounding separates their sweep counts.
+//!
+//! The factored space is a *superset* of the reachable space whenever
+//! idle-station phase freezing makes some phase combinations unreachable
+//! (an idle Erlang queue is never in its last phase). The extra states are
+//! transient — every rung of the sparse engine's ladder (Gauss–Seidel,
+//! Jacobi, uniformized power) drives their probability to zero, so the
+//! computed `π` matches the materialized solve on the reachable states.
+//! The factored path does assume the product-space chain has a **single
+//! recurrent class** (true for irreducible routing and irreducible MAPs);
+//! on a decomposable model the materialized path remains the reference.
 
 use crate::network::{ClosedNetwork, StationKind};
 use crate::statespace::{level_station, NetworkState};
@@ -74,7 +81,8 @@ use mapqn_markov::MarkovError;
 type InRates = Vec<(usize, f64)>;
 
 /// Per-station rate blocks — the only model data the factored generator
-/// keeps (the same tables `build_state_space` pre-extracts before its BFS),
+/// keeps (built from the same service and routing tables as the
+/// materialized chain's transition closure),
 /// stored by target phase, the order a row of `Qᵀ` reads them in.
 struct StationBlock {
     kind: StationKind,
@@ -89,7 +97,7 @@ struct StationBlock {
     hidden_out: Vec<f64>,
     /// Row sums of the completion block (total completion rate per phase).
     completion_out: Vec<f64>,
-    /// `completion[h][h] · p_ss` — the self-loop the BFS builder drops.
+    /// `completion[h][h] · p_ss` — the self-loop the materialized chain drops.
     self_loop: Vec<f64>,
 }
 
@@ -105,16 +113,6 @@ struct RowCursor {
     /// `q + e_a − e_b`, i.e. `comp_rank(q + e_a − e_b) · Π phases`. Valid
     /// while `q[b] > 0`.
     preds: Vec<usize>,
-}
-
-impl RowCursor {
-    /// Writes the cursor's state in the [`NetworkState`] encoding.
-    fn decode_into(&self, queues: &mut [u16], phases: &mut [u8]) {
-        for (s, (n, h)) in queues.iter_mut().zip(phases.iter_mut()).enumerate() {
-            *n = self.q[s] as u16;
-            *h = self.phs[s] as u8;
-        }
-    }
 }
 
 /// The network generator `Q` stored as per-station factor blocks plus a
@@ -269,20 +267,11 @@ impl FactoredGenerator {
         })
     }
 
-    /// Number of compositions of `n` jobs into `parts` stations,
-    /// `C(n + parts - 1, parts - 1)`.
-    fn comp_count(&self, n: usize, parts: usize) -> usize {
-        if parts == 0 {
-            return usize::from(n == 0);
-        }
-        self.binom[n + parts - 1][parts - 1]
-    }
-
     /// Lexicographic rank of the composition `q + e_a − e_b` — of `q`
     /// itself when `a == b`; otherwise `q[b] > 0` (`O(M)` via the
     /// hockey-stick telescope: `Σ_{v < q} C(R - v + c - 1, c - 1) =
     /// C(R + c, c) - C(R - q + c, c)`).
-    fn comp_rank(&self, q: &[usize], a: usize, b: usize) -> usize {
+    pub(crate) fn comp_rank(&self, q: &[usize], a: usize, b: usize) -> usize {
         let mut rank = 0usize;
         let mut remaining = self.population;
         for (s, &q_s) in q.iter().take(self.m - 1).enumerate() {
@@ -294,23 +283,29 @@ impl FactoredGenerator {
         rank
     }
 
-    /// Inverse of [`FactoredGenerator::comp_rank`] (linear digit scan).
+    /// Inverse of [`FactoredGenerator::comp_rank`]. Digit `s` is the
+    /// largest `v` with `C(R + c, c) - C(R - v + c, c) <= rank`, found by
+    /// binary search over the Pascal column `c` (`O(M log N)` in all).
     fn comp_unrank(&self, mut rank: usize, q: &mut [usize]) {
         let mut remaining = self.population;
         let leading = self.m.saturating_sub(1);
         for (s, slot) in q.iter_mut().take(leading).enumerate() {
             let c = self.m - 1 - s;
-            let mut v = 0usize;
-            loop {
-                let cnt = self.comp_count(remaining - v, c);
-                if rank < cnt {
-                    break;
+            let total = self.binom[remaining + c][c];
+            // The smallest `x` with `C(x, c) >= total - rank`; `x = c`
+            // qualifies once `v` reaches `remaining`.
+            let (mut lo, mut hi) = (c, remaining + c);
+            while lo < hi {
+                let mid = (lo + hi) / 2;
+                if self.binom[mid][c] >= total - rank {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
                 }
-                rank -= cnt;
-                v += 1;
             }
-            *slot = v;
-            remaining -= v;
+            rank -= total - self.binom[lo][c];
+            *slot = remaining + c - lo;
+            remaining = lo - c;
         }
         q[self.m - 1] = remaining;
     }
@@ -324,16 +319,33 @@ impl FactoredGenerator {
         }
     }
 
-    /// A cursor positioned at `index` (one `comp_unrank`).
+    /// `Π_k phases_k`, the number of indexes per composition.
+    pub(crate) fn phase_prod(&self) -> usize {
+        self.phase_prod
+    }
+
+    /// Index distance between two phases of station `s` one apart.
+    pub(crate) fn phase_stride(&self, s: usize) -> usize {
+        self.phase_strides[s]
+    }
+
+    /// Decodes `index` into queue lengths `q` and phase digits `phs` (one
+    /// `comp_unrank`).
+    pub(crate) fn digits_into(&self, index: usize, q: &mut [usize], phs: &mut [usize]) {
+        self.comp_unrank(index / self.phase_prod, q);
+        let prank = index % self.phase_prod;
+        for (s, h) in phs.iter_mut().enumerate() {
+            *h = (prank / self.phase_strides[s]) % self.blocks[s].phases;
+        }
+    }
+
+    /// A cursor positioned at `index`.
     fn cursor_at(&self, index: usize) -> RowCursor {
         let mut q = vec![0usize; self.m];
-        self.comp_unrank(index / self.phase_prod, &mut q);
-        let prank = index % self.phase_prod;
-        let phs = (0..self.m)
-            .map(|s| (prank / self.phase_strides[s]) % self.blocks[s].phases)
-            .collect();
+        let mut phs = vec![0usize; self.m];
+        self.digits_into(index, &mut q, &mut phs);
         let mut c = RowCursor {
-            prank,
+            prank: index % self.phase_prod,
             q,
             phs,
             preds: vec![0; self.routes.len()],
@@ -466,20 +478,11 @@ impl FactoredGenerator {
         acc
     }
 
-    /// Visits every state in index order with its queue lengths and phases
-    /// — the sequential counterpart of [`FactoredGenerator::state_into`],
+    /// Visits every index in order with its queue lengths and phase digits
+    /// — the sequential counterpart of [`FactoredGenerator::state_at`],
     /// stepping one cursor instead of unranking each index.
-    pub(crate) fn for_each_state(&self, mut visit: impl FnMut(usize, &[u16], &[u8])) {
-        let mut queues = vec![0u16; self.m];
-        let mut phases = vec![0u8; self.m];
-        let mut c = self.cursor_at(0);
-        for index in 0..self.n_states {
-            if index > 0 {
-                self.step(&mut c);
-            }
-            c.decode_into(&mut queues, &mut phases);
-            visit(index, &queues, &phases);
-        }
+    pub(crate) fn for_each_state(&self, mut visit: impl FnMut(usize, &[usize], &[usize])) {
+        self.for_each_row(0, self.n_states, |index, c| visit(index, &c.q, &c.phs));
     }
 
     /// Decodes `index` into queue lengths and phases (slices of length `M`).
@@ -487,23 +490,22 @@ impl FactoredGenerator {
     /// # Panics
     /// Panics if `index >= num_states()` or a slice has the wrong length.
     pub fn state_into(&self, index: usize, queues: &mut [u16], phases: &mut [u8]) {
-        assert!(index < self.n_states, "state index out of range");
-        assert_eq!(queues.len(), self.m);
-        assert_eq!(phases.len(), self.m);
-        self.cursor_at(index).decode_into(queues, phases);
+        let state = self.state_at(index);
+        queues.copy_from_slice(&state.queue_lengths);
+        phases.copy_from_slice(&state.phases);
     }
 
-    /// The [`NetworkState`] at `index` (allocating convenience around
-    /// [`FactoredGenerator::state_into`]).
+    /// The [`NetworkState`] at `index`.
+    ///
+    /// # Panics
+    /// Panics if `index >= num_states()`.
     #[must_use]
     pub fn state_at(&self, index: usize) -> NetworkState {
-        let mut queues = vec![0u16; self.m];
-        let mut phases = vec![0u8; self.m];
-        self.state_into(index, &mut queues, &mut phases);
-        NetworkState {
-            queue_lengths: queues,
-            phases,
-        }
+        assert!(index < self.n_states, "state index out of range");
+        let mut q = vec![0usize; self.m];
+        let mut phs = vec![0usize; self.m];
+        self.digits_into(index, &mut q, &mut phs);
+        NetworkState::from_digits(&q, &phs)
     }
 
     /// The factored index of `state`, or `None` if the state does not
@@ -540,9 +542,9 @@ impl FactoredGenerator {
     }
 
     /// Diagonal entry `Q[j, j]` of the state with queues `q` and phase
-    /// digits `phs`: minus the total rate of all transitions the BFS
-    /// builder keeps (self-loops — completion back into the same phase
-    /// routed to the same station — are dropped there and contribute
+    /// digits `phs`: minus the total rate of all transitions the
+    /// materialized chain keeps (self-loops — completion back into the same
+    /// phase routed to the same station — are dropped there and contribute
     /// nothing here either).
     fn diagonal_of(&self, q: &[usize], phs: &[usize]) -> f64 {
         let mut out_rate = 0.0;
@@ -675,10 +677,12 @@ impl GeneratorOp for FactoredGenerator {
 
 impl FactoredGenerator {
     /// Conservative estimate of the bytes a *materialized* solve of this
-    /// chain would hold: the flat CSR generator plus the transposed copy
-    /// the sparse engine builds (values, column indices and row pointers of
-    /// both). The memory-aware representation routing in
-    /// [`crate::exact::ExactOptions`] compares this against its ceiling.
+    /// chain would hold: twice a flat CSR generator (values, column indices
+    /// and row pointers) — the `Qᵀ` the solve iterates on, and as much again
+    /// for its assembly arrays and for callers that also hold `Q`
+    /// ([`crate::statespace::build_state_space`]). The memory-aware
+    /// representation routing in [`crate::exact::ExactOptions`] compares
+    /// this against its ceiling.
     #[must_use]
     pub fn flat_csr_bytes_estimate(&self) -> usize {
         let f = std::mem::size_of::<f64>();
@@ -700,9 +704,9 @@ mod tests {
         stationary_sparse, stationary_sparse_op, SparsePreconditioner, SparseSteadyOptions,
     };
 
-    /// The factored generator must agree row-for-row with the BFS-built
-    /// CSR under the index mapping — same off-diagonals, same diagonal
-    /// (self-loop dropping included).
+    /// The factored generator must agree row-for-row with the CSR built
+    /// from the forward transition closure, under the index mapping — same
+    /// off-diagonals, same diagonal (self-loop dropping included).
     fn assert_matches_materialized(network: &crate::ClosedNetwork) {
         let space = build_state_space(network, 1_000_000).unwrap();
         let op = FactoredGenerator::new(network, 1_000_000).unwrap();
@@ -713,7 +717,8 @@ mod tests {
         );
         let n = op.num_states();
 
-        // Map BFS index -> factored index.
+        // Map materialized index -> factored index (the identity on a
+        // fully reachable space; computed, not assumed).
         let to_factored: Vec<usize> = space
             .states()
             .iter()
@@ -721,21 +726,21 @@ mod tests {
             .collect();
 
         // Compare x^T Q through both representations on a generic probe.
-        let x_bfs: Vec<f64> = (0..n).map(|i| 1.0 / (to_factored[i] as f64 + 2.0)).collect();
+        let x_mat: Vec<f64> = (0..n).map(|i| 1.0 / (to_factored[i] as f64 + 2.0)).collect();
         let mut x_fac = vec![0.0; n];
-        for (bfs, &fac) in to_factored.iter().enumerate() {
-            x_fac[fac] = x_bfs[bfs];
+        for (mat, &fac) in to_factored.iter().enumerate() {
+            x_fac[fac] = x_mat[mat];
         }
         let qt = space.ctmc().generator().transpose();
-        let mut y_bfs = vec![0.0; n];
-        qt.matvec_rows_into(0, &x_bfs, &mut y_bfs);
+        let mut y_mat = vec![0.0; n];
+        qt.matvec_rows_into(0, &x_mat, &mut y_mat);
         let mut y_fac = vec![0.0; n];
         op.left_apply_rows_into(0, &x_fac, &mut y_fac);
-        for (bfs, &fac) in to_factored.iter().enumerate() {
+        for (mat, &fac) in to_factored.iter().enumerate() {
             assert!(
-                (y_bfs[bfs] - y_fac[fac]).abs() < 1e-10,
-                "row {bfs}: materialized {} vs factored {}",
-                y_bfs[bfs],
+                (y_mat[mat] - y_fac[fac]).abs() < 1e-10,
+                "row {mat}: materialized {} vs factored {}",
+                y_mat[mat],
                 y_fac[fac]
             );
         }
@@ -743,9 +748,9 @@ mod tests {
         // Diagonals agree too (exit rates drive the Jacobi rung).
         let mut diag = vec![0.0; n];
         op.diagonal_rows_into(0, &mut diag);
-        for (bfs, &fac) in to_factored.iter().enumerate() {
-            let d = space.ctmc().generator().get(bfs, bfs);
-            assert!((d - diag[fac]).abs() < 1e-10, "diagonal at {bfs}");
+        for (mat, &fac) in to_factored.iter().enumerate() {
+            let d = space.ctmc().generator().get(mat, mat);
+            assert!((d - diag[fac]).abs() < 1e-10, "diagonal at {mat}");
         }
     }
 
@@ -1001,23 +1006,23 @@ mod tests {
             .map(|s| op.index_of(s).expect("reachable state must rank"))
             .collect();
 
-        let x_bfs = probe(space.len(), 5);
+        let x_mat = probe(space.len(), 5);
         let mut x_fac = vec![0.0; op.num_states()];
-        for (&fac, &x) in to_factored.iter().zip(&x_bfs) {
+        for (&fac, &x) in to_factored.iter().zip(&x_mat) {
             x_fac[fac] = x;
         }
         let mut fac_levels = vec![0u32; op.num_states()];
         let mut fac_flows = LevelFlows::default();
         assert!(op.aggregate_rows_into(0, &x_fac, &mut fac_levels, &mut fac_flows));
-        for (bfs, &fac) in to_factored.iter().enumerate() {
-            assert_eq!(fac_levels[fac], levels[bfs], "level of state {bfs}");
+        for (mat, &fac) in to_factored.iter().enumerate() {
+            assert_eq!(fac_levels[fac], levels[mat], "level of state {mat}");
         }
 
         let qt = space.ctmc().generator().transpose();
         let materialized = LeveledCsr::new(&qt, levels).unwrap();
         let mut mat_levels = vec![0u32; space.len()];
         let mut mat_flows = LevelFlows::default();
-        assert!(materialized.aggregate_rows_into(0, &x_bfs, &mut mat_levels, &mut mat_flows));
+        assert!(materialized.aggregate_rows_into(0, &x_mat, &mut mat_levels, &mut mat_flows));
         assert_eq!(mat_levels, levels);
         assert_eq!(mat_flows.count(), fac_flows.count());
         assert!(mat_flows.half_band() <= fac_flows.half_band());
@@ -1061,9 +1066,7 @@ mod tests {
         let op = FactoredGenerator::new(&net, 1_000_000).unwrap();
         let mut visited = 0;
         op.for_each_state(|idx, queues, phases| {
-            let state = op.state_at(idx);
-            assert_eq!(state.queue_lengths, queues, "queues at {idx}");
-            assert_eq!(state.phases, phases, "phases at {idx}");
+            assert_eq!(op.state_at(idx), NetworkState::from_digits(queues, phases), "state {idx}");
             visited += 1;
         });
         assert_eq!(visited, op.num_states());
@@ -1099,10 +1102,10 @@ mod tests {
             materialized.used, implicit.used,
             "both paths must report the same ladder rung"
         );
-        for (bfs, state) in space.states().iter().enumerate() {
+        for (mat, state) in space.states().iter().enumerate() {
             let fac = op.index_of(state).unwrap();
-            let diff = (materialized.pi[bfs] - implicit.pi[fac]).abs();
-            assert!(diff <= 1e-10, "pi diff {diff} at state {bfs}");
+            let diff = (materialized.pi[mat] - implicit.pi[fac]).abs();
+            assert!(diff <= 1e-10, "pi diff {diff} at state {mat}");
         }
     }
 
@@ -1117,8 +1120,7 @@ mod tests {
             factored * 5 <= flat,
             "factored {factored} bytes should be >=5x below flat {flat} bytes"
         );
-        // The flat estimate is an upper bound on the real CSR (x2 for the
-        // engine's transpose).
+        // The flat estimate is an upper bound on the real CSR, twice over.
         assert!(op.flat_csr_bytes_estimate() >= 2 * flat);
     }
 

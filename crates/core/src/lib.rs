@@ -26,7 +26,8 @@
 //! out:
 //!
 //! 1. **Exact global balance** ([`exact::solve_exact`]): the underlying CTMC
-//!    is enumerated (streamed directly into a sparse CSR generator) and
+//!    is enumerated in rank order (its transposed generator assembled
+//!    directly into sparse CSR) and
 //!    solved — by dense GTH elimination for small chains, by the sparse
 //!    parallel preconditioned engine of `mapqn-markov` up to the
 //!    `10^6`–`10^7`-state regime. Still exponential in the model size, but

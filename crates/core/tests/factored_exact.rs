@@ -1,5 +1,5 @@
 //! Cross-representation regression tests for the exact solver: the same
-//! model solved through the materialized (BFS + flat CSR) and factored
+//! model solved through the materialized (reachable states + flat CSR) and factored
 //! (implicit Kronecker) generator representations must agree — on the
 //! stationary vector under the state-index mapping, on the ladder rung the
 //! sparse engine reports, and on every published performance metric.
@@ -33,10 +33,10 @@ fn pi_agrees_across_representations_on_every_common_rung() {
         let materialized = stationary_sparse(space.ctmc(), &opts).unwrap();
         let implicit = stationary_sparse_op(&op, &opts).unwrap();
         assert_eq!(materialized.used, implicit.used, "rung mismatch for {pre:?}");
-        for (bfs, state) in space.states().iter().enumerate() {
+        for (mat, state) in space.states().iter().enumerate() {
             let fac = op.index_of(state).unwrap();
-            let diff = (materialized.pi[bfs] - implicit.pi[fac]).abs();
-            assert!(diff <= 1e-10, "{pre:?}: pi diff {diff} at state {bfs}");
+            let diff = (materialized.pi[mat] - implicit.pi[fac]).abs();
+            assert!(diff <= 1e-10, "{pre:?}: pi diff {diff} at state {mat}");
         }
     }
 }

@@ -415,10 +415,10 @@ fn injected_gauss_seidel_divergence_drops_a_factored_solve_to_jacobi() {
         stationary_sparse_op(&op, &opts).unwrap()
     };
     assert_eq!(implicit.used, SparsePreconditioner::Jacobi);
-    for (bfs, state) in space.states().iter().enumerate() {
+    for (mat, state) in space.states().iter().enumerate() {
         let fac = op.index_of(state).unwrap();
-        let diff = (reference.pi[bfs] - implicit.pi[fac]).abs();
-        assert!(diff <= 1e-10, "pi diff {diff} at state {bfs}");
+        let diff = (reference.pi[mat] - implicit.pi[fac]).abs();
+        assert!(diff <= 1e-10, "pi diff {diff} at state {mat}");
     }
 }
 

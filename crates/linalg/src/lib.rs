@@ -11,9 +11,9 @@
 //! * LU factorization with partial pivoting for linear solves, inverses and
 //!   determinants ([`lu::Lu`]),
 //! * sparse CSR matrices with matrix-vector products for large
-//!   continuous-time Markov chain generators ([`sparse::CsrMatrix`]), a
-//!   streaming row-by-row assembler for building them without a coordinate
-//!   intermediate ([`sparse::CsrAssembler`]), row-block kernels for
+//!   continuous-time Markov chain generators ([`sparse::CsrMatrix`]),
+//!   built from triplets or from arrays a producer filled in place
+//!   ([`sparse::CsrMatrix::from_parts`]), row-block kernels for
 //!   parallel drivers ([`sparse::CsrMatrix::matvec_rows_into`]), and the
 //!   column-oriented CSC dual used by the revised simplex engine in
 //!   `mapqn-lp` ([`csc::CscMatrix`]),
@@ -49,7 +49,7 @@ pub use csc::CscMatrix;
 pub use dense::DMatrix;
 pub use lu::Lu;
 pub use op::{GeneratorOp, LevelFlows, LeveledCsr};
-pub use sparse::{CsrAssembler, CsrMatrix};
+pub use sparse::CsrMatrix;
 pub use vector::DVector;
 
 /// Numerical tolerance used throughout the workspace when comparing floating

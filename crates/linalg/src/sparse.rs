@@ -88,6 +88,42 @@ impl CsrMatrix {
         }
     }
 
+    /// Takes ownership of CSR arrays a producer filled directly: `row_ptr`
+    /// of length `rows + 1` from 0 to the entry count, and each row's
+    /// columns strictly ascending and below `cols`.
+    ///
+    /// # Errors
+    /// Returns [`LinalgError::InvalidArgument`] when the arrays break that
+    /// layout.
+    pub fn from_parts(
+        rows: usize,
+        cols: usize,
+        row_ptr: Vec<usize>,
+        col_idx: Vec<usize>,
+        values: Vec<f64>,
+    ) -> Result<Self> {
+        let laid_out = row_ptr.len() == rows + 1
+            && row_ptr[0] == 0
+            && row_ptr[rows] == col_idx.len()
+            && values.len() == col_idx.len()
+            && row_ptr.windows(2).all(|w| {
+                w[0] <= w[1]
+                    && w[1] <= col_idx.len()
+                    && col_idx[w[0]..w[1]].windows(2).all(|c| c[0] < c[1])
+                    && col_idx[w[0]..w[1]].last().is_none_or(|&c| c < cols)
+            });
+        if !laid_out {
+            return Err(LinalgError::InvalidArgument("malformed CSR arrays"));
+        }
+        Ok(Self {
+            rows,
+            cols,
+            row_ptr,
+            col_idx,
+            values,
+        })
+    }
+
     /// Sorts the column indices within each row and merges duplicates by
     /// summation. Called automatically by [`CsrMatrix::from_triplets`].
     fn sort_rows_and_merge_duplicates(&mut self) {
@@ -305,104 +341,6 @@ impl CsrMatrix {
     }
 }
 
-/// Streaming row-by-row CSR assembler.
-///
-/// [`CsrMatrix::from_triplets`] needs the full coordinate list in memory
-/// before it can bucket entries by row — for a CTMC generator with `10^7`
-/// states and `~10` transitions each that intermediate costs more than the
-/// final matrix itself. When the producer emits entries **one row at a
-/// time** (as the breadth-first state-space exploration in `mapqn-markov`
-/// does), this assembler writes them straight into the final CSR arrays:
-/// push each row once, in order, then [`CsrAssembler::finish`].
-///
-/// Entries within a row may arrive in any column order and may repeat
-/// (duplicates are summed); column indices may reference rows that have not
-/// been pushed yet, since the final dimensions are only fixed at `finish`.
-#[derive(Debug, Default)]
-pub struct CsrAssembler {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-    values: Vec<f64>,
-}
-
-impl CsrAssembler {
-    /// Creates an empty assembler.
-    #[must_use]
-    pub fn new() -> Self {
-        Self {
-            row_ptr: vec![0],
-            col_idx: Vec::new(),
-            values: Vec::new(),
-        }
-    }
-
-    /// Creates an assembler with pre-reserved capacity for `rows` rows and
-    /// `nnz` stored entries.
-    #[must_use]
-    pub fn with_capacity(rows: usize, nnz: usize) -> Self {
-        let mut row_ptr = Vec::with_capacity(rows + 1);
-        row_ptr.push(0);
-        Self {
-            row_ptr,
-            col_idx: Vec::with_capacity(nnz),
-            values: Vec::with_capacity(nnz),
-        }
-    }
-
-    /// Number of rows pushed so far.
-    #[must_use]
-    pub fn rows(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    /// Number of stored entries so far.
-    #[must_use]
-    pub fn nnz(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Appends the next row. `entries` is sorted and duplicate-merged in
-    /// place (it is taken `&mut` precisely so the caller's scratch buffer can
-    /// be reused across rows without reallocating).
-    pub fn push_row(&mut self, entries: &mut [(usize, f64)]) {
-        entries.sort_unstable_by_key(|&(c, _)| c);
-        let mut i = 0;
-        while i < entries.len() {
-            let col = entries[i].0;
-            let mut val = entries[i].1;
-            let mut j = i + 1;
-            while j < entries.len() && entries[j].0 == col {
-                val += entries[j].1;
-                j += 1;
-            }
-            self.col_idx.push(col);
-            self.values.push(val);
-            i = j;
-        }
-        self.row_ptr.push(self.col_idx.len());
-    }
-
-    /// Finalizes the matrix with the pushed rows and `cols` columns.
-    ///
-    /// # Errors
-    /// Returns [`LinalgError::InvalidArgument`] when any stored column index
-    /// is `>= cols`.
-    pub fn finish(self, cols: usize) -> Result<CsrMatrix> {
-        if self.col_idx.iter().any(|&c| c >= cols) {
-            return Err(LinalgError::InvalidArgument(
-                "assembled column index out of bounds",
-            ));
-        }
-        Ok(CsrMatrix {
-            rows: self.row_ptr.len() - 1,
-            cols,
-            row_ptr: self.row_ptr,
-            col_idx: self.col_idx,
-            values: self.values,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -486,34 +424,21 @@ mod tests {
     }
 
     #[test]
-    fn assembler_matches_from_triplets() {
-        let triplets = [
-            (0usize, 2usize, 2.0),
-            (0, 0, 1.0),
-            (0, 2, 0.5), // duplicate, must be summed
-            (2, 1, 3.0),
-        ];
-        let reference = CsrMatrix::from_triplets(3, 3, &triplets).unwrap();
-
-        let mut asm = CsrAssembler::with_capacity(3, 4);
-        let mut row = vec![(2usize, 2.0), (0, 1.0), (2, 0.5)];
-        asm.push_row(&mut row);
-        row.clear();
-        asm.push_row(&mut row); // empty middle row
-        row.push((1, 3.0));
-        asm.push_row(&mut row);
-        assert_eq!(asm.rows(), 3);
-        assert_eq!(asm.nnz(), 3);
-        let m = asm.finish(3).unwrap();
-        assert_eq!(m.to_dense(), reference.to_dense());
-    }
-
-    #[test]
-    fn assembler_rejects_out_of_range_columns() {
-        let mut asm = CsrAssembler::new();
-        let mut row = vec![(5usize, 1.0)];
-        asm.push_row(&mut row);
-        assert!(asm.finish(3).is_err());
+    fn from_parts_keeps_valid_arrays_and_rejects_malformed_ones() {
+        let m = CsrMatrix::from_parts(2, 3, vec![0, 2, 3], vec![0, 2, 1], vec![1.0, 2.0, 3.0]);
+        assert_eq!(m.unwrap(), sample());
+        for (row_ptr, col_idx) in [
+            (vec![0, 2], vec![0, 2, 1]),       // too few row pointers
+            (vec![1, 2, 3], vec![0, 2, 1]),    // does not start at 0
+            (vec![0, 2, 2], vec![0, 2, 1]),    // does not end at the entry count
+            (vec![0, 4, 3], vec![0, 2, 1]),    // past the entries, then back
+            (vec![0, 2, 3], vec![2, 0, 1]),    // unsorted row
+            (vec![0, 2, 3], vec![0, 0, 1]),    // repeated column
+            (vec![0, 2, 3], vec![0, 3, 1]),    // column out of range
+        ] {
+            let values = vec![1.0; col_idx.len()];
+            assert!(CsrMatrix::from_parts(2, 3, row_ptr, col_idx, values).is_err());
+        }
     }
 
     #[test]

@@ -118,6 +118,12 @@ pub enum DualOutcome {
     },
 }
 
+/// A dual seed's factorization against the true right-hand side, kept
+/// while no pivot has touched it. It belongs to one seed and one engine:
+/// pass it back only with the seed that produced it.
+#[derive(Default)]
+pub struct SeedFactor(Option<Box<Work>>);
+
 impl RevisedSimplex {
     /// Re-solves `minimize/maximize objective` starting from `seed`, a basis
     /// carried over from a *related* problem (same constraint structure,
@@ -141,12 +147,37 @@ impl RevisedSimplex {
         seed: &Basis,
         options: &SimplexOptions,
     ) -> Result<Option<(LpSolution, Basis, DualOutcome)>> {
+        self.solve_dual_keeping_seed(objective, sense, seed, &mut SeedFactor::default(), options)
+    }
+
+    /// [`RevisedSimplex::solve_dual_from_basis`] that hands back the seed's
+    /// factorization in `kept` when it rejects the seed at pricing, before
+    /// any pivot touched it, and starts from a factorization `kept` already
+    /// holds for this seed instead of refactorizing its columns.
+    ///
+    /// # Errors
+    /// As [`RevisedSimplex::solve_dual_from_basis`].
+    pub fn solve_dual_keeping_seed(
+        &mut self,
+        objective: &[f64],
+        sense: Sense,
+        seed: &Basis,
+        kept: &mut SeedFactor,
+        options: &SimplexOptions,
+    ) -> Result<Option<(LpSolution, Basis, DualOutcome)>> {
         let maximize = sense == Sense::Maximize;
         let costs = self.phase2_costs(objective, maximize);
 
         let debug = dual_debug();
         let t_start = mapqn_linalg::budget::now();
-        let Some(mut work) = self.seed_work(seed) else {
+        let work = match kept.0.take() {
+            Some(work) => {
+                self.cache = None; // as `seed_work` leaves it
+                Some(*work)
+            }
+            None => self.seed_work(seed),
+        };
+        let Some(mut work) = work else {
             if debug { eprintln!("dual-reject: seed factorization failed"); }
             return Ok(None);
         };
@@ -155,6 +186,7 @@ impl RevisedSimplex {
             self.dual_feasible_reduced_costs(&mut work, &costs)
         else {
             if debug { eprintln!("dual-reject: seed not dual feasible"); }
+            kept.0 = Some(Box::new(work));
             return Ok(None);
         };
 
@@ -423,16 +455,21 @@ impl RevisedSimplex {
     /// warm start. Returns `Ok(None)` when the seed cannot be repaired
     /// (fall back to a real phase 1).
     ///
+    /// The repair starts from the seed's factorization when `kept` holds it
+    /// (left by a rejected [`RevisedSimplex::solve_dual_keeping_seed`] of
+    /// the same seed): the same run, one factorization fewer.
+    ///
     /// # Errors
     /// Propagates factorization errors from the pivoting machinery.
     pub fn repair_primal_feasible(
         &mut self,
         seed: &Basis,
+        mut kept: SeedFactor,
         options: &SimplexOptions,
     ) -> Result<Option<Basis>> {
         let zero = vec![0.0; self.n_struct];
         Ok(self
-            .solve_dual_from_basis(&zero, Sense::Minimize, seed, options)?
+            .solve_dual_keeping_seed(&zero, Sense::Minimize, seed, &mut kept, options)?
             .map(|(_, basis, _)| basis))
     }
 
@@ -616,6 +653,38 @@ mod tests {
         assert_close(sol_b.objective, 7.0);
         let DualOutcome::Warm { dual_pivots } = outcome;
         assert!(dual_pivots <= 2, "expected a short dual repair, got {dual_pivots}");
+    }
+
+    /// A seed rejected at pricing hands its factorization to the
+    /// zero-objective repair, which then returns the basis a repair from
+    /// scratch returns.
+    #[test]
+    fn a_seed_rejected_at_pricing_keeps_its_factor_for_the_repair() {
+        let mut lp = LpProblem::new(2, Sense::Maximize);
+        lp.set_objective(&[(0, 3.0), (1, 2.0)]);
+        lp.add_le(&[(0, 1.0), (1, 1.0)], 4.0);
+        lp.add_le(&[(0, 1.0)], 2.0);
+        let options = SimplexOptions::default();
+        let mut engine = RevisedSimplex::new(&lp).unwrap();
+        let feasible = engine.find_feasible_basis(&options).unwrap().unwrap();
+        let (_, optimal) = engine
+            .solve_from_basis(&[3.0, 2.0], Sense::Maximize, &feasible, &options)
+            .unwrap();
+
+        // Minimizing the same objective prices both non-basic slacks
+        // negative: the seed is rejected before any pivot.
+        let mut kept = SeedFactor::default();
+        let rejected = engine
+            .solve_dual_keeping_seed(&[3.0, 2.0], Sense::Minimize, &optimal, &mut kept, &options)
+            .unwrap();
+        assert!(rejected.is_none());
+        assert!(kept.0.is_some(), "the rejected seed's factorization is kept");
+        let from_kept = engine.repair_primal_feasible(&optimal, kept, &options).unwrap();
+        let from_scratch = engine
+            .repair_primal_feasible(&optimal, SeedFactor::default(), &options)
+            .unwrap();
+        assert_eq!(from_kept, from_scratch);
+        assert!(from_kept.is_some());
     }
 
     /// A seed that is not dual feasible for the objective is rejected with

@@ -81,7 +81,7 @@ pub mod problem;
 pub mod revised;
 pub mod simplex;
 
-pub use dual::DualOutcome;
+pub use dual::{DualOutcome, SeedFactor};
 pub use problem::{Constraint, ConstraintOp, LpProblem, Sense};
 pub use revised::{Basis, BasisVerification, RevisedSimplex};
 pub use simplex::{LpSolution, LpStatus, SimplexEngine, SimplexOptions};

@@ -18,6 +18,7 @@
 //! it by the equivalence tests in `tests/lp_engine_equivalence.rs`.
 
 use crate::basis::{complete_basis, BasisFactor, ColumnSource};
+use crate::dual::SeedFactor;
 use crate::problem::{ConstraintOp, LpProblem, Sense};
 use crate::simplex::{LpSolution, LpStatus, SimplexOptions, STALL_THRESHOLD};
 use crate::{LpError, Result};
@@ -783,7 +784,7 @@ impl RevisedSimplex {
                     if recovery_attempts == 1 {
                         let failed = Basis::from_columns(work.basis.clone());
                         let repaired = self
-                            .repair_primal_feasible(&failed, options)
+                            .repair_primal_feasible(&failed, SeedFactor::default(), options)
                             .ok()
                             .flatten()
                             .and_then(|basis| self.prepare_work(&basis, options).ok().flatten());

@@ -9,10 +9,8 @@
 //! by `mapqn-core` from the network description; this crate provides the
 //! generic pieces:
 //!
-//! * [`statespace::StateSpaceBuilder`] — breadth-first enumeration of a
-//!   reachable state space from a transition function, streaming the sparse
-//!   generator directly into CSR (no triplet list, no dense copy) together
-//!   with a state index;
+//! * [`statespace::StateSpace`] — an enumerated state space (sorted states
+//!   plus the CTMC on them) with a state index;
 //! * [`ctmc::Ctmc`] — a validated CTMC with its generator in CSR form;
 //! * [`steady`] — stationary distribution solvers: dense GTH elimination
 //!   (numerically robust, `O(n^3)`, used up to a few thousand states) plus
@@ -39,7 +37,7 @@ pub use sparse_steady::{
     stationary_sparse, stationary_sparse_op, SparsePreconditioner, SparseSteadyOptions,
     SparseSteadyReport,
 };
-pub use statespace::{StateSpace, StateSpaceBuilder};
+pub use statespace::StateSpace;
 pub use steady::{stationary_auto, stationary_dense_gth, stationary_residual, SteadyStateOptions};
 
 /// Error type for Markov-chain construction and solution.

@@ -13,12 +13,12 @@
 //!   (every left operation `π ↦ πQ` is a row scan of `Q^T`), row-block
 //!   Gauss–Seidel relaxations, diagonal extraction and nnz accounting. Two
 //!   representations drive it:
-//!   a **materialized** transposed CSR (assembled row-by-row by
-//!   [`crate::statespace::StateSpaceBuilder`], transposed once on entry —
-//!   the classic path, via [`stationary_sparse`]) and the **implicit**
-//!   factored network generator of `mapqn-core` behind
-//!   [`stationary_sparse_op`], which synthesizes its rows from per-station
-//!   blocks and never forms `Q` at all;
+//!   a **materialized** transposed CSR (the network chain's `Qᵀ`, which
+//!   `mapqn-core` assembles directly and hands to [`stationary_sparse_op`];
+//!   [`stationary_sparse`] transposes a [`Ctmc`]'s `Q` once on entry) and
+//!   the **implicit** factored network generator of `mapqn-core`, which
+//!   synthesizes its rows from per-station blocks and never forms `Q` at
+//!   all;
 //! * iterations are **preconditioned**: the default is a block-hybrid
 //!   Gauss–Seidel sweep (exact Gauss–Seidel inside fixed row blocks,
 //!   Jacobi across blocks), with a Jacobi-preconditioned power iteration —
@@ -60,11 +60,12 @@
 //!   once, so results are bitwise identical at any worker count (the same
 //!   determinism contract as the ensemble layer in `mapqn-core`).
 //!
-//! The materialized footprint is two copies of the generator (CSR plus its
-//! transpose) and a handful of state-length vectors — about 20 bytes per
-//! transition plus 32 bytes per state, which holds `10^7`-state chains in a
-//! few GB where the dense path would need petabytes. An implicit operator
-//! drops the generator copies and keeps only the state-length vectors.
+//! The materialized footprint is the transposed generator (plus `Q` itself
+//! when a [`Ctmc`] is transposed on entry) and a handful of state-length
+//! vectors — about 16 bytes per transition per copy plus 32 bytes per
+//! state, which holds `10^7`-state chains in a few GB where the dense path
+//! would need petabytes. An implicit operator drops the generator and keeps
+//! only the state-length vectors.
 
 use crate::ctmc::Ctmc;
 use crate::{MarkovError, Result};
@@ -701,7 +702,6 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 }
             }
             std::mem::swap(&mut x, &mut x_next);
-            normalize(&mut x);
             total_sweeps += 1;
             sweep_work = sweep_work.saturating_add(n as u64);
             options.budget.check(sweep_work).map_err(MarkovError::Budget)?;
@@ -716,6 +716,9 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 if mapqn_faults::fire(mapqn_faults::FaultSite::GsDivergence) {
                     break; // injected divergence: fall back to the next rung
                 }
+                // Sweeps are linear in the iterate, so its scale only needs
+                // fixing where a check, Aitken or the coarse step reads it.
+                normalize(&mut x);
                 let mut residual = measure(&x, &mut candidate, &mut scratch);
                 last_residual = residual;
                 if sparse_debug() {

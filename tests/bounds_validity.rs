@@ -32,12 +32,12 @@ fn bounds_bracket_exact_on_random_models_all_indices() {
                 assert!(x.contains(exact.throughput[k], 1e-5), "throughput station {k}");
                 let u = solver.bound(PerformanceIndex::Utilization(k)).unwrap();
                 assert!(u.contains(exact.utilization[k], 1e-5), "utilization station {k}");
-                // Mean-queue-length objectives are the most degenerate of
-                // the bound LPs and the dense simplex is not yet reliable on
-                // them for arbitrary random models (documented limitation,
-                // see docs/ARCHITECTURE.md, known numerical limitations); they are
-                // exercised on the curated models in the mapqn-core unit
-                // tests instead of here.
+                let q = solver.bound(PerformanceIndex::MeanQueueLength(k)).unwrap();
+                assert!(
+                    q.contains(exact.mean_queue_length[k], 1e-5),
+                    "mean queue length station {k}, N = {n}: {q:?} vs exact {}",
+                    exact.mean_queue_length[k]
+                );
             }
         }
     }
