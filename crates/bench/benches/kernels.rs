@@ -5,8 +5,9 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapqn_core::bounds::BoundOptions;
 use mapqn_core::statespace::build_state_space;
-use mapqn_core::templates::figure5_network;
+use mapqn_core::templates::{figure5_network, tpcw_network, TpcwParameters};
 use mapqn_core::MarginalBoundSolver;
+use mapqn_linalg::{CsrGenerator, GeneratorOp};
 use mapqn_lp::{LpProblem, RevisedSimplex, Sense, SimplexEngine, SimplexOptions};
 use mapqn_markov::{stationary_dense_gth, stationary_sparse, SparseSteadyOptions};
 use mapqn_stochastic::{fit_map2, Map2FitSpec};
@@ -42,6 +43,38 @@ fn bench_kernels(c: &mut Criterion) {
             stationary_sparse(black_box(space.ctmc()), &SparseSteadyOptions::default()).unwrap()
         })
     });
+    // One Gauss–Seidel relaxation sweep of the materialized operator over
+    // TPC-W's `Qᵀ` at N = 60 (3,782 states, one row block at the engine's
+    // default block length): the kernel behind the `ctmc_exact` median.
+    let tpcw_space = build_state_space(
+        &tpcw_network(&TpcwParameters {
+            browsers: 60,
+            ..TpcwParameters::default()
+        })
+        .unwrap(),
+        1_000_000,
+    )
+    .unwrap();
+    let tpcw_qt = tpcw_space.ctmc().generator().transpose();
+    let tpcw_op = CsrGenerator::new(&tpcw_qt, tpcw_space.ctmc().levels()).unwrap();
+    let states = tpcw_op.num_states();
+    let mut exit = vec![0.0; states];
+    tpcw_op.diagonal_rows_into(0, &mut exit);
+    exit.iter_mut().for_each(|e| *e = -*e);
+    let x_old = vec![1.0 / states as f64; states];
+    let mut x_new = vec![0.0; states];
+    let block_len = SparseSteadyOptions::default().block_len;
+    // A sweep takes tens of µs: enough samples for a steady minimum.
+    group.sample_size(200);
+    group.bench_function("gauss_seidel_sweep", |b| {
+        b.iter(|| {
+            for (c, chunk) in x_new.chunks_mut(block_len).enumerate() {
+                tpcw_op.relax_rows_into(c * block_len, black_box(&x_old), &exit, chunk);
+            }
+            black_box(&x_new);
+        })
+    });
+    group.sample_size(10);
     group.bench_function("map2_fit", |b| {
         b.iter(|| fit_map2(black_box(&Map2FitSpec::new(1.0, 8.0, 0.6).with_skewness(6.0))).unwrap())
     });

@@ -545,29 +545,31 @@ fn implicit_only_solve_past_the_materialized_ceiling_conserves_population() {
     );
 }
 
-/// tpcw_B80 solved through the factored operator is answered by the
-/// Gauss–Seidel rung within one residual check (16 sweeps) of the
-/// materialized solve: both number the states in the same rank order and
-/// give them the same levels, so only rounding separates the two chains.
-/// On it and on fig5_scv16_N60 the two representations agree within 1e-8.
+/// tpcw_B80 and fig5_scv16_N60 solved through the factored operator are
+/// answered by the Gauss–Seidel rung within one residual check (16 sweeps)
+/// of the materialized solve, and the two representations agree within
+/// 1e-8: both number the states in the same rank order and give them the
+/// same levels, so only rounding separates the two chains, and the coarse
+/// step and Aitken extrapolation act alike on both (measured: 336 and 544
+/// sweeps on each representation).
 #[test]
 #[cfg_attr(
     debug_assertions,
     ignore = "release-scale gate: CI runs it with --release"
 )]
 fn tpcw_b80_implicit_gauss_seidel_sweeps_match_the_materialized_within_one_check() {
-    let r = solve_both_ways(&tpcw(80));
-    assert!(r.pi_diff <= 1e-8, "tpcw_B80: pi diff {:.2e}", r.pi_diff);
-    assert_eq!(r.implicit_rung, SparsePreconditioner::GaussSeidel);
     let check = SparseSteadyOptions::default().check_every;
-    assert!(
-        r.implicit_sweeps.abs_diff(r.materialized_sweeps) <= check,
-        "{} implicit sweeps vs {} materialized",
-        r.implicit_sweeps,
-        r.materialized_sweeps
-    );
-    let pi_diff = solve_both_ways(&fig5(60, 16.0)).pi_diff;
-    assert!(pi_diff <= 1e-8, "fig5_scv16_N60: pi diff {pi_diff:.2e}");
+    for (name, network) in [("tpcw_B80", tpcw(80)), ("fig5_scv16_N60", fig5(60, 16.0))] {
+        let r = solve_both_ways(&network);
+        assert!(r.pi_diff <= 1e-8, "{name}: pi diff {:.2e}", r.pi_diff);
+        assert_eq!(r.implicit_rung, SparsePreconditioner::GaussSeidel, "{name}");
+        assert!(
+            r.implicit_sweeps.abs_diff(r.materialized_sweeps) <= check,
+            "{name}: {} implicit sweeps vs {} materialized",
+            r.implicit_sweeps,
+            r.materialized_sweeps
+        );
+    }
 }
 
 // ------------------------------------------------------------- Fluid ----

@@ -996,7 +996,7 @@ mod tests {
     /// and both coarse scans give the same level flows under the index
     /// mapping.
     fn assert_levels_match_materialized(network: &crate::ClosedNetwork) {
-        use mapqn_linalg::LeveledCsr;
+        use mapqn_linalg::CsrGenerator;
         let space = build_state_space(network, 1_000_000).unwrap();
         let op = FactoredGenerator::new(network, 1_000_000).unwrap();
         let levels = space.ctmc().levels().expect("the network has levels");
@@ -1019,7 +1019,7 @@ mod tests {
         }
 
         let qt = space.ctmc().generator().transpose();
-        let materialized = LeveledCsr::new(&qt, levels).unwrap();
+        let materialized = CsrGenerator::new(&qt, Some(levels)).unwrap();
         let mut mat_levels = vec![0u32; space.len()];
         let mut mat_flows = LevelFlows::default();
         assert!(materialized.aggregate_rows_into(0, &x_mat, &mut mat_levels, &mut mat_flows));
@@ -1114,7 +1114,7 @@ mod tests {
         let net = figure5_network(40, 16.0, 0.5).unwrap();
         let space = build_state_space(&net, 100_000).unwrap();
         let op = FactoredGenerator::new(&net, 100_000).unwrap();
-        let flat = GeneratorOp::memory_bytes(space.ctmc().generator());
+        let flat = space.generator_memory_bytes();
         let factored = op.memory_bytes();
         assert!(
             factored * 5 <= flat,

@@ -177,6 +177,12 @@ pub struct Solution {
     /// exact engines and optimal LP solves are [`Quality::Certified`] (or
     /// [`Quality::SelfSeeded`]); the fluid tier and the floor are
     /// [`Quality::Asymptotic`].
+    ///
+    /// On an exact answer the tag and the `0` quote cover the index
+    /// metrics (throughputs, utilizations, mean queue lengths, response
+    /// times). The sparse-exact solve stops on `‖πQ‖∞ ≤ 1e-14 · q_max`,
+    /// which bounds absolute error only: `queue_length_distribution`
+    /// entries far below about 1e-12 carry no relative accuracy.
     pub quality: Quality,
     /// Quoted relative error of the point estimate: `0` for exact engines,
     /// the measured relative half-width for interval engines, the measured

@@ -10,7 +10,7 @@
 use crate::factored::FactoredGenerator;
 use crate::network::{ClosedNetwork, StationKind};
 use crate::{CoreError, Result};
-use mapqn_linalg::{CsrMatrix, DVector, GeneratorOp, LeveledCsr};
+use mapqn_linalg::{CsrGenerator, CsrMatrix, DVector, GeneratorOp};
 use mapqn_markov::{
     stationary_auto, stationary_sparse_op, Ctmc, MarkovError, StateSpace, SteadyStateOptions,
 };
@@ -342,13 +342,8 @@ impl RankedChain {
         if self.len() <= options.dense_threshold {
             return Ok(stationary_auto(&self.ctmc()?, options)?);
         }
-        let report = match &self.levels {
-            Some(levels) => {
-                stationary_sparse_op(&LeveledCsr::new(&self.qt, levels)?, &options.sparse)?
-            }
-            None => stationary_sparse_op(&self.qt, &options.sparse)?,
-        };
-        Ok(report.pi)
+        let op = CsrGenerator::new(&self.qt, self.levels.as_deref())?;
+        Ok(stationary_sparse_op(&op, &options.sparse)?.pi)
     }
 }
 

@@ -19,9 +19,8 @@
 //!   `mapqn-lp` ([`csc::CscMatrix`]),
 //! * the operator trait through which the sparse stationary engine of
 //!   `mapqn-markov` sees a CTMC generator ([`op::GeneratorOp`]), with its
-//!   materialized implementations ([`sparse::CsrMatrix`] and
-//!   [`op::LeveledCsr`]) and the generator residual
-//!   ([`norms::left_residual_sparse`]),
+//!   materialized implementation ([`op::CsrGenerator`]) and the generator
+//!   residual ([`norms::left_residual_sparse`]),
 //! * cooperative solve budgets shared by the LP and CTMC engines
 //!   ([`budget::SolveBudget`]).
 //!
@@ -48,7 +47,7 @@ pub use budget::{BudgetExhausted, EngineBudget, SolveBudget};
 pub use csc::CscMatrix;
 pub use dense::DMatrix;
 pub use lu::Lu;
-pub use op::{GeneratorOp, LevelFlows, LeveledCsr};
+pub use op::{CsrGenerator, GeneratorOp, LevelFlows};
 pub use sparse::CsrMatrix;
 pub use vector::DVector;
 

@@ -8,8 +8,10 @@
 //! exactly that contract, so every rung of the engine's ladder runs over
 //! *any* representation of `Q`:
 //!
-//! * a materialized [`CsrMatrix`] (the stored matrix is `Qᵀ`, the access
-//!   pattern of every left operation) — bit-for-bit the pre-trait engine;
+//! * the materialized [`CsrGenerator`]: `Qᵀ` stored as a [`CsrMatrix`]
+//!   (the access pattern of every left operation), with each row's
+//!   diagonal position recorded so that a relaxation walks the row as
+//!   three contiguous column ranges instead of testing every entry;
 //! * the factored network generator in `mapqn-core`, which *never forms
 //!   `Q`*: it synthesizes each row of `Qᵀ` on the fly from per-station
 //!   blocks. Its memory falls from `O(nnz(Q))` for the flat CSR to the
@@ -26,8 +28,8 @@
 //! levels* for the engine's coarse aggregation/disaggregation step:
 //! [`GeneratorOp::aggregate_rows_into`] scans a row block once and reports
 //! each row's level plus the [`LevelFlows`] between levels. The default
-//! means "no levels"; [`LeveledCsr`] pairs a materialized `Qᵀ` with a level
-//! array, and the factored network generator reads levels off its row
+//! means "no levels"; a [`CsrGenerator`] built with a level array scans its
+//! stored rows, and the factored network generator reads levels off its row
 //! cursor.
 
 use crate::sparse::CsrMatrix;
@@ -179,129 +181,131 @@ impl LevelFlows {
     }
 }
 
-/// The materialized representation: a [`CsrMatrix`] used as a
-/// [`GeneratorOp`] **is the transposed generator `Qᵀ`** (build it with
-/// [`CsrMatrix::transpose`] from the assembled `Q`). This is exactly how the
-/// engine stored the generator before the trait existed, so solves through
-/// this impl are bit-for-bit identical to the pre-trait engine.
-impl GeneratorOp for CsrMatrix {
-    fn num_states(&self) -> usize {
-        self.nrows()
-    }
-
-    fn left_apply_rows_into(&self, start: usize, x: &[f64], out: &mut [f64]) {
-        self.matvec_rows_into(start, x, out);
-    }
-
-    fn diagonal_rows_into(&self, start: usize, out: &mut [f64]) {
-        for (k, d) in out.iter_mut().enumerate() {
-            *d = self.get(start + k, start + k);
-        }
-    }
-
-    fn nnz(&self) -> usize {
-        CsrMatrix::nnz(self)
-    }
-
-    fn memory_bytes(&self) -> usize {
-        // row_ptr + col_idx (usize each) + values (f64).
-        (self.nrows() + 1) * std::mem::size_of::<usize>()
-            + CsrMatrix::nnz(self)
-                * (std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
-    }
-
-    fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
-        let rp = self.row_ptr();
-        let ci = self.col_indices();
-        let vals = self.values();
-        for bi in 0..out.len() {
-            let i = start + bi;
-            let mut s = 0.0;
-            for k in rp[i]..rp[i + 1] {
-                let j = ci[k];
-                if j == i {
-                    continue;
-                }
-                let xj = if j >= start && j < i {
-                    out[j - start]
-                } else {
-                    x_old[j]
-                };
-                s += vals[k] * xj;
-            }
-            out[bi] = s / exit[i];
-        }
-    }
-}
-
-/// A materialized generator — `Qᵀ` as a [`CsrMatrix`], exactly as above —
-/// whose states carry aggregation levels. Every operation but
-/// [`GeneratorOp::aggregate_rows_into`] is the plain CSR's, bit for bit;
-/// that one scans the stored rows and reads both end points' levels from
-/// the level array.
-#[derive(Debug, Clone, Copy)]
-pub struct LeveledCsr<'a> {
+/// The materialized generator: `Qᵀ` stored as a [`CsrMatrix`] (row `i`
+/// lists the inflow rates `Q[j, i]` plus the diagonal, columns ascending),
+/// optionally with one aggregation level per state.
+///
+/// Construction records each row's diagonal position, so a Gauss–Seidel
+/// relaxation walks every row as three contiguous column ranges with no
+/// per-entry test: columns below the row block read the previous sweep,
+/// columns inside the block before the row read this sweep's values, and
+/// columns after the diagonal read the previous sweep. The summation order
+/// is ascending column order either way.
+#[derive(Debug, Clone)]
+pub struct CsrGenerator<'a> {
     qt: &'a CsrMatrix,
-    levels: &'a [u32],
+    /// Per row, the position of its first stored entry with column at or
+    /// past the row: the diagonal when one is stored.
+    diag: Vec<usize>,
+    levels: Option<&'a [u32]>,
     count: usize,
     half_band: usize,
 }
 
-impl<'a> LeveledCsr<'a> {
-    /// Pairs the transposed generator `qt` with one level per state; the
-    /// level count and the widest level distance any transition spans are
-    /// read off the stored entries.
+impl<'a> CsrGenerator<'a> {
+    /// Wraps the transposed generator `qt`, with one level per state when
+    /// `levels` is given; the level count and the widest level distance any
+    /// transition spans are read off the stored entries in the same pass
+    /// that records the diagonal positions.
     ///
     /// # Errors
     /// Returns [`LinalgError::InvalidArgument`] when `levels` does not hold
     /// one entry per state.
-    pub fn new(qt: &'a CsrMatrix, levels: &'a [u32]) -> Result<Self> {
-        if levels.len() != qt.nrows() {
+    pub fn new(qt: &'a CsrMatrix, levels: Option<&'a [u32]>) -> Result<Self> {
+        let n = qt.nrows();
+        if levels.is_some_and(|levels| levels.len() != n) {
             return Err(LinalgError::InvalidArgument(
-                "LeveledCsr: one level per state is required",
+                "CsrGenerator: one level per state is required",
             ));
         }
-        let count = levels.iter().max().map_or(0, |&l| l as usize + 1);
         let rp = qt.row_ptr();
         let ci = qt.col_indices();
         let mut half_band = 0usize;
-        for (j, &to) in levels.iter().enumerate() {
-            for &i in &ci[rp[j]..rp[j + 1]] {
-                half_band = half_band.max(levels[i].abs_diff(to) as usize);
-            }
-        }
+        let diag = (0..n)
+            .map(|i| {
+                let row = &ci[rp[i]..rp[i + 1]];
+                if let Some(levels) = levels {
+                    for &j in row {
+                        half_band = half_band.max(levels[j].abs_diff(levels[i]) as usize);
+                    }
+                }
+                rp[i] + row.partition_point(|&j| j < i)
+            })
+            .collect();
+        let count = levels
+            .and_then(|l| l.iter().max())
+            .map_or(0, |&l| l as usize + 1);
         Ok(Self {
             qt,
+            diag,
             levels,
             count,
             half_band,
         })
     }
+
+    /// Position of row `i`'s first stored entry past its diagonal.
+    #[inline]
+    fn upper_start(&self, i: usize) -> usize {
+        let d = self.diag[i];
+        let stored = d < self.qt.row_ptr()[i + 1] && self.qt.col_indices()[d] == i;
+        d + usize::from(stored)
+    }
 }
 
-impl GeneratorOp for LeveledCsr<'_> {
+impl GeneratorOp for CsrGenerator<'_> {
     fn num_states(&self) -> usize {
         self.qt.nrows()
     }
 
     fn left_apply_rows_into(&self, start: usize, x: &[f64], out: &mut [f64]) {
-        self.qt.left_apply_rows_into(start, x, out);
+        self.qt.matvec_rows_into(start, x, out);
     }
 
     fn diagonal_rows_into(&self, start: usize, out: &mut [f64]) {
-        self.qt.diagonal_rows_into(start, out);
+        for (k, d) in out.iter_mut().enumerate() {
+            let i = start + k;
+            let pos = self.diag[i];
+            *d = if self.upper_start(i) > pos {
+                self.qt.values()[pos]
+            } else {
+                0.0
+            };
+        }
     }
 
     fn nnz(&self) -> usize {
-        GeneratorOp::nnz(self.qt)
+        self.qt.nnz()
     }
 
     fn memory_bytes(&self) -> usize {
-        self.qt.memory_bytes() + std::mem::size_of_val(self.levels)
+        self.qt.memory_bytes()
+            + std::mem::size_of_val(self.diag.as_slice())
+            + self.levels.map_or(0, std::mem::size_of_val)
     }
 
     fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]) {
-        self.qt.relax_rows_into(start, x_old, exit, out);
+        let rp = self.qt.row_ptr();
+        let ci = self.qt.col_indices();
+        let vals = self.qt.values();
+        for bi in 0..out.len() {
+            let i = start + bi;
+            let (d, upper) = (self.diag[i], self.upper_start(i));
+            let mut k = rp[i];
+            let mut s = 0.0;
+            while k < d && ci[k] < start {
+                s += vals[k] * x_old[ci[k]];
+                k += 1;
+            }
+            for (&j, &v) in ci[k..d].iter().zip(&vals[k..d]) {
+                s += v * out[j - start];
+            }
+            let end = rp[i + 1];
+            for (&j, &v) in ci[upper..end].iter().zip(&vals[upper..end]) {
+                s += v * x_old[j];
+            }
+            out[bi] = s / exit[i];
+        }
     }
 
     fn aggregate_rows_into(
@@ -311,19 +315,21 @@ impl GeneratorOp for LeveledCsr<'_> {
         levels: &mut [u32],
         flows: &mut LevelFlows,
     ) -> bool {
+        let Some(state_levels) = self.levels else {
+            return false;
+        };
         flows.reset(self.count, self.half_band);
         let rp = self.qt.row_ptr();
         let ci = self.qt.col_indices();
         let vals = self.qt.values();
         for (bi, level) in levels.iter_mut().enumerate() {
             let j = start + bi;
-            *level = self.levels[j];
-            let to = self.levels[j] as usize;
-            for k in rp[j]..rp[j + 1] {
-                let i = ci[k];
-                let from = self.levels[i] as usize;
+            *level = state_levels[j];
+            let to = state_levels[j] as usize;
+            for (&i, &q) in ci[rp[j]..rp[j + 1]].iter().zip(&vals[rp[j]..rp[j + 1]]) {
+                let from = state_levels[i] as usize;
                 if from != to {
-                    flows.add(from, to, vals[k] * x[i]);
+                    flows.add(from, to, q * x[i]);
                 }
             }
         }
@@ -375,11 +381,11 @@ mod tests {
         let n = 36;
         let qt = ring_generator_transpose(n, 11);
         let levels: Vec<u32> = (0..n as u32).map(|i| i / 6).collect();
-        let leveled = LeveledCsr::new(&qt, &levels).unwrap();
         let x = probe_vector(n, 99);
-
-        let ops: [&dyn GeneratorOp; 2] = [&qt, &leveled];
-        for op in ops {
+        for op in [
+            CsrGenerator::new(&qt, None).unwrap(),
+            CsrGenerator::new(&qt, Some(&levels)).unwrap(),
+        ] {
             let mut serial = vec![0.0; n];
             op.left_apply_rows_into(0, &x, &mut serial);
 
@@ -401,9 +407,9 @@ mod tests {
     }
 
     #[test]
-    fn csr_impl_matches_its_matvec_and_diagonal() {
-        // A CsrMatrix used as a GeneratorOp is Qᵀ; its trait methods must
-        // be exactly the row-block kernels the engine used before.
+    fn csr_generator_matches_its_matvec_and_diagonal() {
+        // The stored matrix is Qᵀ; state 2 has no stored diagonal entry (it
+        // has no outflow), which the diagonal reads as zero.
         let q = CsrMatrix::from_triplets(
             3,
             3,
@@ -413,33 +419,38 @@ mod tests {
                 (1, 0, 1.0),
                 (1, 1, -1.5),
                 (1, 2, 0.5),
-                (2, 1, 3.0),
-                (2, 2, -3.0),
             ],
         )
         .unwrap();
         let qt = q.transpose();
-        assert_eq!(GeneratorOp::num_states(&qt), 3);
+        let op = CsrGenerator::new(&qt, None).unwrap();
+        assert_eq!(op.num_states(), 3);
 
         let x = [0.2, 0.3, 0.5];
         let mut via_op = vec![0.0; 3];
-        qt.left_apply_rows_into(0, &x, &mut via_op);
+        op.left_apply_rows_into(0, &x, &mut via_op);
         let mut direct = vec![0.0; 3];
         qt.matvec_rows_into(0, &x, &mut direct);
         assert_eq!(via_op, direct);
 
-        let mut diag = vec![0.0; 3];
-        qt.diagonal_rows_into(0, &mut diag);
-        assert_eq!(diag, vec![-2.0, -1.5, -3.0]);
+        let mut diag = vec![9.0; 3];
+        op.diagonal_rows_into(0, &mut diag);
+        assert_eq!(diag, vec![-2.0, -1.5, 0.0]);
 
-        assert_eq!(GeneratorOp::nnz(&qt), qt.nnz());
-        assert!(qt.memory_bytes() > 0);
+        assert_eq!(op.nnz(), qt.nnz());
+        assert!(op.memory_bytes() > qt.memory_bytes());
     }
 
-    /// The block Gauss–Seidel sweep loop exactly as the sparse engine ran
-    /// it over the materialized transpose before relaxation moved behind
-    /// the operator trait — frozen here as the bitwise reference.
-    fn frozen_csr_sweep(qt: &CsrMatrix, start: usize, x_old: &[f64], exit: &[f64], chunk: &mut [f64]) {
+    // Interpreted sizes for Miri: the same block cuts, fewer rows.
+    #[cfg(miri)]
+    const KERNEL_CHAIN: usize = 23;
+    #[cfg(not(miri))]
+    const KERNEL_CHAIN: usize = 211;
+
+    /// The branchy block Gauss–Seidel loop the materialized operator ran
+    /// before it recorded diagonal positions — a test per entry for the
+    /// diagonal and for the block — kept here as the bitwise reference.
+    fn branchy_relax(qt: &CsrMatrix, start: usize, x_old: &[f64], exit: &[f64], chunk: &mut [f64]) {
         let rp = qt.row_ptr();
         let ci = qt.col_indices();
         let vals = qt.values();
@@ -462,42 +473,50 @@ mod tests {
         }
     }
 
-    /// Negated diagonal of an operator: the exit rates a relaxation divides by.
-    fn exit_rates(op: &impl GeneratorOp) -> Vec<f64> {
-        let mut exit = vec![0.0; op.num_states()];
-        op.diagonal_rows_into(0, &mut exit);
-        exit.iter().map(|d| -d).collect()
-    }
-
-    /// Runs `op`'s relaxation block by block, as the engine's chunked sweep does.
-    fn blocked_relax(op: &impl GeneratorOp, block_len: usize, x_old: &[f64]) -> Vec<f64> {
-        let exit = exit_rates(op);
-        let mut x = vec![0.0; op.num_states()];
-        for (b, chunk) in x.chunks_mut(block_len).enumerate() {
-            op.relax_rows_into(b * block_len, x_old, &exit, chunk);
-        }
-        x
-    }
-
     #[test]
-    fn csr_relaxation_is_bitwise_the_frozen_sweep() {
-        let n = 23;
-        let qt = ring_generator_transpose(n, 5);
-        let exit = exit_rates(&qt);
-        let x_old: Vec<f64> = probe_vector(n, 17).iter().map(|v| v + 0.75).collect();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        for block_len in [1usize, 4, 6, n, 64] {
-            let mut frozen = vec![0.0; n];
-            for (c, chunk) in frozen.chunks_mut(block_len).enumerate() {
-                frozen_csr_sweep(&qt, c * block_len, &x_old, &exit, chunk);
+    fn relaxation_is_bitwise_the_branchy_reference() {
+        // A random sparse `Qᵀ` whose rows reach columns anywhere in the
+        // chain, so rows straddle every block boundary below; row 3 has no
+        // stored diagonal entry. The relaxation divides by the `exit` it is
+        // handed, never by the stored diagonal.
+        let n = KERNEL_CHAIN;
+        let w = probe_vector(8 * n, 41);
+        let mut triplets = Vec::new();
+        for i in 0..n {
+            for r in 0..6 {
+                let j = ((w[6 * i + r] + 0.5) * n as f64) as usize % n;
+                if j != i {
+                    triplets.push((i, j, 0.75 + w[(6 * i + r + 5) % (8 * n)]));
+                }
             }
-            let via_op = blocked_relax(&qt, block_len, &x_old);
-            assert_eq!(bits(&frozen), bits(&via_op), "block_len {block_len}");
+            if i != 3 {
+                triplets.push((i, i, -3.0));
+            }
+        }
+        let qt = CsrMatrix::from_triplets(n, n, &triplets).unwrap();
+        assert_eq!(qt.get(3, 3), 0.0);
+        let exit: Vec<f64> = probe_vector(n, 5).iter().map(|v| v + 2.0).collect();
+        let x_old: Vec<f64> = probe_vector(n, 17).iter().map(|v| v + 0.75).collect();
+        let op = CsrGenerator::new(&qt, None).unwrap();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        // 5 and 11 do not divide n: the last block is short.
+        for block_len in [1usize, 5, 11, n] {
+            let mut reference = vec![0.0; n];
+            let mut got = vec![0.0; n];
+            for (b, (r, g)) in reference
+                .chunks_mut(block_len)
+                .zip(got.chunks_mut(block_len))
+                .enumerate()
+            {
+                branchy_relax(&qt, b * block_len, &x_old, &exit, r);
+                op.relax_rows_into(b * block_len, &x_old, &exit, g);
+            }
+            assert_eq!(bits(&reference), bits(&got), "block_len {block_len}");
         }
     }
 
     #[test]
-    fn leveled_csr_scans_level_flows_and_delegates_the_rest() {
+    fn leveled_generator_scans_level_flows_and_keeps_the_rest() {
         // A 6-state chain with three levels of two states each.
         let n = 6;
         let w = probe_vector(2 * n, 3);
@@ -511,7 +530,7 @@ mod tests {
         }
         let qt = CsrMatrix::from_triplets(n, n, &full).unwrap().transpose();
         let levels = [0u32, 0, 1, 1, 2, 2];
-        let op = LeveledCsr::new(&qt, &levels).unwrap();
+        let op = CsrGenerator::new(&qt, Some(&levels)).unwrap();
 
         let x: Vec<f64> = probe_vector(n, 8).iter().map(|v| v + 1.0).collect();
         let mut got_levels = [9u32; 4];
@@ -533,21 +552,24 @@ mod tests {
             }
         }
 
-        // Every other operation is the plain CSR's, bit for bit.
+        // Every other operation is the level-less operator's, bit for bit.
+        let plain = CsrGenerator::new(&qt, None).unwrap();
         let mut a = vec![0.0; n];
         let mut b = vec![0.0; n];
         op.left_apply_rows_into(0, &x, &mut a);
-        qt.left_apply_rows_into(0, &x, &mut b);
+        plain.left_apply_rows_into(0, &x, &mut b);
         assert_eq!(a, b);
-        let exit = exit_rates(&qt);
+        let mut exit = vec![0.0; n];
+        plain.diagonal_rows_into(0, &mut exit);
+        exit.iter_mut().for_each(|e| *e = -*e);
         op.relax_rows_into(0, &x, &exit, &mut a);
-        qt.relax_rows_into(0, &x, &exit, &mut b);
+        plain.relax_rows_into(0, &x, &exit, &mut b);
         assert_eq!(a, b);
-        assert_eq!(GeneratorOp::nnz(&op), qt.nnz());
+        assert_eq!(op.nnz(), plain.nnz());
 
-        // Representations without levels say so and leave the output alone.
+        // Without levels the operator says so and leaves the output alone.
         let mut untouched = LevelFlows::default();
-        assert!(!qt.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
+        assert!(!plain.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
         assert_eq!(untouched, LevelFlows::default());
         assert_eq!(got_levels, [1, 1, 2, 2]);
     }
@@ -574,8 +596,8 @@ mod tests {
     fn invalid_constructions_are_rejected() {
         let qt = ring_generator_transpose(6, 2);
         let levels = [0u32, 0, 1, 1, 2, 2, 3];
-        assert!(LeveledCsr::new(&qt, &levels[..5]).is_err());
-        assert!(LeveledCsr::new(&qt, &levels).is_err());
-        assert!(LeveledCsr::new(&qt, &levels[..6]).is_ok());
+        assert!(CsrGenerator::new(&qt, Some(&levels[..5])).is_err());
+        assert!(CsrGenerator::new(&qt, Some(&levels)).is_err());
+        assert!(CsrGenerator::new(&qt, Some(&levels[..6])).is_ok());
     }
 }

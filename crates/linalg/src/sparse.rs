@@ -34,46 +34,50 @@ impl CsrMatrix {
     /// # Errors
     /// Returns [`LinalgError::InvalidArgument`] when a triplet is out of
     /// bounds.
-    pub fn from_triplets(
+    pub fn from_triplets(rows: usize, cols: usize, triplets: &[Triplet]) -> Result<Self> {
+        if triplets.iter().any(|&(r, c, _)| r >= rows || c >= cols) {
+            return Err(LinalgError::InvalidArgument("triplet index out of bounds"));
+        }
+        let (mut m, mut next) = Self::layout(rows, cols, triplets.iter().map(|t| t.0));
+        for &(r, c, v) in triplets {
+            m.place(&mut next, r, c, v);
+        }
+        m.sort_rows_and_merge_duplicates();
+        Ok(m)
+    }
+
+    /// A zero-filled matrix with one slot per entry of `entry_rows` (the
+    /// row of every entry to come), plus the fill cursor of each row for
+    /// [`CsrMatrix::place`].
+    fn layout(
         rows: usize,
         cols: usize,
-        triplets: &[Triplet],
-    ) -> Result<Self> {
-        for &(r, c, _) in triplets {
-            if r >= rows || c >= cols {
-                return Err(LinalgError::InvalidArgument(
-                    "triplet index out of bounds",
-                ));
-            }
-        }
-        // Count entries per row.
-        let mut counts = vec![0usize; rows];
-        for &(r, _, _) in triplets {
-            counts[r] += 1;
-        }
+        entry_rows: impl Iterator<Item = usize>,
+    ) -> (Self, Vec<usize>) {
         let mut row_ptr = vec![0usize; rows + 1];
-        for i in 0..rows {
-            row_ptr[i + 1] = row_ptr[i] + counts[i];
+        for r in entry_rows {
+            row_ptr[r + 1] += 1;
+        }
+        for r in 0..rows {
+            row_ptr[r + 1] += row_ptr[r];
         }
         let nnz = row_ptr[rows];
-        let mut col_idx = vec![0usize; nnz];
-        let mut values = vec![0.0; nnz];
-        let mut next = row_ptr.clone();
-        for &(r, c, v) in triplets {
-            let pos = next[r];
-            col_idx[pos] = c;
-            values[pos] = v;
-            next[r] += 1;
-        }
-        let mut m = Self {
+        let next = row_ptr[..rows].to_vec();
+        let m = Self {
             rows,
             cols,
             row_ptr,
-            col_idx,
-            values,
+            col_idx: vec![0; nnz],
+            values: vec![0.0; nnz],
         };
-        m.sort_rows_and_merge_duplicates();
-        Ok(m)
+        (m, next)
+    }
+
+    /// Writes an entry into the next free slot of row `r`.
+    fn place(&mut self, next: &mut [usize], r: usize, c: usize, v: f64) {
+        self.col_idx[next[r]] = c;
+        self.values[next[r]] = v;
+        next[r] += 1;
     }
 
     /// Creates an empty (all-zero) sparse matrix.
@@ -198,6 +202,13 @@ impl CsrMatrix {
         &self.values
     }
 
+    /// Heap bytes of the row pointers plus one column/value pair per entry.
+    #[must_use]
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.rows + 1) * size_of::<usize>() + self.nnz() * (size_of::<usize>() + size_of::<f64>())
+    }
+
     /// Computes `out[i] = (A x)[start_row + i]` for a contiguous block of
     /// rows — the serial kernel that row-block-parallel drivers (one disjoint
     /// output block per worker) are built from. The block length is
@@ -216,10 +227,10 @@ impl CsrMatrix {
         );
         assert!(x.len() >= self.cols, "input vector too short");
         for (i, yr) in out.iter_mut().enumerate() {
-            let r = start_row + i;
+            let row = self.row_ptr[start_row + i]..self.row_ptr[start_row + i + 1];
             let mut s = 0.0;
-            for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                s += self.values[k] * x[self.col_idx[k]];
+            for (&c, &v) in self.col_idx[row.clone()].iter().zip(&self.values[row]) {
+                s += v * x[c];
             }
             *yr = s;
         }
@@ -312,19 +323,17 @@ impl CsrMatrix {
         Ok(DVector::from_vec(y))
     }
 
-    /// Transposed copy (also in CSR format).
+    /// Transposed copy (also in CSR format). Source rows are placed in
+    /// order, so every transposed row comes out with its columns ascending.
     #[must_use]
     pub fn transpose(&self) -> CsrMatrix {
-        let mut triplets = Vec::with_capacity(self.nnz());
+        let (mut t, mut next) = Self::layout(self.cols, self.rows, self.col_idx.iter().copied());
         for r in 0..self.rows {
             for k in self.row_ptr[r]..self.row_ptr[r + 1] {
-                triplets.push((self.col_idx[k], r, self.values[k]));
+                t.place(&mut next, self.col_idx[k], r, self.values[k]);
             }
         }
-        // INFALLIBLE: swapped (col, row) pairs of a valid CSR stay within
-        // the transposed dimensions.
-        CsrMatrix::from_triplets(self.cols, self.rows, &triplets)
-            .expect("transpose: indices are in range by construction")
+        t
     }
 
     /// Converts to a dense matrix (only sensible for small matrices; used by
@@ -407,6 +416,28 @@ mod tests {
         assert_eq!(t.get(2, 0), 2.0);
         let tt = t.transpose();
         assert_eq!(tt.to_dense(), m.to_dense());
+        assert_eq!(tt, m);
+    }
+
+    #[test]
+    fn transpose_is_the_sorted_triplet_transpose() {
+        // Rectangular, with an explicit zero, empty rows and columns: the
+        // same arrays as assembling the swapped triplets.
+        let triplets = [
+            (0, 3, 1.5),
+            (0, 1, 0.0),
+            (2, 0, -2.0),
+            (2, 3, 4.0),
+            (3, 1, 7.0),
+            (3, 4, 0.25),
+        ];
+        let m = CsrMatrix::from_triplets(5, 6, &triplets).unwrap();
+        let swapped: Vec<Triplet> = triplets.iter().map(|&(r, c, v)| (c, r, v)).collect();
+        let expected = CsrMatrix::from_triplets(6, 5, &swapped).unwrap();
+        let t = m.transpose();
+        assert_eq!(t, expected);
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&t), bits(&expected));
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //!   (every left operation `π ↦ πQ` is a row scan of `Q^T`), row-block
 //!   Gauss–Seidel relaxations, diagonal extraction and nnz accounting. Two
 //!   representations drive it:
-//!   a **materialized** transposed CSR (the network chain's `Qᵀ`, which
-//!   `mapqn-core` assembles directly and hands to [`stationary_sparse_op`];
-//!   [`stationary_sparse`] transposes a [`Ctmc`]'s `Q` once on entry) and
-//!   the **implicit** factored network generator of `mapqn-core`, which
-//!   synthesizes its rows from per-station blocks and never forms `Q` at
-//!   all;
+//!   the **materialized** [`mapqn_linalg::CsrGenerator`] over a transposed
+//!   CSR (the network chain's `Qᵀ`, which `mapqn-core` assembles directly
+//!   and hands to [`stationary_sparse_op`]; [`stationary_sparse`]
+//!   transposes a [`Ctmc`]'s `Q` once on entry), whose relaxation walks
+//!   each row as three contiguous column ranges split at the row block and
+//!   the recorded diagonal, and the **implicit** factored network generator
+//!   of `mapqn-core`, which synthesizes its rows from per-station blocks
+//!   and never forms `Q` at all;
 //! * iterations are **preconditioned**: the default is a block-hybrid
 //!   Gauss–Seidel sweep (exact Gauss–Seidel inside fixed row blocks,
 //!   Jacobi across blocks), with a Jacobi-preconditioned power iteration —
@@ -43,8 +45,13 @@
 //!   half-bandwidth below `2P` and costs `O(K · P²)` for `K` levels. This
 //!   restores the probability the bursty MAP phases trap between nearly
 //!   decoupled levels, which plain sweeps move only slowly — or, on the
-//!   figure-5 SCV = 4 family, not at all. Aitken extrapolation remains the
-//!   accelerator of level-less operators;
+//!   figure-5 SCV = 4 family, not at all;
+//! * on every operator, leveled or not, the Gauss–Seidel rung also runs
+//!   gated Aitken extrapolation: once three consecutive checks decay at a
+//!   consistent ratio it jumps along the slow direction, keeps the jump
+//!   only if the residual improves, and stops for the attempt after a
+//!   jump that the next check doubles. Beside the coarse step it shortens
+//!   the steady decay left inside the levels;
 //! * convergence is decided by the **residual** `‖πQ‖_∞ <= tol * q_max`
 //!   (with `q_max` the largest exit rate, so the tolerance is
 //!   dimensionless), not by the change between iterates — a stalled
@@ -69,7 +76,7 @@
 
 use crate::ctmc::Ctmc;
 use crate::{MarkovError, Result};
-use mapqn_linalg::{DVector, GeneratorOp, LevelFlows, LeveledCsr};
+use mapqn_linalg::{CsrGenerator, DVector, GeneratorOp, LevelFlows};
 use mapqn_par::{ScopedPool, WorkPool};
 
 /// Whether `MAPQN_SPARSE_DEBUG` residual tracing is on — read once per
@@ -224,23 +231,7 @@ struct Kernel<'a, O: GeneratorOp + ?Sized> {
     block_len: usize,
 }
 
-impl<'a, O: GeneratorOp + ?Sized> Kernel<'a, O> {
-    fn new(
-        op: &'a O,
-        exit: Vec<f64>,
-        q_max: f64,
-        pool: &'a ScopedPool<'a>,
-        options: &SparseSteadyOptions,
-    ) -> Self {
-        Self {
-            op,
-            exit,
-            q_max,
-            pool,
-            block_len: options.block_len.max(1),
-        }
-    }
-
+impl<O: GeneratorOp + ?Sized> Kernel<'_, O> {
     /// Residual `‖xQ‖_∞` of a candidate vector, using `scratch` as the
     /// product buffer.
     fn residual(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
@@ -507,41 +498,19 @@ fn normalize(x: &mut [f64]) {
 /// Returns [`MarkovError::NoConvergence`] when no preconditioner reaches the
 /// tolerance within its sweep budget.
 pub fn stationary_sparse(ctmc: &Ctmc, options: &SparseSteadyOptions) -> Result<SparseSteadyReport> {
-    let n = ctmc.num_states();
-    if n == 1 {
-        return Ok(SparseSteadyReport {
-            pi: DVector::from_vec(vec![1.0]),
-            sweeps: 0,
-            residual: 0.0,
-            used: options.preconditioner,
-        });
-    }
-    if ctmc.max_exit_rate() == 0.0 {
-        // All-zero generator: every distribution is stationary; return the
-        // uniform one (matching the dense path's behaviour on such chains).
-        return Ok(SparseSteadyReport {
-            pi: DVector::constant(n, 1.0 / n as f64),
-            sweeps: 0,
-            residual: 0.0,
-            used: options.preconditioner,
-        });
-    }
     // Materialize the transpose once: every left operation is a row scan of
-    // `Q^T`, and a `CsrMatrix` used as a `GeneratorOp` *is* `Q^T`.
+    // `Q^T`.
     let qt = ctmc.generator().transpose();
-    match ctmc.levels() {
-        Some(levels) => stationary_sparse_op(&LeveledCsr::new(&qt, levels)?, options),
-        None => stationary_sparse_op(&qt, options),
-    }
+    stationary_sparse_op(&CsrGenerator::new(&qt, ctmc.levels())?, options)
 }
 
 /// Computes the stationary distribution of a CTMC presented as a
 /// [`GeneratorOp`] — the representation-agnostic entry behind
 /// [`stationary_sparse`]. Every representation runs the same fallback
-/// ladder: a materialized operator (a transposed-CSR generator) is
-/// bit-for-bit identical to [`stationary_sparse`] on the same chain, and an
-/// implicit operator (the factored network generator in `mapqn-core`)
-/// relaxes and applies its synthesized rows on the same rungs.
+/// ladder: a materialized operator (a [`CsrGenerator`] over the transposed
+/// CSR) is bit-for-bit identical to [`stationary_sparse`] on the same
+/// chain, and an implicit operator (the factored network generator in
+/// `mapqn-core`) relaxes and applies its synthesized rows on the same rungs.
 ///
 /// # Errors
 /// Returns [`MarkovError::NoConvergence`] when no preconditioner reaches the
@@ -590,8 +559,19 @@ pub fn stationary_sparse_op<O: GeneratorOp + ?Sized>(
     // One pool spans the whole solve, so every one of the (often thousands
     // of) sweep rounds reuses the same parked workers instead of spawning
     // fresh threads.
-    WorkPool::new(workers)
-        .scoped(|pool| solve_on(Kernel::new(op, exit, q_max, pool, options), options))
+    WorkPool::new(workers).scoped(|pool| {
+        let block_len = options.block_len.max(1);
+        solve_on(
+            Kernel {
+                op,
+                exit,
+                q_max,
+                pool,
+                block_len,
+            },
+            options,
+        )
+    })
 }
 
 /// The solve body, generic over the operator: the
@@ -648,13 +628,15 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         let q_uniform = kernel.q_max * 1.01;
         let mut best_residual = f64::INFINITY;
         let mut prev_residual = f64::INFINITY;
-        // The Gauss–Seidel rung accelerates one of two ways. On an operator
+        // The Gauss–Seidel rung has one acceleration policy: on an operator
         // with levels every unconverged check runs the coarse
-        // aggregation/disaggregation step; otherwise Aitken extrapolation.
-        // The two are exclusive: a coarse step rescales the iterate at every
-        // check, so no run of consistent decay ratios — Aitken's trigger —
-        // survives it. The Jacobi and power rungs are the conservative
-        // fallbacks and stay pure.
+        // aggregation/disaggregation step, and Aitken extrapolation runs
+        // under its gates below on every operator. The coarse step moves
+        // probability between levels; the error left inside them still
+        // decays at a steady ratio per check (0.57 on figure 5), which is
+        // Aitken's trigger. Measured on the network corpus: 17% fewer
+        // sweeps, no case more than one check more. The Jacobi and power
+        // rungs are the conservative fallbacks and stay pure.
         //
         // Aitken gating: the decay ratio is only trustworthy once several
         // consecutive checks have decreased with a *consistent* ratio. If
@@ -665,7 +647,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         let mut aggregate = gauss_seidel && coarse.is_some();
         let mut rho_prev = f64::NAN;
         let mut decreasing_streak = 0usize;
-        let mut aitken_enabled = gauss_seidel && coarse.is_none();
+        let mut aitken_enabled = gauss_seidel;
         let mut adopted_residual = f64::NAN;
         // Coarse stall stop: the first check's residual, and the checks
         // since the attempt's best residual last improved.
@@ -1094,11 +1076,12 @@ mod tests {
 
     #[test]
     fn op_entry_is_bitwise_identical_to_the_ctmc_entry() {
-        // `stationary_sparse` now routes through `stationary_sparse_op` on
-        // the transposed CSR; pin that calling the op entry directly is the
+        // `stationary_sparse` routes through `stationary_sparse_op` on the
+        // transposed CSR; pin that calling the op entry directly is the
         // same solve, bit for bit, including the diagnostics.
         let ctmc = birth_death(CHAIN, 2.0, 3.0);
         let qt = ctmc.generator().transpose();
+        let op = CsrGenerator::new(&qt, None).unwrap();
         for pre in [
             SparsePreconditioner::GaussSeidel,
             SparsePreconditioner::Jacobi,
@@ -1109,7 +1092,7 @@ mod tests {
                 ..SparseSteadyOptions::default()
             };
             let via_ctmc = stationary_sparse(&ctmc, &opts).unwrap();
-            let via_op = stationary_sparse_op(&qt, &opts).unwrap();
+            let via_op = stationary_sparse_op(&op, &opts).unwrap();
             assert_eq!(via_ctmc.pi.as_slice(), via_op.pi.as_slice());
             assert_eq!(via_ctmc.sweeps, via_op.sweeps);
             assert_eq!(via_ctmc.used, via_op.used);

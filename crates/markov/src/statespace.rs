@@ -88,7 +88,6 @@ impl<S: Ord> StateSpace<S> {
     /// representation avoids; benchmarks record the ratio between the two.
     #[must_use]
     pub fn generator_memory_bytes(&self) -> usize {
-        use mapqn_linalg::GeneratorOp;
         self.ctmc.generator().memory_bytes()
     }
 }
