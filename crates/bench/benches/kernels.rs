@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mapqn_core::bounds::BoundOptions;
 use mapqn_core::statespace::build_state_space;
-use mapqn_core::templates::{figure5_network, tpcw_network, TpcwParameters};
+use mapqn_core::templates::{figure5_network, tpcw_network, tpcw_server_tier, TpcwParameters};
 use mapqn_core::MarginalBoundSolver;
 use mapqn_linalg::{CsrGenerator, GeneratorOp};
 use mapqn_lp::{LpProblem, RevisedSimplex, Sense, SimplexEngine, SimplexOptions};
@@ -117,6 +117,22 @@ fn bench_kernels(c: &mut Criterion) {
     group.bench_function("marginal_bound_all_revised_warm_n6", |b| {
         b.iter(|| {
             MarginalBoundSolver::new(black_box(&bounds_network))
+                .unwrap()
+                .bound_all()
+                .unwrap()
+        })
+    });
+    // Cold `bound_all` on the two-station TPC-W server tier at N = 12:
+    // one serial schedule that solves each twin queue-length objective
+    // right after its partner.
+    let tier = tpcw_server_tier(&TpcwParameters {
+        browsers: 12,
+        ..TpcwParameters::default()
+    })
+    .unwrap();
+    group.bench_function("marginal_bound_all_tpcw_server_tier_n12", |b| {
+        b.iter(|| {
+            MarginalBoundSolver::new(black_box(&tier))
                 .unwrap()
                 .bound_all()
                 .unwrap()

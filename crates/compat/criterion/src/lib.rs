@@ -5,9 +5,13 @@
 //! call-site syntax: `Criterion::benchmark_group`, `sample_size`,
 //! `bench_function`, `bench_with_input`, `BenchmarkId`, `Bencher::iter` and
 //! the `criterion_group!` / `criterion_main!` macros. Each benchmark runs one
-//! warm-up iteration followed by `sample_size` timed iterations and prints
-//! min / mean / max to stdout. Statistical analysis, plots and baselines of
-//! the real crate are out of scope.
+//! warm-up iteration followed by `sample_size` timed samples; a sample
+//! repeats the routine until it has run for at least [`MIN_SAMPLE_TIME`] and
+//! records the time per iteration, so µs-scale kernels are not dominated by
+//! timer overhead. Min / mean / max per iteration go to stdout. A positional
+//! argument (`cargo bench --bench kernels -- <name>`) runs only the
+//! benchmarks whose `group/id` contains it. Statistical analysis, plots and
+//! baselines of the real crate are out of scope.
 
 
 use std::fmt::Display;
@@ -15,16 +19,30 @@ use std::time::{Duration, Instant};
 
 pub use std::hint::black_box;
 
+/// Shortest wall time one sample runs its routine for.
+pub const MIN_SAMPLE_TIME: Duration = Duration::from_millis(1);
+
 /// Entry point handed to the functions registered via [`criterion_group!`].
 #[derive(Debug, Default)]
-pub struct Criterion {}
+pub struct Criterion {
+    /// Substring a benchmark's `group/id` must contain to run.
+    filter: Option<String>,
+}
 
 impl Criterion {
+    /// Takes the name filter from the first positional command-line
+    /// argument, as `criterion` does (flags such as `--bench` are ignored).
+    #[must_use]
+    pub fn configure_from_args(mut self) -> Self {
+        self.filter = std::env::args().skip(1).find(|arg| !arg.starts_with('-'));
+        self
+    }
+
     /// Starts a named group of related benchmarks.
     pub fn benchmark_group(&mut self, name: &str) -> BenchmarkGroup<'_> {
         println!("benchmark group: {name}");
         BenchmarkGroup {
-            _criterion: self,
+            criterion: self,
             name: name.to_string(),
             sample_size: 10,
         }
@@ -55,13 +73,13 @@ impl Display for BenchmarkId {
 /// A group of benchmarks sharing a name prefix and sample size.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
-    _criterion: &'a mut Criterion,
+    criterion: &'a mut Criterion,
     name: String,
     sample_size: usize,
 }
 
 impl BenchmarkGroup<'_> {
-    /// Sets the number of timed iterations per benchmark.
+    /// Sets the number of timed samples per benchmark.
     pub fn sample_size(&mut self, n: usize) -> &mut Self {
         self.sample_size = n.max(1);
         self
@@ -72,12 +90,10 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher),
     {
-        let mut bencher = Bencher {
-            sample_size: self.sample_size,
-            samples: Vec::new(),
-        };
-        f(&mut bencher);
-        bencher.report(&self.name, &id.to_string());
+        if let Some(mut bencher) = self.bencher(&id.to_string()) {
+            f(&mut bencher);
+            bencher.report();
+        }
         self
     }
 
@@ -91,13 +107,27 @@ impl BenchmarkGroup<'_> {
     where
         F: FnMut(&mut Bencher, &I),
     {
-        let mut bencher = Bencher {
+        if let Some(mut bencher) = self.bencher(&id.to_string()) {
+            f(&mut bencher, input);
+            bencher.report();
+        }
+        self
+    }
+
+    /// A timer for benchmark `id`, or `None` when the name filter skips it.
+    fn bencher(&self, id: &str) -> Option<Bencher> {
+        let name = format!("{}/{id}", self.name);
+        if let Some(filter) = &self.criterion.filter {
+            if !name.contains(filter.as_str()) {
+                return None;
+            }
+        }
+        Some(Bencher {
+            name,
             sample_size: self.sample_size,
             samples: Vec::new(),
-        };
-        f(&mut bencher, input);
-        bencher.report(&self.name, &id.to_string());
-        self
+            iterations: 0,
+        })
     }
 
     /// Ends the group (kept for API compatibility; nothing to flush).
@@ -107,25 +137,42 @@ impl BenchmarkGroup<'_> {
 /// Timer handed to the benchmark closure.
 #[derive(Debug)]
 pub struct Bencher {
+    /// `group/id` of the benchmark.
+    name: String,
     sample_size: usize,
+    /// Time per iteration of each sample.
     samples: Vec<Duration>,
+    /// Iterations summed over all samples.
+    iterations: u64,
 }
 
 impl Bencher {
-    /// Times `f`: one warm-up call, then `sample_size` timed calls.
+    /// Times `f`: one warm-up call, then `sample_size` samples, each
+    /// calling `f` until it has run for [`MIN_SAMPLE_TIME`].
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
         black_box(f());
         self.samples.clear();
+        self.iterations = 0;
         for _ in 0..self.sample_size {
             let start = Instant::now();
-            black_box(f());
-            self.samples.push(start.elapsed());
+            let mut runs = 0u32;
+            let elapsed = loop {
+                black_box(f());
+                runs += 1;
+                let elapsed = start.elapsed();
+                if elapsed >= MIN_SAMPLE_TIME {
+                    break elapsed;
+                }
+            };
+            self.samples.push(elapsed / runs);
+            self.iterations += u64::from(runs);
         }
     }
 
-    fn report(&self, group: &str, id: &str) {
+    fn report(&self) {
+        let name = &self.name;
         if self.samples.is_empty() {
-            println!("  {group}/{id}: no samples recorded");
+            println!("  {name}: no samples recorded");
             return;
         }
         let min = self.samples.iter().min().expect("non-empty");
@@ -133,8 +180,9 @@ impl Bencher {
         let total: Duration = self.samples.iter().sum();
         let mean = total / self.samples.len() as u32;
         println!(
-            "  {group}/{id}: min {min:?}  mean {mean:?}  max {max:?}  ({} samples)",
-            self.samples.len()
+            "  {name}: min {min:?}  mean {mean:?}  max {max:?}  ({} samples, {} iterations)",
+            self.samples.len(),
+            self.iterations
         );
     }
 }
@@ -145,7 +193,7 @@ impl Bencher {
 macro_rules! criterion_group {
     ($name:ident, $($target:path),+ $(,)?) => {
         fn $name() {
-            let mut criterion = $crate::Criterion::default();
+            let mut criterion = $crate::Criterion::default().configure_from_args();
             $( $target(&mut criterion); )+
         }
     };
@@ -157,8 +205,8 @@ macro_rules! criterion_group {
 macro_rules! criterion_main {
     ($($group:ident),+ $(,)?) => {
         fn main() {
-            // `cargo test`/`cargo bench` pass harness flags like `--bench`;
-            // none require action in this shim.
+            // `cargo test`/`cargo bench` pass harness flags like `--bench`,
+            // which the name filter skips.
             $( $group(); )+
         }
     };
@@ -182,6 +230,39 @@ mod tests {
     fn harness_runs_and_reports() {
         criterion_group!(benches, sample_bench);
         benches();
+    }
+
+    #[test]
+    fn a_sample_runs_for_the_minimum_time_and_reports_per_iteration() {
+        let mut bencher = Bencher {
+            name: "shim/count".into(),
+            sample_size: 2,
+            samples: Vec::new(),
+            iterations: 0,
+        };
+        let mut calls = 0u64;
+        bencher.iter(|| calls += 1);
+        // One warm-up call, then at least two per sample: a call takes far
+        // less than the minimum sample time.
+        assert_eq!(calls, 1 + bencher.iterations);
+        assert!(bencher.iterations >= 4, "{}", bencher.iterations);
+        assert_eq!(bencher.samples.len(), 2);
+        assert!(bencher.samples.iter().all(|&s| s < MIN_SAMPLE_TIME));
+    }
+
+    #[test]
+    fn the_name_filter_skips_other_benchmarks() {
+        let mut criterion = Criterion {
+            filter: Some("sum_to".into()),
+        };
+        let mut group = criterion.benchmark_group("shim");
+        group.sample_size(1);
+        let mut ran = Vec::new();
+        group.bench_function("sum", |b| b.iter(|| ran.push("sum")));
+        group.bench_with_input(BenchmarkId::new("sum_to", 5u64), &5u64, |b, _| {
+            b.iter(|| ran.push("sum_to"));
+        });
+        assert!(!ran.is_empty() && ran.iter().all(|&name| name == "sum_to"));
     }
 
     #[test]

@@ -450,9 +450,9 @@ impl SolverTimings {
 ///
 /// With the default [`SimplexEngine::Revised`] the solver runs phase 1
 /// **once** per network, caches the resulting basis, and warm starts every
-/// subsequent objective from the previous optimum of the same sense:
-/// [`MarginalBoundSolver::bound_all`] runs its minimizations and its
-/// maximizations as two chains from that one phase-1 basis. Selecting
+/// subsequent objective from the previous optimum of its chain:
+/// [`MarginalBoundSolver::bound_all`] runs its objectives as fixed
+/// schedules from that one phase-1 basis. Selecting
 /// [`SimplexEngine::DenseTableau`] through
 /// [`BoundOptions::simplex`] reproduces the original cold dense-tableau
 /// behaviour, which is kept as a correctness oracle.
@@ -723,11 +723,11 @@ impl MarginalBoundSolver {
     /// proportional to every other on a feasible set satisfying the traffic
     /// equations, so after the first throughput solve the rest re-price in
     /// ~zero pivots — which makes the family grouping markedly cheaper than
-    /// interleaving per-station triples. Each of the two chains of
-    /// [`MarginalBoundSolver::bound_all_seeded`] walks this order in its
-    /// own sense. A population sweep relies on this order staying fixed
-    /// across populations of the same network, so per-objective bases can
-    /// be carried by slot position.
+    /// interleaving per-station triples. The schedules of
+    /// [`MarginalBoundSolver::bound_all_seeded`] keep each family together
+    /// (`ChainJob::schedules`). A population sweep relies on this order
+    /// staying fixed across populations of the same network, so
+    /// per-objective bases can be carried by slot position.
     pub(crate) fn canonical_indices(&self) -> Vec<PerformanceIndex> {
         let m = self.layout.m;
         let mut indices: Vec<PerformanceIndex> =
@@ -740,15 +740,16 @@ impl MarginalBoundSolver {
 
     /// Computes bounds on every standard index of the network.
     ///
-    /// The objectives run as two fixed warm-start chains over one shared
-    /// phase 1 — all lower bounds in one, all upper bounds in the other
-    /// (see [`MarginalBoundSolver::bound_all_seeded`]): consecutive
-    /// same-sense objectives stop at nearby vertices and re-price in a
-    /// handful of pivots, while alternating min/max would walk across the
-    /// whole feasible polytope once per index (measured at roughly twice
-    /// the total pivot count). [`BoundOptions::workers`] sets how many
-    /// threads the two chains use; the answer is bitwise the same at any
-    /// width.
+    /// The objectives run as fixed warm-start schedules over one shared
+    /// phase 1 (see [`MarginalBoundSolver::bound_all_seeded`]). With three
+    /// or more stations all lower bounds run in one chain and all upper
+    /// bounds in the other: same-sense objectives stop at nearby vertices,
+    /// while alternating min/max would walk across the polytope once per
+    /// index (roughly twice the pivots). On two stations `Q0 + Q1 = N`, so
+    /// one serial schedule solves each twin queue-length objective right
+    /// after the partner whose vertex it shares. [`BoundOptions::workers`]
+    /// sets how many threads the chains use; the answer is bitwise the
+    /// same at any width.
     ///
     /// The system-throughput interval comes from solving the dedicated
     /// [`PerformanceIndex::SystemThroughput`] objective — the same one
@@ -788,9 +789,15 @@ impl MarginalBoundSolver {
     /// unusable seeds fall back to the primal warm-start path.
     ///
     /// The objectives run as two fixed chains, each with its own engine,
-    /// rolling basis, counters and phase times:
-    /// * **chain A** solves the minimizations, in family order;
-    /// * **chain B** solves the maximizations, in family order.
+    /// rolling basis, counters and phase times, and each an ordered
+    /// schedule of (objective, sense) steps built from the station count
+    /// and the seeds only (`ChainJob::schedules`):
+    /// * three or more stations: **chain A** solves the minimizations and
+    ///   **chain B** the maximizations, in family order;
+    /// * two stations: chain A alone runs one serial mixed-sense schedule.
+    ///
+    /// Results are assembled by slot, so the bases, outcomes and seeds
+    /// keep the canonical numbering whatever the order of the solves.
     ///
     /// When slot 0 is unseeded, chain A runs phase 1 once and solves slot
     /// 0, and chain B starts from a copy of chain A's engine at that first
@@ -798,14 +805,8 @@ impl MarginalBoundSolver {
     /// zero-objective repair stands in for phase 1 and the population step
     /// never runs a cold start; chain B then starts from a copy of the
     /// engine before any solve, and its own seeds (or its own phase 1)
-    /// start it. The maximizations used to start from the last
-    /// minimization's optimum; a probe on the 41 `lp_sweep` models at
-    /// N = 4–8 found that starting them from the phase-1 vertex instead
-    /// took 0.95–1.01× the time and pivots, with endpoints agreeing to
-    /// 3.9e-8 relative, so that hand-off bought nothing there. It does on
-    /// two-station networks, where the last minimization's optimum is a
-    /// maximization optimum too: there chain B still starts from chain
-    /// A's end, and the two chains run one after the other at any width.
+    /// start it. (On the 41 `lp_sweep` models at N = 4–8, starting the
+    /// maximizations from the last minimum instead bought nothing.)
     ///
     /// The chain structure never depends on the thread count. At width 1
     /// ([`BoundOptions::workers`]) chain A and then chain B run on the
@@ -834,8 +835,8 @@ impl MarginalBoundSolver {
     /// both in canonical slot order; after a failed call both are empty.
     ///
     /// # Errors
-    /// Propagates LP failures; when both chains fail, the error of the
-    /// lowest failing slot (chain A's).
+    /// Propagates LP failures as [`CoreError::ObjectiveSolve`] naming the
+    /// scheduled step that failed; when both chains fail, chain A's.
     pub fn bound_all_seeded(&mut self, seeds: &[Option<Basis>]) -> Result<NetworkBounds> {
         // Anchor the declarative budget for this whole solve: every engine
         // call below shares one absolute deadline through the simplex
@@ -866,23 +867,31 @@ impl MarginalBoundSolver {
             population: n,
             stations: m,
         };
-        let [mut lower, mut upper] = job.run(self.context.chain.warm.take(), self.options.width());
+        let runs = job.run(self.context.chain.warm.take(), self.options.width());
 
         let own = &mut self.context.chain;
-        for run in [&lower, &upper] {
+        let mut by_slot: Vec<Option<Solved>> = (0..2 * indices.len()).map(|_| None).collect();
+        // Chain A's failure first: a chain stops at its first failing step.
+        let mut error = None;
+        for run in runs {
             own.stats.add(&run.chain.stats);
             own.timings.add(&run.chain.timings);
+            // The next solve on this solver's own chain starts from chain
+            // B's end, or chain A's when chain B never got an engine.
+            own.warm = run.chain.warm.or(own.warm.take());
+            error = error.or(run.error);
+            for (&step, solved) in run.schedule.iter().zip(run.solved) {
+                by_slot[job.slot(step)] = Some(solved);
+            }
         }
-        // The next solve on this solver's own chain starts from the last
-        // maximization's optimum (chain A's state when chain B never got
-        // an engine).
-        own.warm = upper.chain.warm.take().or(lower.chain.warm.take());
-        // Chain A's failure first: it holds the lower slots.
-        let lowers = lower.into_result()?;
-        let uppers = upper.into_result()?;
-
-        let mut optima = Vec::with_capacity(2 * indices.len());
-        for (solution, basis, outcome) in lowers.into_iter().chain(uppers) {
+        if let Some(e) = error {
+            return Err(e);
+        }
+        let mut optima = Vec::with_capacity(by_slot.len());
+        for solved in by_slot {
+            // INFALLIBLE: the two schedules cover every slot once, and
+            // every scheduled step solved when no chain failed.
+            let (solution, basis, outcome) = solved.expect("every slot solved");
             optima.push(solution);
             self.context.solved_bases.push(basis);
             self.context.solve_outcomes.push(outcome);
@@ -1128,6 +1137,10 @@ impl MarginalBoundSolver {
 /// path that answered.
 type Solved = (LpSolution, Basis, SlotOutcome);
 
+/// One step of a chain's schedule: a canonical objective (its position in
+/// `MarginalBoundSolver::canonical_indices`) and the sense to solve it in.
+type Step = (usize, Sense);
+
 /// The shared, read-only inputs of one
 /// [`MarginalBoundSolver::bound_all_seeded`] call's two chains.
 struct ChainJob<'a> {
@@ -1142,30 +1155,68 @@ struct ChainJob<'a> {
 
 /// One chain of a `bound_all_seeded` call and what it solved.
 struct ChainRun {
-    sense: Sense,
+    /// The chain's solves, in the order it runs them.
+    schedule: Vec<Step>,
     chain: Chain,
-    /// The chain's solves so far, in canonical order.
+    /// The solves so far, one per leading entry of `schedule`.
     solved: Vec<Solved>,
     /// The failure that stopped the chain.
     error: Option<CoreError>,
 }
 
 impl ChainJob<'_> {
-    /// Runs chain A (the minimizations) and chain B (the maximizations),
-    /// chain A starting from `warm`: serially on the caller at `width` 1,
-    /// while a fault is armed or when chain A finished before the fork,
-    /// on two threads otherwise. A chain B that breaks down numerically
-    /// where chain A held is walked again from chain A's end.
+    /// The canonical slot of `step`: its objective's position, plus `len`
+    /// for a maximization.
+    fn slot(&self, (i, sense): Step) -> usize {
+        i + self.indices.len() * usize::from(sense == Sense::Maximize)
+    }
+
+    /// The two chains' schedules, and how many of chain A's steps run
+    /// before chain B forks from it: slot 0 when it is unseeded, none
+    /// otherwise. Built from the station count and the seeds only, so
+    /// every answer is the same at any width.
+    ///
+    /// * Other station counts: chain A runs the minimizations and chain B
+    ///   the maximizations, each in family order.
+    /// * Two stations: `Q0 + Q1 = N` in every state, so min Q0 and max Q1
+    ///   share an optimal vertex, as do max Q0 and min Q1. One serial
+    ///   schedule (chain B empty) solves each twin right after its partner:
+    ///   min X/U family, min Q0, max Q1, max X/U family, max Q0, min Q1.
+    ///   Both twins re-price in 0 pivots, and cold `bound_all` on the TPC-W
+    ///   server tier (three parameter sets, N = 3–12, 20, 30, 40) takes
+    ///   3,286 pivots against 5,667 with all minimizations first.
+    fn schedules(&self) -> ([Vec<Step>; 2], usize) {
+        let fork_after = usize::from(self.seeds.first().is_none_or(Option::is_none));
+        let len = self.indices.len();
+        let family = |end, sense| (0..end).map(move |i| (i, sense));
+        if self.stations != 2 {
+            let all = |sense| family(len, sense).collect();
+            return ([all(Sense::Minimize), all(Sense::Maximize)], fork_after);
+        }
+        let (q0, q1) = (len - 2, len - 1);
+        let serial = family(q0, Sense::Minimize)
+            .chain([(q0, Sense::Minimize), (q1, Sense::Maximize)])
+            .chain(family(q0, Sense::Maximize))
+            .chain([(q0, Sense::Maximize), (q1, Sense::Minimize)])
+            .collect();
+        ([serial, Vec::new()], fork_after)
+    }
+
+    /// Runs chain A and chain B of [`ChainJob::schedules`], chain A
+    /// starting from `warm`: serially on the caller at `width` 1, while a
+    /// fault is armed or when chain B is empty, on two threads otherwise.
+    /// A chain B that breaks down numerically where chain A held is walked
+    /// again from chain A's end.
     fn run(&self, warm: Option<WarmState>, width: usize) -> [ChainRun; 2] {
-        let mut a = ChainRun::new(Sense::Minimize, warm);
-        let mut b = ChainRun::new(Sense::Maximize, None);
-        if let Err(e) = self.fork(&mut a, &mut b) {
-            a.error = Some(e);
+        let ([a_steps, b_steps], fork_after) = self.schedules();
+        let mut a = ChainRun::new(a_steps, warm);
+        let mut b = ChainRun::new(b_steps, None);
+        self.fork(&mut a, &mut b, fork_after);
+        if a.error.is_some() {
             return [a, b];
         }
         let armed = mapqn_faults::current().is_some();
-        let handed_off = a.solved.len() == self.indices.len();
-        if width < 2 || armed || handed_off {
+        if width < 2 || armed || b.schedule.is_empty() {
             a.run(self);
             if !(armed && a.error.is_some()) {
                 b.run(self);
@@ -1180,7 +1231,7 @@ impl ChainJob<'_> {
         // A numerical breakdown of the maximizations where the
         // minimizations held: walk them again from chain A's end, the
         // start they had when they followed the minimization block.
-        if !handed_off && a.error.is_none() && b.error.as_ref().is_some_and(broke_down) {
+        if a.error.is_none() && b.error.as_ref().is_some_and(broke_down) {
             let t_copy = mapqn_linalg::budget::now();
             b.chain.warm.clone_from(&a.chain.warm);
             b.chain.timings.setup_ns += t_copy.elapsed().as_nanos() as u64;
@@ -1192,62 +1243,43 @@ impl ChainJob<'_> {
     }
 
     /// The chains' shared start on the revised engine: chain A builds its
-    /// engine on first use and solves its first `handoff` objectives (after
-    /// phase 1 when it has no basis yet); chain B starts from a copy of
-    /// chain A's engine and basis at that point (takes it over when chain
-    /// A is done).
-    ///
-    /// * Slot 0 seeded: the copy is taken before any solve.
-    /// * Slot 0 unseeded: after slot 0 rather than right after phase 1.
-    ///   From the phase-1 vertex the maximizations reach degenerate optimal
-    ///   bases that the split translation carries one population up only
-    ///   with repairs (eight max slots of the SCV 16 case study at N = 4);
-    ///   from the first minimum they translate intact, as they did when the
-    ///   maximizations followed the whole minimization block.
-    /// * Two stations: after the last minimization. The queue lengths sum
-    ///   to N, so that optimum (station 1's least queue) is also the
-    ///   optimum of station 0's greatest, and the maximizations start next
-    ///   to their vertices. On the TPC-W server tier at N = 3–12 they then
-    ///   take 2,714 primal pivots in all, against 3,809 when chain B starts
-    ///   after slot 0, whose critical path of 2,547 would save next to
-    ///   nothing — so two-station networks keep one serial chain.
-    fn fork(&self, a: &mut ChainRun, b: &mut ChainRun) -> Result<()> {
+    /// engine on first use and solves its first `fork_after` steps (after
+    /// phase 1 when it has no basis yet); a non-empty chain B starts from
+    /// a copy of chain A's engine and basis there, both chains' anchor.
+    /// Forking after slot 0 rather than right after phase 1 matters: from
+    /// the phase-1 vertex the maximizations reach degenerate optimal bases
+    /// that the split translation carries one population up only with
+    /// repairs (eight max slots of the SCV 16 case study at N = 4).
+    fn fork(&self, a: &mut ChainRun, b: &mut ChainRun, fork_after: usize) {
         if self.lp.simplex.engine == SimplexEngine::DenseTableau {
-            return Ok(());
+            return;
         }
-        a.chain
-            .ensure_engine(self.lp)
-            .map_err(|e| self.slot_error(0, e))?;
-        let handoff = if self.stations == 2 {
-            self.indices.len()
-        } else {
-            usize::from(self.seeds.first().is_none_or(Option::is_none))
-        };
-        while a.solved.len() < handoff {
+        if let Err(e) = a.chain.ensure_engine(self.lp) {
+            a.error = Some(self.slot_error(a.schedule[0], e));
+            return;
+        }
+        while a.solved.len() < fork_after {
             a.step(self);
-            if let Some(e) = a.error.take() {
-                return Err(e);
+            if a.error.is_some() {
+                return;
             }
         }
         let anchor = a.chain.warm.as_ref().and_then(|warm| warm.basis.clone());
-        if a.solved.len() == self.indices.len() {
-            // Chain A is done: chain B takes its engine over.
-            b.chain.warm = a.chain.warm.take();
-        } else {
+        if !b.schedule.is_empty() {
             let t_copy = mapqn_linalg::budget::now();
             b.chain.warm = a.chain.warm.clone();
             b.chain.timings.setup_ns += t_copy.elapsed().as_nanos() as u64;
-            a.chain.anchor.clone_from(&anchor);
+            b.chain.anchor.clone_from(&anchor);
         }
-        b.chain.anchor = anchor;
-        Ok(())
+        a.chain.anchor = anchor;
     }
 
-    /// `error` as the failure of canonical objective `i`.
-    fn slot_error(&self, i: usize, error: CoreError) -> CoreError {
+    /// `error` as the failure of scheduled step `step`.
+    fn slot_error(&self, (i, sense): Step, error: CoreError) -> CoreError {
         CoreError::ObjectiveSolve {
             population: self.population,
             objective: self.indices[i],
+            sense,
             source: Box::new(error),
         }
     }
@@ -1264,9 +1296,9 @@ fn broke_down(error: &CoreError) -> bool {
 }
 
 impl ChainRun {
-    fn new(sense: Sense, warm: Option<WarmState>) -> Self {
+    fn new(schedule: Vec<Step>, warm: Option<WarmState>) -> Self {
         Self {
-            sense,
+            schedule,
             chain: Chain {
                 warm,
                 ..Chain::default()
@@ -1276,34 +1308,22 @@ impl ChainRun {
         }
     }
 
-    /// Solves the chain's next canonical objective with its slot's seed,
+    /// Solves the chain's next scheduled step with its slot's seed,
     /// recording the solve or the failure.
     fn step(&mut self, job: &ChainJob<'_>) {
-        let i = self.solved.len();
-        let slot = match self.sense {
-            Sense::Minimize => i,
-            Sense::Maximize => job.indices.len() + i,
-        };
-        let seed = job.seeds.get(slot).and_then(Option::as_ref);
-        match self.chain.solve(job.lp, &job.terms[i], self.sense, seed) {
+        let step = self.schedule[self.solved.len()];
+        let seed = job.seeds.get(job.slot(step)).and_then(Option::as_ref);
+        match self.chain.solve(job.lp, &job.terms[step.0], step.1, seed) {
             Ok(solved) => self.solved.push(solved),
-            Err(e) => self.error = Some(job.slot_error(i, e)),
+            Err(e) => self.error = Some(job.slot_error(step, e)),
         }
     }
 
-    /// Solves the chain's remaining objectives in canonical order, stopping
-    /// at the first failure.
+    /// Solves the chain's remaining steps in order, stopping at the first
+    /// failure.
     fn run(&mut self, job: &ChainJob<'_>) {
-        while self.error.is_none() && self.solved.len() < job.indices.len() {
+        while self.error.is_none() && self.solved.len() < self.schedule.len() {
             self.step(job);
-        }
-    }
-
-    /// The chain's solves, or the failure that stopped it.
-    fn into_result(self) -> Result<Vec<Solved>> {
-        match self.error {
-            Some(e) => Err(e),
-            None => Ok(self.solved),
         }
     }
 }

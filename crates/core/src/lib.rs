@@ -119,6 +119,8 @@ pub enum CoreError {
         population: usize,
         /// The performance index whose LP failed.
         objective: bounds::PerformanceIndex,
+        /// The sense that LP was solved in.
+        sense: mapqn_lp::Sense,
         /// The underlying failure.
         source: Box<CoreError>,
     },
@@ -157,10 +159,11 @@ impl std::fmt::Display for CoreError {
             CoreError::ObjectiveSolve {
                 population,
                 objective,
+                sense,
                 source,
             } => write!(
                 f,
-                "solving {objective:?} at population {population} failed: {source}"
+                "solving {objective:?} ({sense:?}) at population {population} failed: {source}"
             ),
             CoreError::Scenario { label, job, source } => {
                 write!(f, "scenario '{label}' (job {job}) failed: {source}")

@@ -1,8 +1,9 @@
 //! Width invariance of the bound solve's two objective chains.
 //!
-//! `bound_all_seeded` runs its minimizations and its maximizations as two
-//! fixed warm-start chains; `BoundOptions::workers` only decides whether
-//! the second chain runs on a second thread. Every test passes the width
+//! `bound_all_seeded` runs its objectives as two fixed warm-start chains,
+//! each a schedule of (objective, sense) steps (on two stations one serial
+//! schedule); `BoundOptions::workers` only decides whether the second
+//! chain runs on a second thread. Every test passes the width
 //! explicitly, so the two-thread path runs on single-core machines too,
 //! and compares the answers bit for bit.
 
@@ -10,10 +11,11 @@ use mapqn_core::bounds::{BoundOptions, PopulationSweep};
 use mapqn_core::random_models::{random_model, RandomModelSpec};
 use mapqn_core::templates::{figure5_network, tpcw_server_tier, TpcwParameters};
 use mapqn_core::{
-    ClosedNetwork, MarginalBoundSolver, NetworkBounds, PlanningAnswer, PlanningRequest,
-    PlanningSession, SessionOptions, WhatIf,
+    ClosedNetwork, CoreError, MarginalBoundSolver, NetworkBounds, PerformanceIndex, PlanningAnswer,
+    PlanningRequest, PlanningSession, SessionOptions, WhatIf,
 };
 use mapqn_faults::FaultSite;
+use mapqn_lp::Sense;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -196,5 +198,79 @@ fn an_armed_fault_runs_the_chains_serially_chain_a_first() {
     assert!(
         a_failed && b_failed && clean,
         "{a_failed} {b_failed} {clean}"
+    );
+}
+
+/// Two stations run one serial schedule that mixes senses: each twin
+/// queue-length objective (min Q0 / max Q1, max Q0 / min Q1) right after
+/// its partner. A single injected failure at a growing ordinal then fails
+/// the scheduled steps one after the other, and the error names the step
+/// that failed: objective and sense, not the canonical slot order.
+#[test]
+fn an_armed_fault_fails_the_two_station_schedule_at_its_scheduled_slot() {
+    use PerformanceIndex::{MeanQueueLength, SystemThroughput, Throughput, Utilization};
+    let network = tpcw_server_tier(&TpcwParameters {
+        browsers: 4,
+        ..TpcwParameters::default()
+    })
+    .unwrap();
+    let (min, max) = (Sense::Minimize, Sense::Maximize);
+    let family = [
+        Throughput(0),
+        Throughput(1),
+        SystemThroughput,
+        Utilization(0),
+        Utilization(1),
+    ];
+    let schedule: Vec<(PerformanceIndex, Sense)> = family
+        .map(|index| (index, min))
+        .into_iter()
+        .chain([(MeanQueueLength(0), min), (MeanQueueLength(1), max)])
+        .chain(family.map(|index| (index, max)))
+        .chain([(MeanQueueLength(0), max), (MeanQueueLength(1), min)])
+        .collect();
+    let faulted = |ordinal: u64, workers: usize| {
+        let _guard = mapqn_faults::arm(FaultSite::LpIterations, ordinal, 1);
+        let mut solver = MarginalBoundSolver::with_options(&network, options(workers)).unwrap();
+        let result = solver.bound_all_seeded(&[]);
+        let failed = match &result {
+            Ok(_) => None,
+            Err(CoreError::ObjectiveSolve {
+                objective, sense, ..
+            }) => Some((*objective, *sense)),
+            Err(e) => panic!("fault at occurrence {ordinal}: unexpected error {e}"),
+        };
+        let record = format!(
+            "{:?} {:?} {:?}",
+            result.as_ref().map(bits).map_err(ToString::to_string),
+            solver.solved_bases(),
+            solver.solve_outcomes()
+        );
+        (failed, solver.stats().revised_solves, record)
+    };
+    let mut last_solves = 0;
+    let mut failed_steps = vec![false; schedule.len()];
+    let mut clean = false;
+    for ordinal in 0..=300 {
+        let serial = faulted(ordinal, 1);
+        assert_eq!(serial, faulted(ordinal, 2), "fault at occurrence {ordinal}");
+        let (failed, solves, _) = serial;
+        assert!(solves >= last_solves, "fault at occurrence {ordinal}");
+        last_solves = solves;
+        match failed {
+            Some(step) => {
+                assert!(!clean, "a failure after a clean solve at {ordinal}");
+                assert_eq!(step, schedule[solves], "fault at occurrence {ordinal}");
+                failed_steps[solves] = true;
+            }
+            None => {
+                assert_eq!(solves, schedule.len());
+                clean = true;
+            }
+        }
+    }
+    assert!(
+        clean && failed_steps.iter().all(|&f| f),
+        "{clean} {failed_steps:?}"
     );
 }

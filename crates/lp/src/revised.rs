@@ -510,6 +510,8 @@ impl RevisedSimplex {
         let mut rho = vec![0.0; self.m];
         let mut y = vec![0.0; self.m];
         let mut d = vec![0.0; self.m];
+        // Entering candidates of one pivot: column, α and reduced cost.
+        let mut candidates: Vec<(usize, f64, f64)> = Vec::new();
         // The violation the polish must clear is the *amplified
         // perturbation* `||B^{-1} delta||`, which reaches 1e-1 on the worst
         // conditioned bases; walking that down can take a fair number of
@@ -569,8 +571,10 @@ impl RevisedSimplex {
             // the columns that absorb this row's violation, largest pivot
             // among near-ties (Harris-style relaxation at the ratio-slack
             // scale). Keeping the ratio minimal is what preserves dual
-            // feasibility, i.e. optimality.
+            // feasibility, i.e. optimality. Each candidate's α and reduced
+            // cost are priced once and kept for the selection pass.
             let mut best_ratio = f64::INFINITY;
+            candidates.clear();
             for (j, &cost) in costs.iter().enumerate().take(self.total_real) {
                 if work.in_basis[j] {
                     continue;
@@ -579,6 +583,7 @@ impl RevisedSimplex {
                 if s * alpha < -PIVOT_TOL {
                     let rc = (cost - self.cols.col_dot(j, &y)).max(0.0);
                     best_ratio = best_ratio.min((rc + RATIO_DELTA) / -(s * alpha));
+                    candidates.push((j, alpha, rc));
                 }
             }
             if best_ratio == f64::INFINITY {
@@ -597,15 +602,7 @@ impl RevisedSimplex {
             }
             let mut entering: Option<usize> = None;
             let mut best_pivot = 0.0f64;
-            for (j, &cost) in costs.iter().enumerate().take(self.total_real) {
-                if work.in_basis[j] {
-                    continue;
-                }
-                let alpha = self.cols.col_dot(j, &rho);
-                if s * alpha >= -PIVOT_TOL {
-                    continue;
-                }
-                let rc = (cost - self.cols.col_dot(j, &y)).max(0.0);
+            for &(j, alpha, rc) in &candidates {
                 if rc / -(s * alpha) <= best_ratio && alpha.abs() > best_pivot.abs() {
                     best_pivot = alpha;
                     entering = Some(j);

@@ -9,7 +9,7 @@
 //! refresh fixed it; these tests pin that every answer comes from the
 //! ladder's direct rung (no degradation) so the corner stays closed.
 
-use mapqn::core::bounds::{BoundOptions, PopulationSweep};
+use mapqn::core::bounds::{BoundOptions, PopulationSweep, Quality};
 use mapqn::core::templates::{tpcw_server_tier, TpcwParameters};
 use mapqn::core::MarginalBoundSolver;
 use mapqn::sim::CacheServerParameters;
@@ -88,4 +88,47 @@ fn scv8_decay06_cold_solve_at_population_7_uses_the_revised_engine() {
     assert!(bounds.system_throughput.lower <= bounds.system_throughput.upper);
     assert!(!bounds.diagnostics.degraded(), "cold corner solve degraded: {}", bounds.diagnostics);
     assert!(solver.stats().revised_solves > 0);
+}
+
+/// On two stations `Q0 + Q1 = N` in every state, so min Q0 / max Q1 and
+/// max Q0 / min Q1 share their optimal vertices. Cold `bound_all` solves
+/// each twin right after its partner, which pins three things on the
+/// default server tier at N = 3..=12: the total pivot count (830 when all
+/// minimizations ran before all maximizations, 447 with the twins
+/// adjacent), direct-rung `Certified` answers, and twin endpoints that are
+/// complementary up to their widening slacks.
+#[test]
+fn cold_bound_all_solves_each_twin_queue_objective_next_to_its_partner() {
+    let tier = tpcw_server_tier(&TpcwParameters::default()).unwrap();
+    let tolerance = BoundOptions::default().simplex.tolerance;
+    let mut pivots = 0;
+    for n in 3..=12 {
+        let network = tier.with_population(n).unwrap();
+        let mut solver = MarginalBoundSolver::new(&network).unwrap();
+        let bounds = solver.bound_all().unwrap();
+        assert_eq!(bounds.quality, Quality::Certified, "N={n}");
+        assert!(
+            !bounds.diagnostics.degraded(),
+            "N={n}: {}",
+            bounds.diagnostics
+        );
+        let timings = solver.timings();
+        pivots += timings.primal_pivots + timings.dual_pivots;
+
+        // The slack `bound_all` widens an endpoint by.
+        let margin = tolerance * 10.0 * solver.num_variables() as f64;
+        let slack = |value: f64| margin * (1.0 + value.abs());
+        let [q0, q1] = [bounds.mean_queue_length[0], bounds.mean_queue_length[1]];
+        let population = n as f64;
+        for (residual, first, second) in [
+            (q0.upper + q1.lower - population, q0.upper, q1.lower),
+            (population - q0.lower - q1.upper, q0.lower, q1.upper),
+        ] {
+            assert!(
+                residual.abs() <= slack(first) + slack(second),
+                "N={n}: twin residual {residual:.3e} beyond the slacks {q0:?} {q1:?}"
+            );
+        }
+    }
+    assert!(pivots <= 500, "{pivots} pivots over N = 3..=12");
 }
