@@ -6,8 +6,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mapqn_core::bounds::BoundOptions;
 use mapqn_core::statespace::build_state_space;
 use mapqn_core::templates::{figure5_network, tpcw_network, tpcw_server_tier, TpcwParameters};
-use mapqn_core::MarginalBoundSolver;
-use mapqn_linalg::{CsrGenerator, GeneratorOp};
+use mapqn_core::{FactoredGenerator, MarginalBoundSolver};
+use mapqn_linalg::{CsrGenerator, GeneratorOp, LevelFlows};
 use mapqn_lp::{LpProblem, RevisedSimplex, Sense, SimplexEngine, SimplexOptions};
 use mapqn_markov::{stationary_dense_gth, stationary_sparse, SparseSteadyOptions};
 use mapqn_stochastic::{fit_map2, Map2FitSpec};
@@ -46,17 +46,15 @@ fn bench_kernels(c: &mut Criterion) {
     // One Gauss–Seidel relaxation sweep of the materialized operator over
     // TPC-W's `Qᵀ` at N = 60 (3,782 states, one row block at the engine's
     // default block length): the kernel behind the `ctmc_exact` median.
-    let tpcw_space = build_state_space(
-        &tpcw_network(&TpcwParameters {
-            browsers: 60,
-            ..TpcwParameters::default()
-        })
-        .unwrap(),
-        1_000_000,
-    )
+    let tpcw = tpcw_network(&TpcwParameters {
+        browsers: 60,
+        ..TpcwParameters::default()
+    })
     .unwrap();
+    let tpcw_space = build_state_space(&tpcw, 1_000_000).unwrap();
     let tpcw_qt = tpcw_space.ctmc().generator().transpose();
     let tpcw_op = CsrGenerator::new(&tpcw_qt, tpcw_space.ctmc().levels()).unwrap();
+    let tpcw_factored = FactoredGenerator::new(&tpcw, 1_000_000).unwrap();
     let states = tpcw_op.num_states();
     let mut exit = vec![0.0; states];
     tpcw_op.diagonal_rows_into(0, &mut exit);
@@ -74,6 +72,30 @@ fn bench_kernels(c: &mut Criterion) {
             black_box(&x_new);
         })
     });
+    // The same sweep over rows the factored operator synthesizes from its
+    // per-phase-rank tables (the same chain in the same order).
+    group.bench_function("factored_relax_sweep", |b| {
+        b.iter(|| {
+            for (c, chunk) in x_new.chunks_mut(block_len).enumerate() {
+                tpcw_factored.relax_rows_into(c * block_len, black_box(&x_old), &exit, chunk);
+            }
+            black_box(&x_new);
+        })
+    });
+    // One residual check's scan: the products `xQ` and, in the same pass,
+    // the level flows of the coarse step (one coarse block at this size).
+    let mut flows = LevelFlows::default();
+    for (name, op) in [
+        ("check_scan_csr", &tpcw_op as &dyn GeneratorOp),
+        ("check_scan_factored", &tpcw_factored),
+    ] {
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                op.left_apply_rows_into(0, black_box(&x_old), &mut x_new, Some(&mut flows));
+                black_box((&x_new, &flows));
+            })
+        });
+    }
     group.sample_size(10);
     group.bench_function("map2_fit", |b| {
         b.iter(|| fit_map2(black_box(&Map2FitSpec::new(1.0, 8.0, 0.6).with_skewness(6.0))).unwrap())

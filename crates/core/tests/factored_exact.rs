@@ -56,7 +56,7 @@ fn factored_gauss_seidel_is_bitwise_worker_count_invariant() {
     .unwrap();
     let op = FactoredGenerator::new(&net, 100_000).unwrap();
     assert!(
-        op.aggregate_rows_into(0, &[], &mut [], &mut LevelFlows::default()),
+        op.left_apply_rows_into(0, &[], &mut [], Some(&mut LevelFlows::default())),
         "the TPC-W generator must carry levels"
     );
     let base = SparseSteadyOptions {

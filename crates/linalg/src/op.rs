@@ -2,9 +2,10 @@
 //!
 //! The sparse stationary engine in `mapqn-markov` only ever touches the
 //! generator through these operations: row-block left products (`π ↦ πQ`
-//! computed as row scans of `Qᵀ`), row-block Gauss–Seidel relaxations,
-//! row-block level aggregation, diagonal extraction (per-state exit rates),
-//! and nnz/memory accounting for its worker-count and routing decisions. [`GeneratorOp`] captures
+//! computed as row scans of `Qᵀ`, with the level flows of the same scan
+//! when the operator has levels), row-block Gauss–Seidel relaxations,
+//! diagonal extraction (per-state exit rates), and nnz/memory accounting
+//! for its worker-count and routing decisions. [`GeneratorOp`] captures
 //! exactly that contract, so every rung of the engine's ladder runs over
 //! *any* representation of `Q`:
 //!
@@ -25,12 +26,12 @@
 //! apply.
 //!
 //! A representation may also partition its states into *aggregation
-//! levels* for the engine's coarse aggregation/disaggregation step:
-//! [`GeneratorOp::aggregate_rows_into`] scans a row block once and reports
-//! each row's level plus the [`LevelFlows`] between levels. The default
-//! means "no levels"; a [`CsrGenerator`] built with a level array scans its
-//! stored rows, and the factored network generator reads levels off its row
-//! cursor.
+//! levels* for the engine's coarse aggregation/disaggregation step. Handed
+//! a [`LevelFlows`], [`GeneratorOp::left_apply_rows_into`] also reports each
+//! row's level and the flows between levels from the same scan, so a
+//! residual check and the coarse step share one pass; a [`CsrGenerator`]
+//! built with a level array reads them off its stored rows, and the
+//! factored network generator off its row walk.
 
 use crate::sparse::CsrMatrix;
 use crate::{LinalgError, Result};
@@ -49,11 +50,24 @@ pub trait GeneratorOp: Sync {
     fn num_states(&self) -> usize;
 
     /// Computes `out[k] = (x Q)[start + k]` for `k < out.len()` — the
-    /// row block `start .. start + out.len()` of `Qᵀ x`.
+    /// row block `start .. start + out.len()` of `Qᵀ x`. When `flows` is
+    /// given and the operator carries aggregation levels, the same scan
+    /// also overwrites `flows` with each row's level and the level-to-level
+    /// flows `x_i · Q[i, j]` of every transition `i → j` into those rows
+    /// (see [`LevelFlows`]). Returns whether the operator carries levels;
+    /// without them `flows` is left untouched.
     ///
     /// Each output element must depend only on `x` and its own row, so
-    /// chunked evaluation is bitwise identical at any chunk assignment.
-    fn left_apply_rows_into(&self, start: usize, x: &[f64], out: &mut [f64]);
+    /// chunked evaluation is bitwise identical at any chunk assignment, and
+    /// each block adds its flows in row order, so a fixed block partition
+    /// gives the same sums at any worker count.
+    fn left_apply_rows_into(
+        &self,
+        start: usize,
+        x: &[f64],
+        out: &mut [f64],
+        flows: Option<&mut LevelFlows>,
+    ) -> bool;
 
     /// Extracts the diagonal block `out[k] = Q[start + k, start + k]`
     /// (state `i`'s exit rate is `-Q[i, i]`).
@@ -79,49 +93,35 @@ pub trait GeneratorOp: Sync {
     /// `x_old`. Each block reads only `x_old` and its own output, so
     /// chunked evaluation is bitwise identical at any chunk assignment.
     fn relax_rows_into(&self, start: usize, x_old: &[f64], exit: &[f64], out: &mut [f64]);
-
-    /// Aggregation levels for the engine's coarse step, over the rows
-    /// `start .. start + levels.len()`: writes each row's level into
-    /// `levels` and overwrites `flows` with the level-to-level flows
-    /// `x_i · Q[i, j]` of every transition `i → j` into those rows whose
-    /// end points lie on different levels. Returns `false` — the default —
-    /// when the generator carries no levels; `levels` and `flows` are then
-    /// left untouched.
-    ///
-    /// Each block reads only `x` and its own rows and adds its flows in row
-    /// order, so a fixed block partition gives the same sums at any worker
-    /// count.
-    fn aggregate_rows_into(
-        &self,
-        _start: usize,
-        _x: &[f64],
-        _levels: &mut [u32],
-        _flows: &mut LevelFlows,
-    ) -> bool {
-        false
-    }
 }
 
-/// Level-to-level flows `F[L][L']` of a generator whose states are
-/// partitioned into `count` levels, with no transition spanning more than
-/// `half_band` levels: a banded `count × count` matrix stored row by row,
-/// `2·half_band + 1` entries per row. The diagonal is unused (flows inside
-/// a level do not move mass between levels).
+/// One row block's coarse scan: the level of each row, and the
+/// level-to-level flows `F[L][L']` into those rows of a generator whose
+/// states are partitioned into `count` levels, with no transition spanning
+/// more than `half_band` levels — a banded `count × count` matrix stored
+/// row by row, `2·half_band + 1` entries per row. The diagonal slot
+/// `F[L][L]` is scratch: a scan may add the flows inside a level there (so
+/// that it needs no per-entry test), and the coarse solve never reads it.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct LevelFlows {
     count: usize,
     half_band: usize,
     band: Vec<f64>,
+    /// The level of each scanned row, in row order.
+    pub levels: Vec<u32>,
 }
 
 impl LevelFlows {
-    /// Resizes to `count` levels of half-bandwidth `half_band` and zeroes
-    /// every flow, reusing the allocation.
-    pub fn reset(&mut self, count: usize, half_band: usize) {
+    /// Resizes to `count` levels of half-bandwidth `half_band` for a scan
+    /// of `rows` rows, and zeroes every flow and row level, reusing the
+    /// allocations.
+    pub fn reset(&mut self, count: usize, half_band: usize, rows: usize) {
         self.count = count;
         self.half_band = half_band;
         self.band.clear();
         self.band.resize(count * (2 * half_band + 1), 0.0);
+        self.levels.clear();
+        self.levels.resize(rows, 0);
     }
 
     /// Number of levels.
@@ -166,7 +166,8 @@ impl LevelFlows {
         self.band[k] = flow;
     }
 
-    /// Adds `other`'s flows entry by entry; both must have the same shape.
+    /// Adds `other`'s flows entry by entry (not its row levels); both must
+    /// have the same shape.
     ///
     /// # Panics
     /// Panics if the shapes differ.
@@ -198,6 +199,9 @@ pub struct CsrGenerator<'a> {
     /// past the row: the diagonal when one is stored.
     diag: Vec<usize>,
     levels: Option<&'a [u32]>,
+    /// Per stored entry `Qᵀ[j, i]`, the band slot of its flow
+    /// `F[level i][level j]` (empty without levels).
+    slots: Vec<u32>,
     count: usize,
     half_band: usize,
 }
@@ -210,7 +214,7 @@ impl<'a> CsrGenerator<'a> {
     ///
     /// # Errors
     /// Returns [`LinalgError::InvalidArgument`] when `levels` does not hold
-    /// one entry per state.
+    /// one entry per state, or their band has more slots than `u32` counts.
     pub fn new(qt: &'a CsrMatrix, levels: Option<&'a [u32]>) -> Result<Self> {
         let n = qt.nrows();
         if levels.is_some_and(|levels| levels.len() != n) {
@@ -235,10 +239,22 @@ impl<'a> CsrGenerator<'a> {
         let count = levels
             .and_then(|l| l.iter().max())
             .map_or(0, |&l| l as usize + 1);
+        // Each stored entry's band slot, so that a scan with flows looks up
+        // no level.
+        let shape = LevelFlows { count, half_band, ..LevelFlows::default() };
+        let slots = match levels {
+            Some(levels) => (0..n)
+                .flat_map(|j| ci[rp[j]..rp[j + 1]].iter().map(move |&i| (i, j)))
+                .map(|(i, j)| u32::try_from(shape.slot(levels[i] as usize, levels[j] as usize)))
+                .collect::<std::result::Result<_, _>>()
+                .map_err(|_| LinalgError::InvalidArgument("CsrGenerator: level band too wide"))?,
+            None => Vec::new(),
+        };
         Ok(Self {
             qt,
             diag,
             levels,
+            slots,
             count,
             half_band,
         })
@@ -258,8 +274,35 @@ impl GeneratorOp for CsrGenerator<'_> {
         self.qt.nrows()
     }
 
-    fn left_apply_rows_into(&self, start: usize, x: &[f64], out: &mut [f64]) {
-        self.qt.matvec_rows_into(start, x, out);
+    fn left_apply_rows_into(
+        &self,
+        start: usize,
+        x: &[f64],
+        out: &mut [f64],
+        flows: Option<&mut LevelFlows>,
+    ) -> bool {
+        let Some((state_levels, flows)) = self.levels.zip(flows) else {
+            self.qt.matvec_rows_into(start, x, out);
+            return self.levels.is_some();
+        };
+        flows.reset(self.count, self.half_band, out.len());
+        let rp = self.qt.row_ptr();
+        let ci = self.qt.col_indices();
+        let vals = self.qt.values();
+        for (bi, y) in out.iter_mut().enumerate() {
+            let j = start + bi;
+            flows.levels[bi] = state_levels[j];
+            let row = rp[j]..rp[j + 1];
+            let entries = ci[row.clone()].iter().zip(&vals[row.clone()]).zip(&self.slots[row]);
+            let mut s = 0.0;
+            for ((&i, &v), &slot) in entries {
+                let flow = v * x[i];
+                s += flow;
+                flows.band[slot as usize] += flow;
+            }
+            *y = s;
+        }
+        true
     }
 
     fn diagonal_rows_into(&self, start: usize, out: &mut [f64]) {
@@ -281,6 +324,7 @@ impl GeneratorOp for CsrGenerator<'_> {
     fn memory_bytes(&self) -> usize {
         self.qt.memory_bytes()
             + std::mem::size_of_val(self.diag.as_slice())
+            + std::mem::size_of_val(self.slots.as_slice())
             + self.levels.map_or(0, std::mem::size_of_val)
     }
 
@@ -306,34 +350,6 @@ impl GeneratorOp for CsrGenerator<'_> {
             }
             out[bi] = s / exit[i];
         }
-    }
-
-    fn aggregate_rows_into(
-        &self,
-        start: usize,
-        x: &[f64],
-        levels: &mut [u32],
-        flows: &mut LevelFlows,
-    ) -> bool {
-        let Some(state_levels) = self.levels else {
-            return false;
-        };
-        flows.reset(self.count, self.half_band);
-        let rp = self.qt.row_ptr();
-        let ci = self.qt.col_indices();
-        let vals = self.qt.values();
-        for (bi, level) in levels.iter_mut().enumerate() {
-            let j = start + bi;
-            *level = state_levels[j];
-            let to = state_levels[j] as usize;
-            for (&i, &q) in ci[rp[j]..rp[j + 1]].iter().zip(&vals[rp[j]..rp[j + 1]]) {
-                let from = state_levels[i] as usize;
-                if from != to {
-                    flows.add(from, to, q * x[i]);
-                }
-            }
-        }
-        true
     }
 }
 
@@ -387,7 +403,7 @@ mod tests {
             CsrGenerator::new(&qt, Some(&levels)).unwrap(),
         ] {
             let mut serial = vec![0.0; n];
-            op.left_apply_rows_into(0, &x, &mut serial);
+            op.left_apply_rows_into(0, &x, &mut serial, None);
 
             for workers in [1usize, 2, 4, 7] {
                 for chunk_len in [1usize, 5, 16] {
@@ -395,7 +411,9 @@ mod tests {
                     mapqn_par::WorkPool::new(workers).for_each_chunk(
                         &mut out,
                         chunk_len,
-                        |start, chunk| op.left_apply_rows_into(start, &x, chunk),
+                        |start, chunk| {
+                            op.left_apply_rows_into(start, &x, chunk, None);
+                        },
                     );
                     assert_eq!(
                         serial, out,
@@ -428,7 +446,7 @@ mod tests {
 
         let x = [0.2, 0.3, 0.5];
         let mut via_op = vec![0.0; 3];
-        op.left_apply_rows_into(0, &x, &mut via_op);
+        assert!(!op.left_apply_rows_into(0, &x, &mut via_op, None));
         let mut direct = vec![0.0; 3];
         qt.matvec_rows_into(0, &x, &mut direct);
         assert_eq!(via_op, direct);
@@ -531,33 +549,45 @@ mod tests {
         let qt = CsrMatrix::from_triplets(n, n, &full).unwrap().transpose();
         let levels = [0u32, 0, 1, 1, 2, 2];
         let op = CsrGenerator::new(&qt, Some(&levels)).unwrap();
+        let plain = CsrGenerator::new(&qt, None).unwrap();
 
+        // The scan with flows writes the plain matvec's bits and, in row
+        // order, the flows a per-entry walk of the stored rows adds.
         let x: Vec<f64> = probe_vector(n, 8).iter().map(|v| v + 1.0).collect();
-        let mut got_levels = [9u32; 4];
+        let mut fused = vec![0.0; 4];
         let mut flows = LevelFlows::default();
-        assert!(op.aggregate_rows_into(2, &x, &mut got_levels, &mut flows));
-        assert_eq!(got_levels, [1, 1, 2, 2]);
+        assert!(op.left_apply_rows_into(2, &x, &mut fused, Some(&mut flows)));
+        let mut product = vec![0.0; 4];
+        assert!(!plain.left_apply_rows_into(2, &x, &mut product, None));
+        assert_eq!(fused, product);
+        assert_eq!(flows.levels, [1, 1, 2, 2]);
         // Level 2 → 0 wraps around the ring: the band spans every level.
         assert_eq!((flows.count(), flows.half_band()), (3, 2));
-        let mut expected = [[0.0; 3]; 3];
-        for &(i, j, q) in &full {
-            let (from, to) = (levels[i] as usize, levels[j] as usize);
-            if (2..6).contains(&j) && from != to {
-                expected[from][to] += x[i] * q;
+        let mut expected = LevelFlows::default();
+        expected.reset(3, 2, 0);
+        for j in 2..6 {
+            for (i, q) in qt.row_iter(j) {
+                let (from, to) = (levels[i] as usize, levels[j] as usize);
+                if from != to {
+                    expected.add(from, to, q * x[i]);
+                }
             }
         }
-        for (from, row) in expected.iter().enumerate() {
-            for (to, &e) in row.iter().enumerate() {
-                assert!((flows.get(from, to) - e).abs() <= 1e-14, "{from} -> {to}");
+        for from in 0..3 {
+            for to in (0..3).filter(|&to| to != from) {
+                assert_eq!(
+                    flows.get(from, to).to_bits(),
+                    expected.get(from, to).to_bits(),
+                    "{from} -> {to}"
+                );
             }
         }
 
         // Every other operation is the level-less operator's, bit for bit.
-        let plain = CsrGenerator::new(&qt, None).unwrap();
         let mut a = vec![0.0; n];
         let mut b = vec![0.0; n];
-        op.left_apply_rows_into(0, &x, &mut a);
-        plain.left_apply_rows_into(0, &x, &mut b);
+        assert!(op.left_apply_rows_into(0, &x, &mut a, None));
+        plain.left_apply_rows_into(0, &x, &mut b, None);
         assert_eq!(a, b);
         let mut exit = vec![0.0; n];
         plain.diagonal_rows_into(0, &mut exit);
@@ -567,17 +597,18 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(op.nnz(), plain.nnz());
 
-        // Without levels the operator says so and leaves the output alone.
+        // Without levels the operator says so and leaves the flows alone.
         let mut untouched = LevelFlows::default();
-        assert!(!plain.aggregate_rows_into(0, &x, &mut got_levels, &mut untouched));
+        assert!(!plain.left_apply_rows_into(0, &x, &mut b, Some(&mut untouched)));
         assert_eq!(untouched, LevelFlows::default());
-        assert_eq!(got_levels, [1, 1, 2, 2]);
     }
 
     #[test]
     fn level_flows_band_storage() {
         let mut f = LevelFlows::default();
-        f.reset(5, 1);
+        f.reset(5, 1, 3);
+        f.levels[2] = 4;
+        assert_eq!(f.levels, [0, 0, 4]);
         f.add(0, 1, 2.0);
         f.add(4, 3, 0.5);
         f.add(4, 3, 0.25);
@@ -588,8 +619,8 @@ mod tests {
         let mut g = f.clone();
         g.add_assign(&f);
         assert_eq!(g.get(4, 3), 1.5);
-        f.reset(5, 1);
-        assert_eq!(f.get(0, 1), 0.0);
+        f.reset(5, 1, 0);
+        assert_eq!((f.get(0, 1), f.levels.len()), (0.0, 0));
     }
 
     #[test]
@@ -599,5 +630,9 @@ mod tests {
         assert!(CsrGenerator::new(&qt, Some(&levels[..5])).is_err());
         assert!(CsrGenerator::new(&qt, Some(&levels)).is_err());
         assert!(CsrGenerator::new(&qt, Some(&levels[..6])).is_ok());
+        // Neighbouring states two billion levels apart: the band has more
+        // slots than `u32` counts.
+        let wide = [0u32, 1 << 31, 0, 0, 0, 0];
+        assert!(CsrGenerator::new(&qt, Some(&wide)).is_err());
     }
 }

@@ -10,9 +10,9 @@
 //!
 //! * the engine sees the generator only through the
 //!   [`mapqn_linalg::GeneratorOp`] operator trait — row-block left products
-//!   (every left operation `π ↦ πQ` is a row scan of `Q^T`), row-block
-//!   Gauss–Seidel relaxations, diagonal extraction and nnz accounting. Two
-//!   representations drive it:
+//!   (every left operation `π ↦ πQ` is a row scan of `Q^T`, which can also
+//!   accumulate level flows), row-block Gauss–Seidel relaxations, diagonal
+//!   extraction and nnz accounting. Two representations drive it:
 //!   the **materialized** [`mapqn_linalg::CsrGenerator`] over a transposed
 //!   CSR (the network chain's `Qᵀ`, which `mapqn-core` assembles directly
 //!   and hands to [`stationary_sparse_op`]; [`stationary_sparse`]
@@ -32,13 +32,12 @@
 //!   [`mapqn_linalg::GeneratorOp::relax_rows_into`] call per row block,
 //!   which an implicit operator answers by synthesizing its rows of `Q^T`
 //!   in index order, exactly as its matvec does;
-//! * on an operator whose states carry **aggregation levels**
-//!   ([`mapqn_linalg::GeneratorOp::aggregate_rows_into`]: a
+//! * on an operator whose states carry **aggregation levels** (a
 //!   [`Ctmc::with_levels`] chain, or the factored network generator in
 //!   `mapqn-core`), every unconverged residual check of the Gauss–Seidel
 //!   rung runs one two-level aggregation/disaggregation step (Koury,
-//!   McAllister & Stewart 1984): one scan accumulates the level-to-level
-//!   flows of the current iterate, a GTH elimination inside the band
+//!   McAllister & Stewart 1984): the check's residual scan also yields the
+//!   iterate's level-to-level flows, a GTH elimination inside the band
 //!   solves the coarse chain, and each level is rescaled to its coarse
 //!   probability. Network levels are `n_b · P + c` (bottleneck queue
 //!   length, joint phase code), so the coarse chain is banded with
@@ -120,9 +119,10 @@ pub struct SparseSteadyOptions {
     pub tolerance: f64,
     /// Maximum number of sweeps per preconditioner attempt.
     pub max_sweeps: usize,
-    /// How many sweeps between residual evaluations (each check costs one
-    /// extra sparse matvec, plus one coarse scan and banded solve on the
-    /// Gauss–Seidel rung of an operator with aggregation levels).
+    /// How many sweeps between residual evaluations. A check scans the
+    /// generator once for the residual and, on the Gauss–Seidel rung of a
+    /// leveled operator, the coarse step's flows (about 1.4 sweeps' cost on
+    /// TPC-W N = 60), then solves and rescales the coarse chain.
     pub check_every: usize,
     /// Row-block length for the parallel sweeps. Fixed independently of the
     /// worker count so results are worker-count invariant.
@@ -181,24 +181,6 @@ pub struct SparseSteadyReport {
     pub used: SparsePreconditioner,
 }
 
-/// `out = x^T A` computed as row scans of `A^T`, parallel over row blocks of
-/// the operator. Every output element is written by exactly one block, so
-/// the result is bitwise independent of the worker count — for materialized
-/// *and* implicit representations alike, because each output entry of a
-/// [`GeneratorOp::left_apply_rows_into`] block depends only on `x` and its
-/// own row.
-fn par_left_apply<O: GeneratorOp + ?Sized>(
-    pool: &ScopedPool<'_>,
-    op: &O,
-    block_len: usize,
-    x: &[f64],
-    out: &mut [f64],
-) {
-    pool.for_each_chunk(out, block_len, |start, chunk| {
-        op.left_apply_rows_into(start, x, chunk);
-    });
-}
-
 /// The worker count a solve should use, from the requested width and the
 /// per-round work: rounds below the work threshold stay serial (the
 /// handshake would be a measurable fraction of the round), everything else
@@ -232,10 +214,25 @@ struct Kernel<'a, O: GeneratorOp + ?Sized> {
 }
 
 impl<O: GeneratorOp + ?Sized> Kernel<'_, O> {
+    /// `out = x^T Q` computed as row scans of `Q^T`, parallel over row
+    /// blocks of the operator. Every output element is written by exactly
+    /// one block, so the result is bitwise independent of the worker count —
+    /// for materialized *and* implicit representations alike, because each
+    /// output entry of a [`GeneratorOp::left_apply_rows_into`] block depends
+    /// only on `x` and its own row.
+    fn apply(&self, x: &[f64], out: &mut [f64]) {
+        self.pool.for_each_chunk(out, self.block_len, |start, chunk| {
+            self.op.left_apply_rows_into(start, x, chunk, None);
+        });
+    }
+
     /// Residual `‖xQ‖_∞` of a candidate vector, using `scratch` as the
-    /// product buffer.
-    fn residual(&self, x: &[f64], scratch: &mut [f64]) -> f64 {
-        par_left_apply(self.pool, self.op, self.block_len, x, scratch);
+    /// product buffer; with `coarse` the scan also records `x`'s flows.
+    fn residual(&self, x: &[f64], scratch: &mut [f64], coarse: Option<&mut Coarse>) -> f64 {
+        match coarse {
+            Some(coarse) => coarse.scan(self, x, scratch),
+            None => self.apply(x, scratch),
+        }
         scratch.iter().fold(0.0_f64, |m, r| m.max(r.abs()))
     }
 
@@ -264,7 +261,7 @@ impl<O: GeneratorOp + ?Sized> Kernel<'_, O> {
                 *zi = w_old[i] / (exit[i] * (1.0 + margin));
             }
         });
-        par_left_apply(self.pool, self.op, self.block_len, z, w_new);
+        self.apply(z, w_new);
         self.pool.for_each_chunk(w_new, self.block_len, |start, chunk| {
             for (bi, wi) in chunk.iter_mut().enumerate() {
                 *wi += w_old[start + bi];
@@ -287,7 +284,7 @@ impl<O: GeneratorOp + ?Sized> Kernel<'_, O> {
 
     /// One globally uniformized power step `x ← x (I + Q/q)`.
     fn uniformized_power_step(&self, q: f64, x_old: &[f64], x_new: &mut [f64]) {
-        par_left_apply(self.pool, self.op, self.block_len, x_old, x_new);
+        self.apply(x_old, x_new);
         self.pool.for_each_chunk(x_new, self.block_len, |start, chunk| {
             for (bi, xi) in chunk.iter_mut().enumerate() {
                 *xi = x_old[start + bi] + *xi / q;
@@ -313,12 +310,6 @@ const COARSE_STALL_CHECKS: usize = 8;
 /// on the first check at all.
 const COARSE_CYCLE_CHECKS: usize = 4 * COARSE_STALL_CHECKS;
 
-/// One row block of a coarse scan: its rows' levels and its level flows.
-struct CoarseBlock {
-    levels: Vec<u32>,
-    flows: LevelFlows,
-}
-
 /// The two-level aggregation/disaggregation step of the Gauss–Seidel rung
 /// (Koury, McAllister & Stewart 1984): aggregate the iterate over the
 /// operator's levels into a banded coarse generator, solve it exactly, and
@@ -330,66 +321,59 @@ struct Coarse {
     /// Rows per coarse block, fixed by the chain size and the sweep block
     /// length — never by the worker count.
     block_len: usize,
-    blocks: Vec<CoarseBlock>,
-    /// The blocks' flows summed in block order.
-    total: LevelFlows,
+    /// Each block's row levels and level flows from the last scan.
+    blocks: Vec<LevelFlows>,
     /// Per-level rescaling factors `ξ_L / π(L)` of the last step.
     factors: Vec<f64>,
 }
 
 impl Coarse {
-    /// The coarse step for `op`, or `None` when the operator has no levels.
-    fn new<O: GeneratorOp + ?Sized>(op: &O, options: &SparseSteadyOptions) -> Option<Self> {
-        let n = op.num_states();
-        let mut total = LevelFlows::default();
-        if !op.aggregate_rows_into(0, &[], &mut [], &mut total) {
+    /// The coarse step for the kernel's operator, or `None` when the
+    /// operator has no levels.
+    fn new<O: GeneratorOp + ?Sized>(kernel: &Kernel<'_, O>) -> Option<Self> {
+        let (n, mut probe) = (kernel.exit.len(), LevelFlows::default());
+        // An empty row block only asks the operator whether it has levels.
+        if !kernel.op.left_apply_rows_into(0, &kernel.exit, &mut [], Some(&mut probe)) {
             return None;
         }
-        let block_len = options.block_len.max(1).max(n.div_ceil(MAX_COARSE_BLOCKS));
-        let blocks = (0..n)
-            .step_by(block_len)
-            .map(|start| CoarseBlock {
-                levels: vec![0; block_len.min(n - start)],
-                flows: LevelFlows::default(),
-            })
-            .collect();
+        let block_len = kernel.block_len.max(n.div_ceil(MAX_COARSE_BLOCKS));
         Some(Self {
             block_len,
-            blocks,
-            total,
+            blocks: vec![LevelFlows::default(); n.div_ceil(block_len)],
             factors: Vec::new(),
         })
     }
 
-    /// Aggregates `x`, solves the coarse chain and rescales `x` level by
-    /// level, then renormalizes it. Leaves `x` as it is when the coarse
-    /// chain has no usable solution (a live level that cannot reach the
-    /// rest).
-    fn step<O: GeneratorOp + ?Sized>(&mut self, kernel: &Kernel<'_, O>, x: &mut [f64]) {
+    /// Writes `xq = xQ`, cut at the coarse blocks, and records each
+    /// block's level flows of `x`.
+    fn scan<O: GeneratorOp + ?Sized>(&mut self, kernel: &Kernel<'_, O>, x: &[f64], xq: &mut [f64]) {
         let block_len = self.block_len;
-        {
-            let x: &[f64] = x;
-            kernel.pool.for_each_chunk(&mut self.blocks, 1, |b, block| {
-                let block = &mut block[0];
-                kernel.op.aggregate_rows_into(
-                    b * block_len,
-                    x,
-                    &mut block.levels,
-                    &mut block.flows,
-                );
-            });
-        }
+        let mut jobs: Vec<_> = xq.chunks_mut(block_len).zip(&mut self.blocks).collect();
+        kernel.pool.for_each_chunk(&mut jobs, 1, |b, job| {
+            let (out, flows) = &mut job[0];
+            kernel.op.left_apply_rows_into(b * block_len, x, out, Some(flows));
+        });
+    }
+
+    /// Solves the coarse chain of the last scan's flows and rescales `x`
+    /// (the scanned iterate) level by level, then renormalizes it. Leaves
+    /// `x` as it is when the coarse chain has no usable solution (a live
+    /// level that cannot reach the rest).
+    fn step(&mut self, pool: &ScopedPool<'_>, x: &mut [f64]) {
         // Summed serially in block order: the same bits at any worker count.
-        self.total.clone_from(&self.blocks[0].flows);
-        for block in &self.blocks[1..] {
-            self.total.add_assign(&block.flows);
+        let Some((total, rest)) = self.blocks.split_first_mut() else {
+            return;
+        };
+        for block in rest.iter() {
+            total.add_assign(block);
         }
-        if !banded_gth(&mut self.total, &mut self.factors) {
+        if !banded_gth(total, &mut self.factors) {
             return;
         }
+        let block_len = self.block_len;
         let blocks = &self.blocks;
         let factors = &self.factors;
-        kernel.pool.for_each_chunk(x, block_len, |start, chunk| {
+        pool.for_each_chunk(x, block_len, |start, chunk| {
             for (v, &level) in chunk.iter_mut().zip(&blocks[start / block_len].levels) {
                 *v *= factors[level as usize];
             }
@@ -597,7 +581,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         Power => &[Power],
     };
 
-    let mut coarse = Coarse::new(kernel.op, options);
+    let mut coarse = Coarse::new(&kernel);
     let mut total_sweeps = 0usize;
     let mut last_residual = f64::INFINITY;
     // Budget work counter: one unit per state relaxation, i.e. `n` per sweep.
@@ -619,7 +603,6 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         let mut x_next = vec![0.0_f64; n];
         let mut scratch = vec![0.0_f64; n];
         let mut candidate = vec![0.0_f64; n];
-        let mut candidate_try = vec![0.0_f64; n];
         let mut x_prev = vec![0.0_f64; n];
         // Damping margin for the adaptive-uniformization (Jacobi) path; it
         // doubles whenever the residual history oscillates, trading step
@@ -659,18 +642,6 @@ fn solve_on<O: GeneratorOp + ?Sized>(
         let mut growth_streak = 0usize;
         let mut streak_start = f64::NAN;
 
-        // Converts an iterate into a probability candidate and measures its
-        // residual (the Jacobi path iterates in `w = π D` space).
-        let measure = |x_vec: &[f64], cand: &mut [f64], scratch: &mut [f64]| -> f64 {
-            if engine == SparsePreconditioner::Jacobi {
-                kernel.jacobi_candidate(x_vec, cand);
-            } else {
-                cand.copy_from_slice(x_vec);
-                normalize(cand);
-            }
-            kernel.residual(cand, scratch)
-        };
-
         for sweep in 1..=attempt_budget {
             match engine {
                 SparsePreconditioner::GaussSeidel => {
@@ -701,7 +672,14 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 // Sweeps are linear in the iterate, so its scale only needs
                 // fixing where a check, Aitken or the coarse step reads it.
                 normalize(&mut x);
-                let mut residual = measure(&x, &mut candidate, &mut scratch);
+                // The Jacobi rung iterates in `w = π D` space; the others'
+                // iterate is the candidate, whose scan also yields the flows.
+                let mut residual = if engine == SparsePreconditioner::Jacobi {
+                    kernel.jacobi_candidate(&x, &mut candidate);
+                    kernel.residual(&candidate, &mut scratch, None)
+                } else {
+                    kernel.residual(&x, &mut scratch, coarse.as_mut().filter(|_| aggregate))
+                };
                 last_residual = residual;
                 if sparse_debug() {
                     eprintln!(
@@ -754,11 +732,12 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                                 }
                             });
                         normalize(&mut x_next);
-                        let residual_try =
-                            measure(&x_next, &mut candidate_try, &mut scratch);
+                        // Most jumps are kept, so the try's scan records
+                        // the flows the coarse step will need.
+                        let flows = coarse.as_mut().filter(|_| aggregate);
+                        let residual_try = kernel.residual(&x_next, &mut scratch, flows);
                         if residual_try.is_finite() && residual_try < residual {
                             std::mem::swap(&mut x, &mut x_next);
-                            candidate.copy_from_slice(&candidate_try);
                             residual = residual_try;
                             last_residual = residual;
                             // The jump invalidates the ratio history; watch
@@ -767,6 +746,10 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                             rho_prev = f64::NAN;
                             adopted_residual = residual;
                         } else {
+                            // The rejected jump's scan replaced `x`'s flows.
+                            if let (true, Some(coarse)) = (aggregate, coarse.as_mut()) {
+                                coarse.scan(&kernel, &x, &mut scratch);
+                            }
                             rho_prev = rho;
                         }
                     } else {
@@ -778,7 +761,8 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                 }
 
                 if residual <= target {
-                    let mut pi = DVector::from_vec(candidate);
+                    let jacobi = engine == SparsePreconditioner::Jacobi;
+                    let mut pi = DVector::from_vec(if jacobi { candidate } else { x });
                     // Over-relaxed sweeps can leave deep-tail entries a hair
                     // below zero; anything larger than round-off stays
                     // visible as a genuine sign error.
@@ -887,7 +871,7 @@ fn solve_on<O: GeneratorOp + ?Sized>(
                     }
                 }
                 if let (true, Some(coarse)) = (aggregate, coarse.as_mut()) {
-                    coarse.step(&kernel, &mut x);
+                    coarse.step(kernel.pool, &mut x);
                 }
             }
         }
@@ -1163,7 +1147,7 @@ mod tests {
     fn state_flows(ctmc: &Ctmc, x: &[f64], w: usize) -> LevelFlows {
         let n = ctmc.num_states();
         let mut flows = LevelFlows::default();
-        flows.reset(n, w);
+        flows.reset(n, w, 0);
         for (i, &xi) in x.iter().enumerate() {
             for (j, q) in ctmc.generator().row_iter(i) {
                 if j != i {
